@@ -80,8 +80,8 @@ san-suite:
 	cmp /tmp/bingo-san.out /tmp/bingo-nosan.out
 	@echo "san-suite: sanitized output is byte-identical to unsanitized"
 
-# Short-budget fuzz pass over the parser and address-geometry targets;
-# CI runs the same set on every push.
+# Short-budget fuzz pass over the parser, address-geometry and cell-label
+# targets; CI runs the same set on every push.
 FUZZ_TIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime $(FUZZ_TIME) ./internal/trace/
@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveParser -fuzztime $(FUZZ_TIME) ./internal/lint/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzJobWire -fuzztime $(FUZZ_TIME) ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz FuzzCellRunner -fuzztime $(FUZZ_TIME) ./internal/harness/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -58,17 +58,11 @@ func main() {
 		epochFlag    = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
 		debugFlag    = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live metrics on this address while running")
 		engineFlag   = flag.String("engine", "lockstep", "simulation engine: lockstep (reference) or event (cycle-skipping; identical results, faster on memory-bound workloads)")
-		frontFlag    = flag.String("frontend", "serial", "per-core frontend execution: serial (reference) or parallel (per-core goroutines with a deterministic LLC barrier; identical results, faster at GOMAXPROCS>1)")
 		coresFlag    = flag.Int("cores", 0, "override the core count (0 = Table I's 4); LLC capacity, DRAM channels, and memory scale with it")
 	)
 	flag.Parse()
 
 	engine, err := system.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bingosim: %v\n", err)
-		os.Exit(2)
-	}
-	frontend, err := system.ParseFrontend(*frontFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bingosim: %v\n", err)
 		os.Exit(2)
@@ -102,7 +96,6 @@ func main() {
 	opts := harness.DefaultRunOptions()
 	opts.Seed = *seedFlag
 	opts.Engine = engine
-	opts.Frontend = frontend
 	if *coresFlag < 0 {
 		fmt.Fprintf(os.Stderr, "bingosim: -cores %d: core count must be positive (0 = Table I default)\n", *coresFlag)
 		os.Exit(2)
@@ -376,6 +369,5 @@ func buildTraceSystem(path, prefetcher string, opts harness.RunOptions) (*system
 		return nil, nil, err
 	}
 	sys.SetEngine(opts.Engine)
-	sys.SetFrontend(opts.Frontend)
 	return sys, cleanup, nil
 }

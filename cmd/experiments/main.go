@@ -62,7 +62,6 @@ func main() {
 		epochFlag  = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
 		debugFlag  = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live progress counters on this address while running")
 		engineFlag = flag.String("engine", "lockstep", "simulation engine: lockstep (reference) or event (cycle-skipping; identical tables, faster on memory-bound workloads)")
-		frontFlag  = flag.String("frontend", "serial", "per-core frontend execution: serial (reference) or parallel (per-core goroutines with a deterministic LLC barrier; identical tables, faster at GOMAXPROCS>1)")
 		serveFlag  = flag.String("serve", "", "coordinator mode: serve the sweep's job queue on this address, render tables once all jobs finish")
 		workerFlag = flag.String("worker", "", "worker mode: lease and run jobs from the coordinator at this base URL")
 		ttlFlag    = flag.Duration("lease-ttl", time.Minute, "coordinator: job lease duration without a heartbeat before re-leasing")
@@ -80,11 +79,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	frontend, err := system.ParseFrontend(*frontFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *sanFlag && !san.Compiled {
 		fmt.Fprintln(os.Stderr, "experiments: -san requires a binary built with -tags=san")
@@ -98,7 +92,6 @@ func main() {
 	}
 	opts.Seed = *seedFlag
 	opts.Engine = engine
-	opts.Frontend = frontend
 
 	var report io.Writer = os.Stderr
 	if *quietFlag {

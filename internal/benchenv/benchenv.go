@@ -18,11 +18,10 @@ type Env struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Degraded marks artefacts recorded on a host that cannot produce a
-	// meaningful parallel measurement (a single CPU: worker pools and
-	// parallel frontends only add scheduling overhead there). It is the
-	// machine-readable form of the "re-record on a multi-core machine"
-	// prose note — consumers gate speedup assertions on it instead of
-	// parsing notes.
+	// meaningful parallel measurement (a single CPU: a worker pool only
+	// adds scheduling overhead there). It is the machine-readable form of
+	// the "re-record on a multi-core machine" prose note — consumers gate
+	// speedup assertions on it instead of parsing notes.
 	Degraded bool `json:"degraded"`
 }
 

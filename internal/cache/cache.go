@@ -69,7 +69,6 @@ type Backstop interface {
 // MemoryLevel adapts a Backstop to the Level interface so a cache can sit
 // directly on top of DRAM.
 type MemoryLevel struct {
-	//conc:barrier-guarded the DRAM behind the LLC is one shared component; accesses reach it only from the serialized memory-side phase
 	Mem Backstop
 }
 
@@ -210,19 +209,14 @@ type Cache struct {
 	sets [][]line
 	//ckpt:skip derived geometry, recomputed from cfg in New
 	setMask uint64
-	//conc:core-local an L1's policy belongs to its core; the LLC's is reached only from the serialized memory-side phase
-	policy Policy
+	policy  Policy
 	//ckpt:skip wiring, re-established by New before restore
-	//conc:barrier-guarded an L1's lower is the shared LLC; misses cross this edge only in the serialized memory-side phase
 	lower Level
 	//ckpt:skip wiring, re-established by system.New before restore
-	//conc:barrier-guarded eviction broadcasts fan out to every core's prefetcher during the serialized memory-side phase
 	listener EvictionListener
 	//ckpt:skip wiring, re-established by system.New before restore
-	//conc:core-local callback into the owning core's prefetcher accounting
 	outcome OutcomeFunc
 	//ckpt:skip wiring, re-established by system.New before restore
-	//conc:core-local callback into the owning core's prefetch-queue redundancy probe
 	probe PrefetchProbe
 	stats Stats
 	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay

@@ -80,8 +80,7 @@ func (p *lruPolicy) Victim(set int) int {
 
 type randomPolicy struct {
 	assoc int
-	//conc:core-local each cache owns its policy RNG; no other component touches it
-	rng *rand.Rand
+	rng   *rand.Rand
 	// draws counts Victim calls. The RNG stream is deterministic from its
 	// fixed seed, so a checkpoint stores only this cursor and restore
 	// replays the stream to reposition it (see LoadState in checkpoint.go).

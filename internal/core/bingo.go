@@ -63,7 +63,7 @@ func (c Config) Validate() error {
 	if rc.Blocks() > 64 {
 		return fmt.Errorf("core: regions of %d blocks exceed the 64-block footprint limit", rc.Blocks())
 	}
-	if c.VoteThreshold <= 0 || c.VoteThreshold > 1 {
+	if !(c.VoteThreshold > 0 && c.VoteThreshold <= 1) { // also rejects NaN
 		return fmt.Errorf("core: vote threshold %v out of (0,1]", c.VoteThreshold)
 	}
 	return nil
@@ -86,10 +86,8 @@ type Bingo struct {
 	//ckpt:skip construction parameter, re-supplied by New before restore
 	cfg Config
 	//ckpt:skip derived from cfg.RegionBytes in New
-	rc mem.RegionConfig
-	//conc:core-local each core owns its Bingo instance and its tables
+	rc      mem.RegionConfig
 	tracker *prefetch.RegionTracker
-	//conc:core-local each core owns its Bingo instance and its tables
 	history *HistoryTable
 	stats   Stats
 

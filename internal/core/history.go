@@ -125,7 +125,7 @@ func NewHistoryTable(rc mem.RegionConfig, numEntries, ways int, voteThreshold fl
 	if !mem.IsPow2(sets) {
 		return nil, fmt.Errorf("core: history set count %d must be a power of two", sets)
 	}
-	if voteThreshold <= 0 || voteThreshold > 1 {
+	if !(voteThreshold > 0 && voteThreshold <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("core: vote threshold %v must be in (0,1]", voteThreshold)
 	}
 	return &HistoryTable{

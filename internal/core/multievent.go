@@ -18,10 +18,8 @@ type MultiEvent struct {
 	//ckpt:skip derived from the region size re-supplied at construction
 	rc mem.RegionConfig
 	//ckpt:skip construction parameter, re-supplied by NewMultiEvent; LoadState validates the table count
-	events []prefetch.EventKind // longest first
-	//conc:core-local each core owns its MultiEvent instance and its tables
-	tables []*prefetch.Table[patternEntry]
-	//conc:core-local each core owns its MultiEvent instance and its tables
+	events  []prefetch.EventKind // longest first
+	tables  []*prefetch.Table[patternEntry]
 	tracker *prefetch.RegionTracker
 	//ckpt:skip construction parameter, re-supplied by NewMultiEvent
 	maxDeg int

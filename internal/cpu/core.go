@@ -82,13 +82,10 @@ type Core struct {
 	//ckpt:skip identity, re-supplied by New before restore
 	id int
 	//ckpt:skip rebuilt fresh and fast-forwarded past the persisted cursor by LoadState
-	//conc:core-local each core consumes its own trace source
 	src trace.Source
 	//ckpt:skip wiring, re-established by system.New before restore
-	//conc:barrier-guarded the mapper is a per-core bridge: touched pages resolve via the translator's concurrent-safe Lookup, first touches serialize through the driver's in-order drain
 	xlat vm.Mapper
 	//ckpt:skip wiring, re-established by system.New before restore
-	//conc:core-local points at this core's private L1; L1 misses cross to the shared LLC through the core's memBridge
 	port cache.Level
 
 	rob      []robEntry // ring buffer
@@ -115,7 +112,6 @@ type Core struct {
 
 	stats Stats
 	//ckpt:skip wiring, re-established by the harness before restore
-	//conc:core-local observes only this core's demand stream
 	tap DemandTap
 	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
 	san sanState // runtime invariant sanitizer (empty without -tags=san)

@@ -151,11 +151,21 @@ func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func
 		if err != nil {
 			return nil, nil, err
 		}
+		// Build one instance up front: a label whose configuration core.New
+		// rejects must fail here with an error, not panic inside the
+		// factory when a (possibly remote) worker builds the system.
+		if _, err := core.New(cfg); err != nil {
+			return nil, nil, fmt.Errorf("harness: cell label %q: %w", name, err)
+		}
 		return func() (prefetch.Factory, error) { return core.Factory(cfg), nil }, nil, nil
 	default:
 		return nil, nil, fmt.Errorf("harness: unknown cell label family %q", name)
 	}
 }
+
+// maxVariantHistory caps bingo[hist=N] at 16x the largest Figure 6 size,
+// so a label cannot request a history table that exhausts memory.
+const maxVariantHistory = 1 << 20
 
 // bingoVariantConfig parses one bracketed Bingo variant argument into a
 // configuration derived from the defaults.
@@ -172,13 +182,13 @@ func bingoVariantConfig(label, arg string) (core.Config, error) {
 	switch k {
 	case "hist":
 		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
+		if err != nil || n <= 0 || n > maxVariantHistory {
 			return core.Config{}, fmt.Errorf("harness: bad history size in label %q", label)
 		}
 		cfg.HistoryEntries = n
 	case "vote":
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
+		if err != nil || !(f > 0 && f <= 1) {
 			return core.Config{}, fmt.Errorf("harness: bad vote threshold in label %q", label)
 		}
 		cfg.VoteThreshold = f

@@ -49,7 +49,7 @@ func TestCheckpointSchemaGolden(t *testing.T) {
 	want := []checkpoint.SectionSchema{
 		{ID: "meta", Fields: "v1 str*2 i64"},
 		// v3: pfDropped widened from one shared u64 to a per-core u64s
-		// column (parallel frontends count drops per core).
+		// column.
 		{ID: "system", Fields: "v3 u64 u8 u64 u64s bools u64s*26 i64s u64s"},
 		{ID: "vm", Fields: "v1 u64s*2 i64*2"},
 		{ID: "dram", Fields: "v1 u64*6 u64s*3"},

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -101,6 +102,40 @@ func TestEngineDifferentialAllWorkloads(t *testing.T) {
 		for _, p := range []string{"none", "bingo"} {
 			lock, ev, _ := runBothEngines(t, w, p, opts)
 			requireIdentical(t, w.Name+"/"+p, lock, ev)
+		}
+	}
+}
+
+// coreScaledOptions is the oracle machine scaled to cores (WithCores)
+// with short budgets: the differential compares every cycle, so a small
+// window at 16 cores proves as much about ordering as a long one at 4.
+func coreScaledOptions(cores int) RunOptions {
+	opts := oracleRunOptions()
+	opts.System = opts.System.WithCores(cores).Scaled(2_000, 20_000)
+	return opts
+}
+
+// TestEngineDifferentialCoreCounts adds core count as an input: the
+// scaled 8- and 16-core machines (larger LLC, more DRAM channels, more
+// cores contending) on em3d (regular) and Zeus (pointer chains),
+// baseline and Bingo.
+func TestEngineDifferentialCoreCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine differential matrix is slow")
+	}
+	defer san.SetEnabled(san.Compiled)
+	san.SetEnabled(san.Compiled)
+	for _, cores := range []int{8, 16} {
+		opts := coreScaledOptions(cores)
+		for _, wname := range []string{"em3d", "Zeus"} {
+			w, ok := workloads.ByName(wname)
+			if !ok {
+				t.Fatalf("workload %q not registered", wname)
+			}
+			for _, p := range []string{"none", "bingo"} {
+				lock, ev, _ := runBothEngines(t, w, p, opts)
+				requireIdentical(t, fmt.Sprintf("%s/%s cores=%d", w.Name, p, cores), lock, ev)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bingo/internal/benchenv"
-	"bingo/internal/system"
 	"bingo/internal/workloads"
 )
 
@@ -244,42 +243,16 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // meaningless without knowing how many CPUs the worker pool had, and its
 // degraded flag tells consumers structurally when this host could not
 // have produced a >1x number (single CPU) — gate on it, don't parse the
-// prose note. Two parallelism axes are measured: the cell-level worker
-// pool (seq/par) and the intra-simulation parallel frontend
-// (frontend_*), which fans one system's core ticks across goroutines.
+// prose note.
 type runnerBench struct {
 	benchenv.Env
-	Note                    string  `json:"note,omitempty"`
-	Cells                   int     `json:"cells"`
-	Experiments             string  `json:"experiments"`
-	SeqSeconds              float64 `json:"seq_seconds"`
-	ParJobs                 int     `json:"par_jobs"`
-	ParSeconds              float64 `json:"par_seconds"`
-	Speedup                 float64 `json:"speedup"`
-	FrontendCell            string  `json:"frontend_cell"`
-	FrontendCores           int     `json:"frontend_cores"`
-	FrontendSerialSeconds   float64 `json:"frontend_serial_seconds"`
-	FrontendParallelSeconds float64 `json:"frontend_parallel_seconds"`
-	FrontendSpeedup         float64 `json:"frontend_speedup"`
-}
-
-// frontendWall times one representative cell (em3d/bingo at 8 cores)
-// under the given frontend, for the BENCH_runner document.
-func frontendWall(f system.Frontend) (time.Duration, error) {
-	w, ok := workloads.ByName("em3d")
-	if !ok {
-		return 0, fmt.Errorf("workload em3d not registered")
-	}
-	factory, err := FactoryByName("bingo")
-	if err != nil {
-		return 0, err
-	}
-	opts := FastRunOptions()
-	opts.System = opts.System.WithCores(8)
-	opts.Frontend = f
-	start := time.Now()
-	_, err = Run(w, factory, opts)
-	return time.Since(start), err
+	Note        string  `json:"note,omitempty"`
+	Cells       int     `json:"cells"`
+	Experiments string  `json:"experiments"`
+	SeqSeconds  float64 `json:"seq_seconds"`
+	ParJobs     int     `json:"par_jobs"`
+	ParSeconds  float64 `json:"par_seconds"`
+	Speedup     float64 `json:"speedup"`
 }
 
 // TestEmitRunnerBench measures the sequential vs parallel warm of the
@@ -302,30 +275,17 @@ func TestEmitRunnerBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feSerial, err := frontendWall(system.FrontendSerial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feParallel, err := frontendWall(system.FrontendParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
 	doc := runnerBench{
-		Env:                     env,
-		Cells:                   cells,
-		Experiments:             fmt.Sprintf("%v", determinismExperiments),
-		SeqSeconds:              seq.Seconds(),
-		ParJobs:                 jobs,
-		ParSeconds:              par.Seconds(),
-		Speedup:                 seq.Seconds() / par.Seconds(),
-		FrontendCell:            "em3d/bingo",
-		FrontendCores:           8,
-		FrontendSerialSeconds:   feSerial.Seconds(),
-		FrontendParallelSeconds: feParallel.Seconds(),
-		FrontendSpeedup:         feSerial.Seconds() / feParallel.Seconds(),
+		Env:         env,
+		Cells:       cells,
+		Experiments: fmt.Sprintf("%v", determinismExperiments),
+		SeqSeconds:  seq.Seconds(),
+		ParJobs:     jobs,
+		ParSeconds:  par.Seconds(),
+		Speedup:     seq.Seconds() / par.Seconds(),
 	}
 	if doc.Degraded {
-		doc.Note = "single-CPU host: neither the worker pool nor the parallel frontend can beat sequential; re-record on a multi-core machine for a meaningful speedup"
+		doc.Note = "single-CPU host: the worker pool cannot beat sequential; re-record on a multi-core machine for a meaningful speedup"
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

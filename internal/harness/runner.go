@@ -26,12 +26,6 @@ type RunOptions struct {
 	// oracles, so it must not participate in configuration identity
 	// (checkpoint cross-checks, warm-artifact cache keys).
 	Engine system.Engine
-	// Frontend selects serial vs parallel per-core frontend execution
-	// (serial by default). Like Engine it is a wall-clock knob only —
-	// the frontend-differential oracles prove parallel runs
-	// byte-identical to serial ones — so it too stays out of
-	// configuration identity.
-	Frontend system.Frontend
 }
 
 // DefaultRunOptions returns the paper-faithful configuration.
@@ -57,7 +51,6 @@ func Run(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (system.Re
 		return system.Results{}, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
 	}
 	sys.SetEngine(opts.Engine)
-	sys.SetFrontend(opts.Frontend)
 	return sys.Run(), nil
 }
 
@@ -81,7 +74,6 @@ func BuildSystem(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (*
 		return nil, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
 	}
 	sys.SetEngine(opts.Engine)
-	sys.SetFrontend(opts.Frontend)
 	return sys, nil
 }
 
@@ -95,7 +87,6 @@ func RunWithSystem(w workloads.Spec, factory prefetch.Factory, opts RunOptions) 
 		return nil, system.Results{}, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
 	}
 	sys.SetEngine(opts.Engine)
-	sys.SetFrontend(opts.Frontend)
 	res := sys.Run()
 	return sys, res, nil
 }

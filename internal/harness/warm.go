@@ -129,7 +129,6 @@ func artifactKey(path string) string {
 // engine would only waste work.
 func (ws *WarmStore) artifactPath(key CellKey, opts RunOptions) string {
 	opts.Engine = system.EngineLockstep
-	opts.Frontend = system.FrontendSerial // same reasoning: frontends are byte-identical
 	sum := sha256.Sum256([]byte(key.String() + "|" + fmt.Sprintf("%+v", opts)))
 	return filepath.Join(ws.dir, hex.EncodeToString(sum[:])+".ckpt")
 }

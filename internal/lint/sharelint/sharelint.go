@@ -1,44 +1,40 @@
-// Package sharelint is the concurrency-readiness analyzer for ROADMAP
-// item 2 (per-core frontends on goroutines). Today every System advances
-// on one goroutine, so nothing inside the frontend packages needs a lock
-// — which is exactly when undocumented sharing accumulates. sharelint
-// makes the sharing story explicit before the goroutines arrive, with
-// three rules over the frontend packages (cache, core, cpu, dram,
-// prefetch, prefetchers, sched, system, telemetry, trace, vm):
+// Package sharelint guards the one form of sharing the simulator still
+// has: the `-j` worker pool runs many Systems in one process, so any
+// package-level state in the simulator packages (cache, core, cpu, dram,
+// prefetch, prefetchers, sched, system, telemetry, trace, vm) is shared
+// by every System at once. Each System is driven by one goroutine, so
+// state inside a System needs no contract. Two rules apply:
 //
-//  1. Package-level vars are shared by every core by definition. Each one
-//     must hold a sync primitive by value, or carry a //conc: contract
-//     annotation (see below).
-//
-//  2. Cross-component reference fields — struct fields whose type is a
-//     pointer, interface, function, map, channel, or a slice of those —
-//     are the edges along which one core's frontend can reach state
-//     another core also reaches (an L1's lower pointer is the shared LLC;
-//     a core's xlat pointer is the shared translator). Each such field
-//     must point at a type that holds a sync primitive, or carry a
-//     //conc: annotation naming its contract. Two structural outs apply:
-//     a pointer to a lock-bearing type is a synchronized target, and a
-//     struct that carries its own sync primitive by value is assumed to
-//     guard its reference fields with it.
+//  1. Package-level vars in the simulator packages must hold a sync
+//     primitive by value, or carry a //conc: contract annotation (see
+//     below).
 //
 //  3. Lock-bearing values must not be passed, returned, or received by
 //     value: the copy duplicates the lock, the classic lost-wakeup /
-//     deadlock footgun. Unlike the other rules this one applies to every
-//     package, and it is cross-package: whether a type holds a lock is
-//     resolved through the LockFact facts the sharefacts analyzer
-//     exports (this supersedes contractlint's old local copy check).
+//     deadlock footgun. Unlike rule 1 this one applies to every package,
+//     and it is cross-package: whether a type holds a lock is resolved
+//     through the LockFact facts the sharefacts analyzer exports (this
+//     supersedes contractlint's old local copy check).
+//
+// Rule 2 (a //conc: contract on every cross-component struct field) was
+// retired with the parallel per-core frontend it existed for; the rule
+// numbers are kept so older references stay meaningful.
 //
 // The annotation vocabulary, shared with the rest of the suite:
 //
 //	//conc:immutable <reason>        never written after construction/init
-//	//conc:core-local <reason>       only the owning core's goroutine touches it
-//	//conc:barrier-guarded <reason>  accessed only between core phases, at the
-//	                                 lockstep barrier (or under the engine's
-//	                                 single-threaded sections)
+//	//conc:core-local <reason>       only one System's goroutine touches it
+//	//conc:barrier-guarded <reason>  accessed only under an external
+//	                                 serialization point the reason names
 //
 // A reason is mandatory; an annotation without one is itself a finding.
-// Test files are exempt from rules 1 and 2 (tests are single-goroutine
-// by construction) but not from rule 3 (a copied lock is broken anywhere).
+// Test files are exempt from rule 1 but not from rule 3 (a copied lock
+// is broken anywhere).
+//
+// sharelint is the static half of the check. The dynamic oracle for
+// cross-System sharing is `go test -race ./...` (a CI step), which runs
+// the `-j` determinism tests in internal/harness/parallel_test.go: many
+// Systems simulating concurrently in one process.
 package sharelint
 
 import (
@@ -54,27 +50,26 @@ import (
 // package documentation.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharelint",
-	Doc: "require //conc: contract annotations (or sync primitives) on shared state in the per-core " +
-		"frontend packages, and forbid by-value copies of lock-bearing types anywhere",
+	Doc: "require //conc: contract annotations (or sync primitives) on package-level state in the " +
+		"simulator packages, and forbid by-value copies of lock-bearing types anywhere",
 	Requires: []*analysis.Analyzer{Facts},
 	Run:      run,
 }
 
-// frontendWords identify the packages ROADMAP item 2 will put on per-core
-// goroutines (plus the observers they feed). Matching by path segment
-// keeps analysistest fixtures, loaded under synthetic bingo/internal/...
-// paths, in scope.
-var frontendWords = []string{
+// scopeWords identify the simulator packages every System in a `-j`
+// process links against. Matching by path segment keeps analysistest
+// fixtures, loaded under synthetic bingo/internal/... paths, in scope.
+var scopeWords = []string{
 	"cache", "core", "cpu", "dram", "prefetch",
 	"sched", "system", "telemetry", "trace", "vm",
 }
 
-func inFrontend(pkgPath string) bool {
+func inScope(pkgPath string) bool {
 	rest, ok := strings.CutPrefix(pkgPath, "bingo/internal/")
 	if !ok || strings.HasPrefix(rest, "lint") {
 		return false
 	}
-	for _, w := range frontendWords {
+	for _, w := range scopeWords {
 		if strings.Contains(rest, w) {
 			return true
 		}
@@ -83,13 +78,13 @@ func inFrontend(pkgPath string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	frontend := inFrontend(pass.Pkg.Path())
+	scoped := inScope(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		inTest := pass.InTestFile(f.Package)
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.GenDecl:
-				if frontend && !inTest {
+				if scoped && !inTest {
 					checkGenDecl(pass, decl)
 				}
 			case *ast.FuncDecl:
@@ -100,106 +95,35 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkGenDecl applies rule 1 to var declarations and rule 2 to struct
-// type declarations.
+// checkGenDecl applies rule 1 to var declarations.
 func checkGenDecl(pass *analysis.Pass, decl *ast.GenDecl) {
+	if decl.Tok != token.VAR {
+		return // consts are immutable by construction
+	}
 	for _, spec := range decl.Specs {
-		switch spec := spec.(type) {
-		case *ast.ValueSpec:
-			if decl.Tok != token.VAR {
-				continue // consts are immutable by construction
+		spec, ok := spec.(*ast.ValueSpec)
+		if !ok {
+			continue
+		}
+		for _, name := range spec.Names {
+			if name.Name == "_" {
+				continue // interface-satisfaction assertions hold no state
 			}
-			for _, name := range spec.Names {
-				if name.Name == "_" {
-					continue // interface-satisfaction assertions hold no state
-				}
-				obj, ok := pass.ObjectOf(name).(*types.Var)
-				if !ok {
-					continue
-				}
-				if IsSynchronized(pass, obj.Type()) {
-					continue
-				}
-				if checkConcAnnotation(pass, name.Pos(), "var "+name.Name, spec.Doc, spec.Comment, decl.Doc) {
-					continue
-				}
-				pass.Reportf(name.Pos(),
-					"package-level var %s is shared across every core once frontends run as goroutines; guard it with a sync primitive or annotate //conc:immutable|core-local|barrier-guarded <reason>",
-					name.Name)
-			}
-		case *ast.TypeSpec:
-			st, ok := spec.Type.(*ast.StructType)
+			obj, ok := pass.ObjectOf(name).(*types.Var)
 			if !ok {
 				continue
 			}
-			// A struct that carries its own sync primitive by value (the
-			// Registry pattern: mu guarding the maps next to it) is assumed
-			// to guard its reference fields with it.
-			if obj, ok := pass.ObjectOf(spec.Name).(*types.TypeName); ok && IsSynchronized(pass, obj.Type()) {
+			if IsSynchronized(pass, obj.Type()) {
 				continue
 			}
-			checkStructFields(pass, spec.Name.Name, st)
+			if checkConcAnnotation(pass, name.Pos(), "var "+name.Name, spec.Doc, spec.Comment, decl.Doc) {
+				continue
+			}
+			pass.Reportf(name.Pos(),
+				"package-level var %s is shared by every System the -j pool runs in one process; guard it with a sync primitive or annotate //conc:immutable|core-local|barrier-guarded <reason>",
+				name.Name)
 		}
 	}
-}
-
-// checkStructFields applies rule 2: cross-component reference fields need
-// a contract.
-func checkStructFields(pass *analysis.Pass, typeName string, st *ast.StructType) {
-	for _, field := range st.Fields.List {
-		t := pass.TypeOf(field.Type)
-		if t == nil || !isSharingEdge(t) || IsSynchronized(pass, t) {
-			continue
-		}
-		// A pointer to a lock-bearing type IS a synchronized target — the
-		// "synchronize the target" escape the message offers.
-		if ptr, ok := t.Underlying().(*types.Pointer); ok && IsSynchronized(pass, ptr.Elem()) {
-			continue
-		}
-		names := fieldNames(field)
-		label := "field " + strings.Join(names, ", ") + " of " + typeName
-		if checkConcAnnotation(pass, field.Pos(), label, field.Doc, field.Comment) {
-			continue
-		}
-		pass.Reportf(field.Pos(),
-			"%s is a cross-component reference that per-core goroutines may share; annotate //conc:core-local|barrier-guarded|immutable <reason> or synchronize the target",
-			label)
-	}
-}
-
-func fieldNames(field *ast.Field) []string {
-	if len(field.Names) == 0 {
-		return []string{types.ExprString(field.Type)} // embedded
-	}
-	names := make([]string, len(field.Names))
-	for i, n := range field.Names {
-		names[i] = n.Name
-	}
-	return names
-}
-
-// isSharingEdge reports whether t is a reference shape along which two
-// goroutines can reach the same state: pointers, interfaces (except
-// error), functions, maps, channels, and slices of those. Slices of plain
-// values are owned buffers and stay exempt.
-func isSharingEdge(t types.Type) bool {
-	if _, ok := t.(*types.TypeParam); ok {
-		return false // the instantiation decides; the generic can't
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Signature, *types.Map, *types.Chan:
-		return true
-	case *types.Interface:
-		return !isErrorType(t)
-	case *types.Slice:
-		return isSharingEdge(u.Elem())
-	}
-	return false
-}
-
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 
 // checkFuncDecl applies rule 3 to a function's receiver, parameters, and
@@ -236,7 +160,7 @@ func checkByValue(pass *analysis.Pass, field *ast.Field, where string) {
 	}
 }
 
-// concContracts is the annotation vocabulary of rules 1 and 2.
+// concContracts is the annotation vocabulary of rule 1.
 var concContracts = map[string]bool{
 	"immutable":       true,
 	"core-local":      true,

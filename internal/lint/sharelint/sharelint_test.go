@@ -32,9 +32,9 @@ func TestSharelint(t *testing.T) {
 	}
 }
 
-// TestScopeIsFrontendOnly loads the same fixture under a non-frontend
-// import path: rules 1 and 2 must go quiet, while rule 3 (by-value lock
-// copies) applies everywhere and must keep firing.
+// TestScopeIsFrontendOnly loads the same fixture under an import path
+// outside the simulator packages: rule 1 must go quiet, while rule 3
+// (by-value lock copies) applies everywhere and must keep firing.
 func TestScopeIsFrontendOnly(t *testing.T) {
 	root, dir := fixture(t)
 	loader, err := analysis.NewLoader(root)
@@ -53,10 +53,10 @@ func TestScopeIsFrontendOnly(t *testing.T) {
 	}
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "by value") {
-			t.Errorf("non-frontend package got a rule 1/2 diagnostic: %s", d.Message)
+			t.Errorf("out-of-scope package got a rule 1 diagnostic: %s", d.Message)
 		}
 	}
 	if len(diags) == 0 {
-		t.Error("rule 3 (by-value lock copy) must fire outside the frontend scope too")
+		t.Error("rule 3 (by-value lock copy) must fire outside the rule 1 scope too")
 	}
 }

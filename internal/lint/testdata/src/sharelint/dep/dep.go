@@ -1,8 +1,8 @@
 // Package dep is the cross-package half of the sharelint fixture: it
 // exports a mutex-bearing type whose LockFact must travel to the
 // importing fixture package through serialized facts. It is itself
-// finding-free (its import path lands in sharelint's frontend scope, so
-// it must hold up under rules 1 and 2 too).
+// finding-free (its import path lands in sharelint's simulator-package
+// scope, so it must hold up under rule 1 too).
 package dep
 
 import "sync"

@@ -1,6 +1,6 @@
 // Package cachefixture seeds shared-state violations for the sharelint
 // analyzer. Its synthetic import path contains "cache", landing it in
-// the frontend scope of rules 1 and 2; the dep subpackage supplies a
+// the simulator-package scope of rule 1; the dep subpackage supplies a
 // lock-bearing type whose LockFact crosses the package boundary for
 // rule 3.
 package cachefixture
@@ -12,7 +12,7 @@ import (
 )
 
 // Shared maps workload names to budgets.
-var Shared = map[string]int{} // want `package-level var Shared is shared across every core`
+var Shared = map[string]int{} // want `package-level var Shared is shared by every System`
 
 // Registered maps workload names to budgets.
 //
@@ -31,36 +31,6 @@ var Mislabeled = []func(){} // want `unknown //conc: contract "bogus" on var Mis
 //
 //conc:core-local
 var Unjustified = []func(){} // want `//conc:core-local on var Unjustified needs a reason`
-
-// Node is one element of an intrusive list.
-type Node struct {
-	next *Node // want `field next of Node is a cross-component reference`
-	//conc:core-local the owning core allocated the whole list
-	prev *Node
-	val  int
-	// lock points at a synchronized target: exempt without annotation.
-	lock *dep.Locked
-}
-
-// table guards its map with its own mutex, so its reference fields are
-// assumed covered by it.
-type table struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-// Lookup reads the table under its lock.
-func (t *table) Lookup(k string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[k]
-}
-
-// holder's value field has type-parameter type: the instantiation
-// decides whether it is a sharing edge, so the generic is exempt.
-type holder[T any] struct {
-	value T
-}
 
 // wrapper embeds the dep lock by value, becoming lock-bearing itself.
 type wrapper struct {

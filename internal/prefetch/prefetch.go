@@ -19,12 +19,9 @@ type AccessEvent struct {
 
 // Prefetcher is the interface every prefetching algorithm implements.
 // Implementations are per-core (no metadata sharing between cores, as in
-// the paper). Each instance is driven from one goroutine at a time: the
-// driver goroutine in the serial frontend, or — when the system runs
-// with FrontendParallel and the prefetchers attach at L1 — the owning
-// core's worker goroutine. Instances never need internal locking; a
-// factory that shares one instance across cores forces the system back
-// to the serial frontend (see system.parallelOK).
+// the paper). Each instance is driven only by the goroutine that runs
+// its System, so instances never need internal locking — not even when
+// a shared-metadata factory hands one instance to every core.
 type Prefetcher interface {
 	// Name identifies the algorithm and configuration.
 	Name() string

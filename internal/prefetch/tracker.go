@@ -34,13 +34,10 @@ type Trigger struct {
 // without training, which keeps one-shot regions from polluting history.
 type RegionTracker struct {
 	//ckpt:skip derived from the region size re-supplied at construction
-	rc mem.RegionConfig
-	//conc:core-local each core's prefetcher owns its tracker tables
+	rc     mem.RegionConfig
 	filter *Table[ActiveRegion]
-	//conc:core-local each core's prefetcher owns its tracker tables
-	accum *Table[ActiveRegion]
+	accum  *Table[ActiveRegion]
 	//ckpt:skip wiring, re-registered by the owning prefetcher's constructor
-	//conc:core-local calls back into the owning prefetcher's training path
 	onComplete func(ActiveRegion)
 
 	// CompletedResidencies counts footprints handed back via OnEviction.

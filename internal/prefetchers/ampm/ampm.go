@@ -42,8 +42,7 @@ type AMPM struct {
 	//ckpt:skip construction parameter, re-supplied by New before restore
 	cfg Config
 	//ckpt:skip derived from cfg.ZoneBytes in New
-	rc mem.RegionConfig
-	//conc:core-local each core owns its AMPM instance and its zone table
+	rc    mem.RegionConfig
 	zones *prefetch.Table[zoneMap]
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so

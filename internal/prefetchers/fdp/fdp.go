@@ -65,8 +65,7 @@ type Stats struct {
 // implements both prefetch.Prefetcher and the cache outcome observer.
 type FDP struct {
 	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
-	cfg Config
-	//conc:core-local wraps the same core's inner prefetcher; nothing else holds it
+	cfg    Config
 	inner  prefetch.Prefetcher
 	degree int
 

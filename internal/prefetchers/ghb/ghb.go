@@ -34,10 +34,9 @@ type ghbEntry struct {
 // GHB is the PC/DC prefetcher.
 type GHB struct {
 	//ckpt:skip construction parameter, re-supplied by New; LoadState validates the buffer size
-	cfg  Config
-	buf  []ghbEntry
-	head int64 // total entries ever pushed; buf index = head % len
-	//conc:core-local each core owns its GHB instance and its index table
+	cfg   Config
+	buf   []ghbEntry
+	head  int64                  // total entries ever pushed; buf index = head % len
 	index *prefetch.Table[int64] // PC -> absolute index of newest entry
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so

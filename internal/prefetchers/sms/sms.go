@@ -42,10 +42,8 @@ type SMS struct {
 	//ckpt:skip construction parameter, re-supplied by New before restore
 	cfg Config
 	//ckpt:skip derived from cfg.RegionBytes in New
-	rc mem.RegionConfig
-	//conc:core-local each core owns its SMS instance and its tables
+	rc      mem.RegionConfig
 	tracker *prefetch.RegionTracker
-	//conc:core-local each core owns its SMS instance and its tables
 	history *prefetch.Table[patternEntry]
 
 	// Triggers and Matches expose match probability for analyses.

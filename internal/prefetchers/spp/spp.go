@@ -73,8 +73,7 @@ type SPP struct {
 	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
 	cfg Config
 	//ckpt:skip derived from cfg.PageBytes in New; LoadState validates against it
-	rc mem.RegionConfig
-	//conc:core-local each core owns its SPP instance and its signature table
+	rc      mem.RegionConfig
 	sigs    *prefetch.Table[stEntry]
 	pattern []ptEntry
 	//ckpt:skip derived geometry, recomputed from cfg in New

@@ -33,7 +33,6 @@ type rptEntry struct {
 type Stride struct {
 	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
 	cfg Config
-	//conc:core-local each core owns its stride prefetcher and its reference table
 	rpt *prefetch.Table[rptEntry]
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so

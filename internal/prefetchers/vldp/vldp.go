@@ -60,8 +60,7 @@ type VLDP struct {
 	//ckpt:skip construction parameter, re-supplied by New before restore
 	cfg Config
 	//ckpt:skip derived from cfg.PageBytes in New; LoadState validates against it
-	rc mem.RegionConfig
-	//conc:core-local each core owns its VLDP instance and its tables
+	rc   mem.RegionConfig
 	dhb  *prefetch.Table[dhbEntry]
 	dpts [3]*prefetch.Table[dptEntry] // index i keyed by history length i+1
 	opt  []int                        // first-offset -> first delta (0 = unknown)

@@ -62,9 +62,8 @@ type Waker interface {
 // entry is one registered waker with its cached deadline.
 type entry struct {
 	name string
-	//conc:barrier-guarded wakers are polled only at the clock-advance barrier, never from core frontends
-	w  Waker
-	at uint64
+	w    Waker
+	at   uint64
 }
 
 // Queue holds the registered wakers: hard ones in an indexed min-heap

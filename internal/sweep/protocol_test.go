@@ -73,7 +73,7 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedEnvelope(t *testing.T) {
-	huge := append([]byte(`{"version":1,"job_id":"x","lease_id":"y","error":"`),
+	huge := append([]byte(`{"version":2,"job_id":"x","lease_id":"y","error":"`),
 		bytes.Repeat([]byte("a"), MaxResultBytes)...)
 	huge = append(huge, []byte(`"}`)...)
 	_, err := DecodeResult(bytes.NewReader(huge))
@@ -95,7 +95,7 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeControl(strings.NewReader(
-		`{"version":1,"job_id":"a","lease_id":"b","evil":true}`)); err == nil {
+		`{"version":2,"job_id":"a","lease_id":"b","evil":true}`)); err == nil {
 		t.Fatal("control with unknown field decoded")
 	}
 }

@@ -58,8 +58,7 @@ func (s *System) saveSections(fw *checkpoint.FileWriter) error {
 		return err
 	}
 	if err := add(sectionSystem, func(w *checkpoint.Writer) error {
-		// v3: pfDropped became a per-core column (one counter per core so
-		// parallel frontends never contend on a shared drop counter).
+		// v3: pfDropped became a per-core column.
 		w.Version(3)
 		w.U64(s.clock)
 		w.U8(s.phase)

@@ -71,7 +71,6 @@ func (s *System) EngineStats() EngineStats { return s.engineStats }
 // in-flight prefetch completing frees an issue slot, which is the only
 // time-driven transition the queues have.
 type pfQueueWaker struct {
-	//conc:barrier-guarded the queue heaps are scanned only at the clock-advance barrier
 	s *System
 }
 

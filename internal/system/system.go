@@ -17,13 +17,9 @@ import (
 // System is one assembled machine instance. Build it with New, provide a
 // trace source per core, then call Run once.
 //
-// A System is driven by one goroutine from construction through Run.
-// Under FrontendSerial that goroutine does everything; under
-// FrontendParallel it fans the per-core frontends out to worker
-// goroutines each cycle and drains their staged memory-side operations
-// in core order at the barrier (see parallel.go) — results are
-// byte-identical either way. Distinct System instances are fully
-// independent and safe to run concurrently — the parallel experiment
+// A System is driven by one goroutine from construction through Run,
+// which ticks every core in index order. Distinct System instances are
+// fully independent and safe to run concurrently — the parallel experiment
 // engine relies on this. Audit note: all mutable simulation state
 // (caches, DRAM banks, translator RNG, prefetcher metadata, the
 // replacement policy's RNG in internal/cache) hangs off the System built
@@ -31,21 +27,12 @@ import (
 // mutable state, which is what keeps `go test -race` clean over the
 // parallel harness.
 type System struct {
-	cfg Config
-	// The translator synchronizes internally: workers use the read-only
-	// Lookup fast path, and allocating Translate calls happen only on the
-	// driver goroutine (serial loop or in-order drain), preserving the
-	// first-touch RNG order.
-	xlat *vm.Translator
-	//conc:barrier-guarded the shared backstop; reached only from the serialized memory-side phase
-	dram *dram.DRAM
-	//conc:barrier-guarded the shared LLC; reached only from the serialized memory-side phase
-	llc *cache.Cache
-	//conc:core-local slice laid out once by New; element i is core i's private L1
-	l1s []*cache.Cache
-	//conc:core-local slice laid out once by New; element i is core i's frontend
+	cfg   Config
+	xlat  *vm.Translator
+	dram  *dram.DRAM
+	llc   *cache.Cache
+	l1s   []*cache.Cache
 	cores []*cpu.Core
-	//conc:core-local slice laid out once by New; element i is core i's prefetcher
 	pfs   []prefetch.Prefetcher
 	clock uint64
 
@@ -55,19 +42,15 @@ type System struct {
 	// timeliness lands in every Results. tel, when attached via
 	// EnableTelemetry, additionally samples the epoch time-series; both
 	// are pure observers and never change simulated state.
-	//conc:barrier-guarded lifecycle probes fire only from the serialized memory-side phase
-	lc *telemetry.Lifecycle
-	//conc:barrier-guarded epoch sampling runs only at the clock-advance barrier
+	lc  *telemetry.Lifecycle
 	tel *telemetry.Collector
 
 	// Per-core in-flight prefetch completion times: the prefetch queue.
 	// When a core's queue is full, further predictions are dropped —
 	// exactly what a hardware prefetch queue does under bandwidth
 	// pressure, and the mechanism that keeps an over-eager prefetcher
-	// from monopolising DRAM. pfDropped counts drops per core (element i
-	// is written by whichever goroutine runs core i's prefetch issue —
-	// the worker in AttachL1 parallel mode, the driver otherwise — never
-	// two at once); Results sums it.
+	// from monopolising DRAM. pfDropped counts drops per core; Results
+	// sums it.
 	pfInflight [][]uint64
 	pfDropped  []uint64
 
@@ -75,7 +58,6 @@ type System struct {
 	// to (AttachLLC mode): precomputed once by New so a shared-metadata
 	// factory — every core holding the same instance — costs one
 	// notification per eviction instead of an O(cores²) duplicate scan.
-	//conc:barrier-guarded LLC evictions fan out only during the serialized memory-side phase
 	evictPFs []prefetch.Prefetcher
 
 	// Run-progress state. Keeping it on the System (rather than local to
@@ -91,7 +73,6 @@ type System struct {
 	// RunResumable at a checkpoint-safe boundary (no core has ticked at
 	// the new cycle yet). Under the event engine advances jump, so a
 	// hook watching for a threshold must compare with >=, not ==.
-	//conc:barrier-guarded invoked only at the clock-advance barrier, never from core frontends
 	hook func(cycle uint64) bool
 
 	// engine selects the clock-advance strategy (see engine.go); queue
@@ -101,19 +82,10 @@ type System struct {
 	// only change when that core ticks, so the loop refreshes the entry
 	// at tick time and advanceClock just takes the min — the event
 	// engine's poll-on-state-change discipline.
-	engine Engine
-	//conc:barrier-guarded the wakeup scheduler is consulted only at the clock-advance barrier
+	engine      Engine
 	queue       *sched.Queue
 	engineStats EngineStats
 	coreNext    []uint64
-
-	// frontend selects serial vs parallel per-core execution (see
-	// parallel.go); workers holds the per-core rendezvous endpoints while
-	// a parallel run is inside runUntilMarkParallel and is nil otherwise
-	// — the bridges test it to pick the staged or direct path.
-	frontend Frontend
-	//conc:barrier-guarded set before workers start and cleared after they stop; workers observe it through the happens-before of their own startup
-	workers []*coreWorker
 
 	san sanState // runtime invariant sanitizer (empty without -tags=san)
 }
@@ -179,7 +151,7 @@ func New(cfg Config, sources []trace.Source, factory prefetch.Factory) (*System,
 	for i := 0; i < cfg.NumCores; i++ {
 		l1cfg := cfg.L1
 		l1cfg.Name = fmt.Sprintf("L1[%d]", i)
-		l1, err := cache.New(l1cfg, memBridge{sys: s, core: i})
+		l1, err := cache.New(l1cfg, llcPort{sys: s})
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +165,7 @@ func New(cfg Config, sources []trace.Source, factory prefetch.Factory) (*System,
 			l1.SetPrefetchProbe(s.lc)
 			port = l1Port{sys: s, core: i, l1: l1}
 		}
-		core, err := cpu.New(cfg.Core, i, sources[i], xlatBridge{sys: s, core: i}, port)
+		core, err := cpu.New(cfg.Core, i, sources[i], s.xlat, port)
 		if err != nil {
 			return nil, err
 		}
@@ -204,11 +176,9 @@ func New(cfg Config, sources []trace.Source, factory prefetch.Factory) (*System,
 
 // l1Port wraps a core's private L1 with its prefetcher (AttachL1 mode).
 type l1Port struct {
-	//conc:core-local a port serves exactly one core's demand stream
 	sys  *System
 	core int
-	//conc:core-local points at the owning core's private L1
-	l1 *cache.Cache
+	l1   *cache.Cache
 }
 
 // Access implements cache.Level.
@@ -253,7 +223,6 @@ func MustNew(cfg Config, sources []trace.Source, factory prefetch.Factory) *Syst
 // several cores (the shared-metadata ablation) it is notified exactly
 // once per eviction without a per-eviction duplicate scan.
 type evictionBroadcast struct {
-	//conc:barrier-guarded LLC evictions fan out only during the serialized memory-side phase
 	pfs []prefetch.Prefetcher
 }
 
@@ -268,7 +237,6 @@ func (b evictionBroadcast) OnEviction(addr mem.Addr) {
 // predictions issued back into the LLC immediately (prefetch directly
 // into the LLC, no prefetch buffer — paper §V-B).
 type llcPort struct {
-	//conc:barrier-guarded L1 misses reach the shared LLC only in the serialized memory-side phase
 	sys *System
 }
 
@@ -472,9 +440,6 @@ func (s *System) runUntil(pred func(core int) bool) bool {
 // per-core reached flags recompute to the same values they held when the
 // pause hit, and mark-once idempotence is the caller's taken guard.
 func (s *System) runUntilMark(pred func(core int) bool, mark func(core int, cycle uint64)) bool {
-	if s.frontend == FrontendParallel && s.parallelOK() {
-		return s.runUntilMarkParallel(pred, mark)
-	}
 	reached := make([]bool, len(s.cores))
 	event := s.engine == EngineEvent
 	if event {

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"fmt"
 	"testing"
 
 	"bingo/internal/cache"
@@ -341,5 +342,110 @@ func TestOutcomeRouting(t *testing.T) {
 	}
 	if gotUseful == 0 {
 		t.Fatal("useful outcomes were not routed back to the prefetchers")
+	}
+}
+
+// countingPF counts eviction notifications; shared across cores it is
+// the shared-metadata ablation's shape in miniature.
+type countingPF struct {
+	evictions int
+}
+
+func (p *countingPF) Name() string                             { return "counting" }
+func (p *countingPF) OnAccess(prefetch.AccessEvent) []mem.Addr { return nil }
+func (p *countingPF) OnEviction(mem.Addr)                      { p.evictions++ }
+func (p *countingPF) StorageBytes() int                        { return 0 }
+
+// evictionConfig shrinks the LLC so a short sequential sweep overflows
+// it and generates evictions.
+func evictionConfig() Config {
+	cfg := tinyConfig()
+	cfg.NumCores = 4
+	cfg.LLC.SizeBytes = 16 * 1024
+	cfg.LLC.Assoc = 4
+	return cfg
+}
+
+// TestEvictionBroadcastDeduplicates is the regression test for the
+// shared-metadata fan-out: New precomputes the unique-instance list, so
+// a factory handing every core the same instance must notify it exactly
+// once per LLC eviction — the behaviour the old per-eviction duplicate
+// scan implemented in O(cores²) time — while private instances each see
+// every eviction.
+func TestEvictionBroadcastDeduplicates(t *testing.T) {
+	cfg := evictionConfig()
+	mkSources := func() []trace.Source {
+		perCore := make([][]trace.Record, cfg.NumCores)
+		for i := range perCore {
+			perCore[i] = seqTrace(3000, uint64(i+1))
+		}
+		return sources(perCore...)
+	}
+
+	shared := &countingPF{}
+	sys := MustNew(cfg, mkSources(), func(int) prefetch.Prefetcher { return shared })
+	if got := len(sys.evictPFs); got != 1 {
+		t.Fatalf("shared factory: unique eviction list has %d entries, want 1", got)
+	}
+	sys.Run()
+	if shared.evictions == 0 {
+		t.Fatal("LLC never evicted; the machine is too large for the trace")
+	}
+
+	privates := make([]*countingPF, cfg.NumCores)
+	sys = MustNew(cfg, mkSources(), func(core int) prefetch.Prefetcher {
+		privates[core] = &countingPF{}
+		return privates[core]
+	})
+	if got := len(sys.evictPFs); got != cfg.NumCores {
+		t.Fatalf("private factory: unique eviction list has %d entries, want %d", got, cfg.NumCores)
+	}
+	sys.Run()
+
+	// Identical traces, identical machine: the eviction stream is the
+	// same, so the shared instance must have seen exactly what any one
+	// private instance saw — once per eviction, not once per core.
+	for i, p := range privates {
+		if p.evictions != shared.evictions {
+			t.Fatalf("private[%d] saw %d evictions, shared instance saw %d — dedup broke the broadcast",
+				i, p.evictions, shared.evictions)
+		}
+	}
+}
+
+// TestWithCoresScaling pins the Table I extrapolation: LLC capacity and
+// physical memory stay per-core-constant, DRAM channels stay a power of
+// two tracking core count, and every scaled config validates.
+func TestWithCoresScaling(t *testing.T) {
+	base := DefaultConfig()
+	for _, tc := range []struct {
+		cores    int
+		llcBytes int
+		channels int
+	}{
+		{4, 8 << 20, 2},
+		{8, 16 << 20, 4},
+		{16, 32 << 20, 8},
+		{64, 128 << 20, 32},
+	} {
+		cfg := base.WithCores(tc.cores)
+		if cfg.NumCores != tc.cores {
+			t.Fatalf("WithCores(%d).NumCores = %d", tc.cores, cfg.NumCores)
+		}
+		if cfg.LLC.SizeBytes != tc.llcBytes {
+			t.Errorf("WithCores(%d) LLC = %d bytes, want %d", tc.cores, cfg.LLC.SizeBytes, tc.llcBytes)
+		}
+		if cfg.DRAM.Channels != tc.channels {
+			t.Errorf("WithCores(%d) channels = %d, want %d", tc.cores, cfg.DRAM.Channels, tc.channels)
+		}
+		if cfg.MemoryBytes != uint64(tc.cores)<<30 {
+			t.Errorf("WithCores(%d) memory = %d bytes", tc.cores, cfg.MemoryBytes)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("WithCores(%d) invalid: %v", tc.cores, err)
+		}
+	}
+	if fmt.Sprintf("%+v", base.WithCores(4)) != fmt.Sprintf("%+v", base) {
+		t.Error("WithCores(4) should reproduce the Table I anchor exactly")
 	}
 }

@@ -14,21 +14,19 @@ import (
 
 // traceEvent is one entry of the traceEvents array.
 type traceEvent struct {
-	Name  string `json:"name"`
-	Phase string `json:"ph"`
-	TS    uint64 `json:"ts"`
-	Dur   uint64 `json:"dur,omitempty"`
-	PID   int    `json:"pid"`
-	TID   int    `json:"tid,omitempty"`
-	//conc:core-local export-time scratch, built and marshalled on the exporting goroutine
-	Args map[string]any `json:"args,omitempty"`
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	TS    uint64         `json:"ts"`
+	Dur   uint64         `json:"dur,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // traceDoc is the top-level trace file object.
 type traceDoc struct {
-	TraceEvents []traceEvent `json:"traceEvents"`
-	//conc:core-local export-time scratch, built and marshalled on the exporting goroutine
-	OtherData map[string]any `json:"otherData,omitempty"`
+	TraceEvents []traceEvent   `json:"traceEvents"`
+	OtherData   map[string]any `json:"otherData,omitempty"`
 }
 
 // WriteChromeTrace renders the epoch series as a Chrome trace_event

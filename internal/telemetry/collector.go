@@ -24,7 +24,6 @@ type Collector struct {
 
 	reg *Registry
 	//ckpt:skip wiring, re-attached by Begin before restore
-	//conc:barrier-guarded lifecycle counters are read only at epoch boundaries, between core phases
 	lc *Lifecycle
 	//ckpt:skip distribution sketch, observational only; Results never read it back
 	margins *Histogram

@@ -41,8 +41,7 @@ type DebugServer struct {
 	Addr string
 
 	srv *http.Server
-	//conc:immutable set once by StartDebugServer; the listener is internally synchronized
-	ln net.Listener
+	ln  net.Listener
 }
 
 // StartDebugServer serves /debug/pprof/*, /debug/vars (expvar, with the

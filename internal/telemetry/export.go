@@ -66,16 +66,14 @@ func (c *Collector) lifecycleReport() *LifecycleReport {
 
 // Document is the JSON export layout.
 type Document struct {
-	Workload    string     `json:"workload,omitempty"`
-	Prefetcher  string     `json:"prefetcher,omitempty"`
-	EpochCycles uint64     `json:"epoch_cycles"`
-	StartCycle  uint64     `json:"start_cycle"`
-	EndCycle    uint64     `json:"end_cycle"`
-	Epochs      []EpochRow `json:"epochs"`
-	//conc:core-local export-time snapshot, built and marshalled on the exporting goroutine
-	Lifecycle *LifecycleReport `json:"lifecycle,omitempty"`
-	//conc:core-local export-time snapshot, built and marshalled on the exporting goroutine
-	Metrics Snapshot `json:"metrics"`
+	Workload    string           `json:"workload,omitempty"`
+	Prefetcher  string           `json:"prefetcher,omitempty"`
+	EpochCycles uint64           `json:"epoch_cycles"`
+	StartCycle  uint64           `json:"start_cycle"`
+	EndCycle    uint64           `json:"end_cycle"`
+	Epochs      []EpochRow       `json:"epochs"`
+	Lifecycle   *LifecycleReport `json:"lifecycle,omitempty"`
+	Metrics     Snapshot         `json:"metrics"`
 }
 
 // Export builds the JSON document for the collected run.

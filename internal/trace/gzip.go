@@ -44,9 +44,7 @@ func NewAutoReader(r io.Reader) (*Reader, io.Closer, error) {
 
 // GzipWriter wraps a Writer so records are gzip-compressed on the way out.
 type GzipWriter struct {
-	//conc:core-local a trace writer streams one core's records from one goroutine
 	*Writer
-	//conc:core-local owned by this writer; flushed and closed only through it
 	gz *gzip.Writer
 }
 

@@ -40,7 +40,6 @@ var ErrBadMagic = errors.New("trace: bad magic (not a Bingo trace file)")
 // Close must be called to flush buffered data and back-patch nothing —
 // the count is written up front, so the caller supplies it to NewWriter.
 type Writer struct {
-	//conc:core-local a trace writer streams one core's records from one goroutine
 	w     *bufio.Writer
 	count uint64
 	wrote uint64
@@ -93,7 +92,6 @@ func (w *Writer) Close() error {
 
 // Reader decodes a binary trace stream and implements Source.
 type Reader struct {
-	//conc:core-local a trace source feeds exactly one core's frontend
 	r         *bufio.Reader
 	remaining uint64
 	err       error

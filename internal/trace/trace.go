@@ -100,7 +100,6 @@ func (s *SliceSource) Len() int { return len(s.recs) }
 
 // Limit wraps src and stops after max records (or earlier if src ends).
 type Limit struct {
-	//conc:core-local wraps the single core-owned source it limits
 	src Source
 	n   int
 	max int

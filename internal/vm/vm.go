@@ -9,7 +9,6 @@ package vm
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"bingo/internal/mem"
 )
@@ -18,23 +17,15 @@ import (
 const DefaultPageSize = 4096
 
 // Translator maps virtual pages to physical frames with random first-touch
-// assignment. Translate (which may allocate) and the checkpoint methods
-// serialize on an internal mutex; Lookup is a read-only fast path safe to
-// call concurrently with Translate, which the parallel frontend exploits:
-// workers resolve already-touched pages lock-free of the driver, and
-// first touches are staged to the driver so the RNG draw order — and
-// therefore every frame assignment — matches a serial run exactly.
+// assignment. It is not safe for concurrent use: one System's goroutine
+// owns it, so the RNG draw order — and therefore every frame assignment —
+// follows the simulated access order exactly.
 type Translator struct {
-	//ckpt:skip zero value is ready; never persisted
-	mu sync.RWMutex
 	//ckpt:skip derived from the page size re-supplied to NewTranslator
 	pageShift uint
 	//ckpt:skip derived from the page size re-supplied to NewTranslator
 	pageMask uint64
-	// mapping entries are write-once (a page's frame never changes after
-	// first touch), so a Lookup hit is always the final value even while
-	// the driver is allocating other pages under mu.
-	mapping map[uint64]uint64 // virtual page -> physical frame
+	mapping  map[uint64]uint64 // virtual page -> physical frame
 	//ckpt:skip rebuilt by replaying the persisted refill count against the seeded RNG
 	freeList []uint64 // shuffled physical frame numbers
 	nextFree int
@@ -83,41 +74,18 @@ func MustTranslator(memBytes, pageSize uint64, seed int64) *Translator {
 func (t *Translator) PageSize() uint64 { return t.pageMask + 1 }
 
 // MappedPages returns how many virtual pages have been touched so far.
-func (t *Translator) MappedPages() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.mapping)
-}
+func (t *Translator) MappedPages() int { return len(t.mapping) }
 
 // Translate maps a virtual address to its physical address, allocating a
-// random frame on first touch. Only one goroutine may be inside Translate
-// at a time (the mutex enforces it); concurrent Lookup calls are fine.
+// random frame on first touch.
 func (t *Translator) Translate(va mem.Addr) mem.Addr {
 	vpn := uint64(va) >> t.pageShift
-	t.mu.Lock()
 	frame, ok := t.mapping[vpn]
 	if !ok {
 		frame = t.allocFrame()
 		t.mapping[vpn] = frame //hot:alloc first-touch page mapping; the table grows once per page
 	}
-	t.mu.Unlock()
 	return mem.Addr(frame<<t.pageShift | uint64(va)&t.pageMask)
-}
-
-// Lookup resolves va only if its page has already been touched; it never
-// allocates. Parallel frontends use it as the concurrent fast path: a hit
-// is final (entries are write-once), a miss means the caller must fall
-// back to a serialized Translate so the first-touch RNG draw happens in
-// deterministic order.
-func (t *Translator) Lookup(va mem.Addr) (mem.Addr, bool) {
-	vpn := uint64(va) >> t.pageShift
-	t.mu.RLock()
-	frame, ok := t.mapping[vpn]
-	t.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	return mem.Addr(frame<<t.pageShift | uint64(va)&t.pageMask), true
 }
 
 // allocFrame returns the next frame from a lazily built shuffled free list.
