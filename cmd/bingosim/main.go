@@ -57,16 +57,9 @@ func main() {
 		traceOutFlag = flag.String("trace-out", "", "write the epoch time-series as a Chrome trace_event file (chrome://tracing, Perfetto) to this file")
 		epochFlag    = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
 		debugFlag    = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live metrics on this address while running")
-		engineFlag   = flag.String("engine", "lockstep", "simulation engine: lockstep (reference) or event (cycle-skipping; identical results, faster on memory-bound workloads)")
 		coresFlag    = flag.Int("cores", 0, "override the core count (0 = Table I's 4); LLC capacity, DRAM channels, and memory scale with it")
 	)
 	flag.Parse()
-
-	engine, err := system.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bingosim: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *sanFlag && !san.Compiled {
 		fmt.Fprintln(os.Stderr, "bingosim: -san requires a binary built with -tags=san")
@@ -95,7 +88,6 @@ func main() {
 
 	opts := harness.DefaultRunOptions()
 	opts.Seed = *seedFlag
-	opts.Engine = engine
 	if *coresFlag < 0 {
 		fmt.Fprintf(os.Stderr, "bingosim: -cores %d: core count must be positive (0 = Table I default)\n", *coresFlag)
 		os.Exit(2)
@@ -368,6 +360,5 @@ func buildTraceSystem(path, prefetcher string, opts harness.RunOptions) (*system
 		_ = cleanup() // best-effort: the construction error wins
 		return nil, nil, err
 	}
-	sys.SetEngine(opts.Engine)
 	return sys, cleanup, nil
 }

@@ -44,7 +44,6 @@ import (
 	"bingo/internal/harness"
 	"bingo/internal/san"
 	"bingo/internal/sweep"
-	"bingo/internal/system"
 	"bingo/internal/telemetry"
 )
 
@@ -61,7 +60,6 @@ func main() {
 		telFlag    = flag.String("telemetry", "", "export each cell's epoch time-series (JSON + Chrome trace) into this directory")
 		epochFlag  = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
 		debugFlag  = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live progress counters on this address while running")
-		engineFlag = flag.String("engine", "lockstep", "simulation engine: lockstep (reference) or event (cycle-skipping; identical tables, faster on memory-bound workloads)")
 		serveFlag  = flag.String("serve", "", "coordinator mode: serve the sweep's job queue on this address, render tables once all jobs finish")
 		workerFlag = flag.String("worker", "", "worker mode: lease and run jobs from the coordinator at this base URL")
 		ttlFlag    = flag.Duration("lease-ttl", time.Minute, "coordinator: job lease duration without a heartbeat before re-leasing")
@@ -71,12 +69,6 @@ func main() {
 
 	if *serveFlag != "" && *workerFlag != "" {
 		fmt.Fprintln(os.Stderr, "experiments: -serve and -worker are mutually exclusive")
-		os.Exit(2)
-	}
-
-	engine, err := system.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -91,7 +83,6 @@ func main() {
 		opts = harness.FastRunOptions()
 	}
 	opts.Seed = *seedFlag
-	opts.Engine = engine
 
 	var report io.Writer = os.Stderr
 	if *quietFlag {

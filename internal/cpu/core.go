@@ -74,8 +74,10 @@ type robEntry struct {
 	isMem      bool
 }
 
-// Core simulates one hardware context. Drive it with Tick from a lockstep
-// system loop.
+// Core simulates one hardware context. The system loop drives it with
+// Tick on the cycles its NextEventAt names and with IdleAt or CatchUp
+// over the cycles in between; ticking it on every cycle (the lockstep
+// reference) gives identical results.
 type Core struct {
 	//ckpt:skip construction parameter, re-supplied by New; LoadState validates the ROB size
 	cfg Config

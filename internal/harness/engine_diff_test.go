@@ -25,28 +25,30 @@ import (
 // panics on violation (see internal/sched, TestNextWakePanicsOnPastWakeup),
 // so every event-engine run below doubles as a property test of it.
 
-// runBothEngines runs one cell under the lockstep and event engines and
-// returns both results plus the event run's skip accounting.
-func runBothEngines(t *testing.T, w workloads.Spec, prefetcher string, opts RunOptions) (lock, ev system.Results, stats system.EngineStats) {
+// runEngine builds one cell, selects the engine, and runs it to
+// completion. Every call resolves a fresh factory: prefetcher instances
+// are per-system.
+func runEngine(t *testing.T, w workloads.Spec, prefetcher string, eng system.Engine, opts RunOptions) (*system.System, system.Results) {
 	t.Helper()
 	factory, err := FactoryByName(prefetcher)
 	if err != nil {
 		t.Fatalf("resolving %q: %v", prefetcher, err)
 	}
-	opts.Engine = system.EngineLockstep
-	lock, err = Run(w, factory, opts)
+	sys, err := BuildSystem(w, factory, opts)
 	if err != nil {
-		t.Fatalf("lockstep run %s/%s: %v", w.Name, prefetcher, err)
+		t.Fatalf("building %s/%s: %v", w.Name, prefetcher, err)
 	}
-	opts.Engine = system.EngineEvent
-	factory, err = FactoryByName(prefetcher) // fresh factory: instances are per-system
-	if err != nil {
-		t.Fatalf("resolving %q: %v", prefetcher, err)
-	}
-	sys, ev, err := RunWithSystem(w, factory, opts)
-	if err != nil {
-		t.Fatalf("event run %s/%s: %v", w.Name, prefetcher, err)
-	}
+	sys.SetEngine(eng)
+	return sys, sys.Run()
+}
+
+// runBothEngines runs one cell under the lockstep reference and the
+// default event engine and returns both results plus the event run's
+// skip accounting.
+func runBothEngines(t *testing.T, w workloads.Spec, prefetcher string, opts RunOptions) (lock, ev system.Results, stats system.EngineStats) {
+	t.Helper()
+	_, lock = runEngine(t, w, prefetcher, system.EngineLockstep, opts)
+	sys, ev := runEngine(t, w, prefetcher, system.EngineEvent, opts)
 	return lock, ev, sys.EngineStats()
 }
 
@@ -158,6 +160,31 @@ func TestEngineActuallySkips(t *testing.T) {
 	t.Logf("Zeus/none: advances=%d skipped=%d", stats.Advances, stats.SkippedCycles)
 }
 
+// TestDefaultRunIsEventDriven pins the production default: a system
+// built the way every run builds it, with no engine selected, runs the
+// event engine and actually skips cycles.
+func TestDefaultRunIsEventDriven(t *testing.T) {
+	w, ok := workloads.ByName("em3d")
+	if !ok {
+		t.Fatal("workload em3d not registered")
+	}
+	factory, err := FactoryByName("bingo")
+	if err != nil {
+		t.Fatalf("resolving bingo: %v", err)
+	}
+	sys, err := BuildSystem(w, factory, FastRunOptions())
+	if err != nil {
+		t.Fatalf("building system: %v", err)
+	}
+	if got := sys.Engine(); got != system.EngineEvent {
+		t.Fatalf("default engine = %d, want EngineEvent (%d)", got, system.EngineEvent)
+	}
+	sys.Run()
+	if stats := sys.EngineStats(); stats.SkippedCycles == 0 {
+		t.Fatalf("default run skipped no cycles on em3d/bingo (advances=%d)", stats.Advances)
+	}
+}
+
 // TestEngineDifferentialTelemetry requires the epoch series — the most
 // skip-sensitive artifact, since a jump across an epoch edge would merge
 // epochs — to match exactly between engines.
@@ -172,11 +199,11 @@ func TestEngineDifferentialTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolving bingo: %v", err)
 		}
-		opts.Engine = engine
 		sys, err := BuildSystem(w, factory, opts)
 		if err != nil {
 			t.Fatalf("building system: %v", err)
 		}
+		sys.SetEngine(engine)
 		col := telemetry.NewCollector(0)
 		sys.EnableTelemetry(col)
 		res := sys.Run()

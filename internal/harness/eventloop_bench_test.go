@@ -40,11 +40,11 @@ func timeEngine(t *testing.T, w workloads.Spec, prefetcher string, eng system.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Engine = eng
 	sys, err := BuildSystem(w, factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.SetEngine(eng)
 	start := time.Now()
 	res := sys.Run()
 	return time.Since(start), res, sys.EngineStats()

@@ -19,13 +19,6 @@ type RunOptions struct {
 	// the identical trace, which is what makes cross-prefetcher
 	// comparisons exact.
 	Seed int64
-	// Engine selects the simulation loop's clock-advance strategy
-	// (lockstep by default). It lives here rather than in system.Config
-	// because it changes only wall-clock cost, never results: the two
-	// engines are proven byte-identical by the engine-differential
-	// oracles, so it must not participate in configuration identity
-	// (checkpoint cross-checks, warm-artifact cache keys).
-	Engine system.Engine
 }
 
 // DefaultRunOptions returns the paper-faithful configuration.
@@ -45,12 +38,10 @@ func FastRunOptions() RunOptions {
 // results. Traces are materialised once per call so that back-to-back
 // runs with different prefetchers see identical access streams.
 func Run(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (system.Results, error) {
-	sources := w.Sources(opts.System.NumCores, opts.Seed)
-	sys, err := system.New(opts.System, sources, factory)
+	sys, err := BuildSystem(w, factory, opts)
 	if err != nil {
-		return system.Results{}, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
+		return system.Results{}, err
 	}
-	sys.SetEngine(opts.Engine)
 	return sys.Run(), nil
 }
 
@@ -73,22 +64,7 @@ func BuildSystem(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (*
 	if err != nil {
 		return nil, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
 	}
-	sys.SetEngine(opts.Engine)
 	return sys, nil
-}
-
-// RunWithSystem simulates and also returns the System so callers can
-// inspect instrumented prefetcher internals (match probabilities,
-// redundancy counters).
-func RunWithSystem(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (*system.System, system.Results, error) {
-	sources := w.Sources(opts.System.NumCores, opts.Seed)
-	sys, err := system.New(opts.System, sources, factory)
-	if err != nil {
-		return nil, system.Results{}, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
-	}
-	sys.SetEngine(opts.Engine)
-	res := sys.Run()
-	return sys, res, nil
 }
 
 // BaselineCache memoises the no-prefetcher run of each workload, which

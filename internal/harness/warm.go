@@ -122,13 +122,8 @@ func artifactKey(path string) string {
 
 // artifactPath derives the on-disk name for one cell's warm state. The
 // full option struct is hashed in so that any configuration change —
-// budgets, cache geometry, seeds — keys a different artifact. The engine
-// is zeroed first: both engines simulate the identical machine (the
-// differential oracles prove byte-identical results), so an artifact
-// populated under one engine restores under the other — re-warming per
-// engine would only waste work.
+// budgets, cache geometry, seeds — keys a different artifact.
 func (ws *WarmStore) artifactPath(key CellKey, opts RunOptions) string {
-	opts.Engine = system.EngineLockstep
 	sum := sha256.Sum256([]byte(key.String() + "|" + fmt.Sprintf("%+v", opts)))
 	return filepath.Join(ws.dir, hex.EncodeToString(sum[:])+".ckpt")
 }

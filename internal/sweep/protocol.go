@@ -29,7 +29,7 @@ import (
 // ProtocolVersion is the wire format version. Every envelope carries it;
 // decoders reject any other value, so incompatible coordinator/worker
 // builds fail loudly at the first message instead of corrupting a sweep.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Size caps bound every decoder's allocation regardless of what the peer
 // (or a fuzzer) sends. They are generous multiples of real message

@@ -73,7 +73,7 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsOversizedEnvelope(t *testing.T) {
-	huge := append([]byte(`{"version":2,"job_id":"x","lease_id":"y","error":"`),
+	huge := append([]byte(`{"version":3,"job_id":"x","lease_id":"y","error":"`),
 		bytes.Repeat([]byte("a"), MaxResultBytes)...)
 	huge = append(huge, []byte(`"}`)...)
 	_, err := DecodeResult(bytes.NewReader(huge))
@@ -95,7 +95,7 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 
 func TestDecodeRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeControl(strings.NewReader(
-		`{"version":2,"job_id":"a","lease_id":"b","evil":true}`)); err == nil {
+		`{"version":3,"job_id":"a","lease_id":"b","evil":true}`)); err == nil {
 		t.Fatal("control with unknown field decoded")
 	}
 }
@@ -156,7 +156,7 @@ func FuzzJobWire(f *testing.F) {
 	if data, err := encodeJSON(Control{Version: ProtocolVersion, JobID: "a/b", LeaseID: "lease-1"}); err == nil {
 		f.Add(data)
 	}
-	f.Add([]byte(`{"version":2}`))
+	f.Add([]byte(`{"version":3}`))
 	f.Add([]byte(`{]`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {

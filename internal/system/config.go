@@ -2,9 +2,10 @@
 // DRAM, address translation, and per-core prefetchers into the simulated
 // machine of the paper's Table I, and runs the simulation loop that
 // produces per-core IPC and memory-system statistics. The loop has two
-// byte-identical clock-advance strategies (engine.go): lockstep ticking
-// of every cycle (the default) and event-driven cycle skipping over the
-// shared wakeup scheduler (internal/sched).
+// byte-identical clock-advance strategies (engine.go): event-driven
+// cycle skipping over the shared wakeup scheduler (internal/sched), the
+// default, and lockstep ticking of every cycle, kept as the reference
+// the differential oracles compare it to.
 package system
 
 import (

@@ -8,40 +8,21 @@ import (
 
 // Engine selects the simulation loop's clock-advance strategy. Both
 // engines simulate the identical machine and are proven byte-identical
-// by the engine-differential oracles (internal/harness) and the CI
-// byte-diff; they differ only in wall-clock cost.
+// by the engine-differential oracles (internal/harness); they differ
+// only in wall-clock cost. Every production run uses the zero value,
+// EngineEvent.
 type Engine uint8
 
 const (
-	// EngineLockstep ticks every core on every cycle — the reference
-	// semantics, and the default.
-	EngineLockstep Engine = iota
 	// EngineEvent jumps the clock straight to the earliest wakeup
 	// registered with the scheduler (internal/sched), skipping stretches
 	// where every component is provably idle. On memory-bound workloads
 	// this removes the bulk of the per-cycle probing.
-	EngineEvent
+	EngineEvent Engine = iota
+	// EngineLockstep ticks every core on every cycle — the reference
+	// semantics the differential oracles compare the event engine to.
+	EngineLockstep
 )
-
-// String names the engine as the -engine flag spells it.
-func (e Engine) String() string {
-	if e == EngineEvent {
-		return "event"
-	}
-	return "lockstep"
-}
-
-// ParseEngine resolves an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "lockstep":
-		return EngineLockstep, nil
-	case "event":
-		return EngineEvent, nil
-	default:
-		return EngineLockstep, fmt.Errorf("system: unknown engine %q (have lockstep, event)", s)
-	}
-}
 
 // EngineStats counts the event engine's clock advances. It is
 // diagnostic output for the bench harness, deliberately kept out of
@@ -54,10 +35,13 @@ type EngineStats struct {
 	SkippedCycles uint64
 }
 
-// SetEngine selects the clock-advance strategy. Call it before Run (or
-// between a checkpoint restore and the resuming Run — the engine is not
-// part of a checkpoint, and either engine resumes any checkpoint to the
-// same results). The scheduler itself binds lazily at run entry, so a
+// SetEngine selects the clock-advance strategy. A freshly built System
+// already runs the event engine; SetEngine(EngineLockstep) exists only
+// so the engine-differential oracles and the BENCH_eventloop emitter can
+// run the lockstep reference. Call it before Run (or between a
+// checkpoint restore and the resuming Run — the engine is not part of a
+// checkpoint, and either engine resumes any checkpoint to the same
+// results). The scheduler itself binds lazily at run entry, so a
 // restore's state is what seeds the in-flight heaps.
 func (s *System) SetEngine(e Engine) { s.engine = e }
 

@@ -104,6 +104,15 @@ func TestBaselineRunProducesResults(t *testing.T) {
 	}
 }
 
+// TestNewSystemDefaultsToEventEngine pins the default clock-advance
+// strategy: a System that nobody calls SetEngine on skips cycles.
+func TestNewSystemDefaultsToEventEngine(t *testing.T) {
+	sys := MustNew(tinyConfig(), sources(seqTrace(2000, 1), seqTrace(2000, 1)), nil)
+	if got := sys.Engine(); got != EngineEvent {
+		t.Fatalf("New system engine = %d, want EngineEvent (%d)", got, EngineEvent)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() Results {
 		sys := MustNew(tinyConfig(), sources(seqTrace(2000, 7), seqTrace(2000, 3)), nil)
