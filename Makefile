@@ -4,7 +4,7 @@ GO ?= go
 # exceeded so future PRs notice a regression.
 LINT_BUDGET_SECONDS ?= 60
 
-.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop bench-lint bench-sweep san-test san-suite fuzz sweep-smoke
+.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop bench-lint san-test san-suite fuzz
 
 all: build lint test
 
@@ -90,7 +90,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRegionGeometry -fuzztime $(FUZZ_TIME) ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveParser -fuzztime $(FUZZ_TIME) ./internal/lint/analysis/
-	$(GO) test -run '^$$' -fuzz FuzzJobWire -fuzztime $(FUZZ_TIME) ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz FuzzCellRunner -fuzztime $(FUZZ_TIME) ./internal/harness/
 
 bench:
@@ -123,15 +122,3 @@ bench-eventloop:
 # budget.
 bench-lint:
 	BENCH_LINT_JSON=$(CURDIR)/BENCH_lint.json $(GO) test -run TestEmitLintBench -v -timeout 300s ./internal/lint/
-
-# Regenerates BENCH_sweep.json: micro-budget matrix throughput local vs
-# coordinator + {1,2,4} loopback workers, plus the remote warm-cache hit
-# rate, verifying byte-identical tables throughout.
-bench-sweep:
-	BENCH_SWEEP_JSON=$(CURDIR)/BENCH_sweep.json $(GO) test -run TestEmitSweepBench -v -timeout 600s ./internal/sweep/
-
-# Loopback distributed-sweep smoke: a coordinator plus two worker
-# processes over real TCP, output diffed against a plain local run. CI
-# runs this on every push.
-sweep-smoke:
-	./scripts/sweep_smoke.sh

@@ -57,7 +57,7 @@ func main() {
 		traceOutFlag = flag.String("trace-out", "", "write the epoch time-series as a Chrome trace_event file (chrome://tracing, Perfetto) to this file")
 		epochFlag    = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
 		debugFlag    = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live metrics on this address while running")
-		coresFlag    = flag.Int("cores", 0, "override the core count (0 = Table I's 4); LLC capacity, DRAM channels, and memory scale with it")
+		coresFlag    = flag.Int("cores", 0, "override the core count: a power of two, 0 = Table I's 4; LLC capacity, DRAM channels, and memory scale with it")
 	)
 	flag.Parse()
 
@@ -90,6 +90,10 @@ func main() {
 	opts.Seed = *seedFlag
 	if *coresFlag < 0 {
 		fmt.Fprintf(os.Stderr, "bingosim: -cores %d: core count must be positive (0 = Table I default)\n", *coresFlag)
+		os.Exit(2)
+	}
+	if *coresFlag&(*coresFlag-1) != 0 {
+		fmt.Fprintf(os.Stderr, "bingosim: -cores %d: core count must be a power of two (1, 2, 4, 8, ...; 0 = Table I default)\n", *coresFlag)
 		os.Exit(2)
 	}
 	if *coresFlag > 0 {

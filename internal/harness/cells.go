@@ -171,15 +171,14 @@ func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Fa
 	})
 }
 
-// Inject memoises externally computed results for key — a sweep
-// worker's, delivered over the wire — so renderers see a cache hit
-// instead of re-simulating. The injected cell is indistinguishable from
-// a locally run one: simulations are a pure function of (key, options),
-// so a worker's results are byte-for-byte what a local run would have
-// produced. Returns false (and leaves the matrix unchanged) when the
-// cell already exists; the first result wins, mirroring the
-// singleflight rule for local runs. dur is the worker-reported
-// simulation time, recorded in the run report's per-cell stats.
+// Inject memoises results the caller computed outside the matrix, so
+// renderers see a cache hit instead of re-simulating. Simulations are a
+// pure function of (key, options), so injecting what ExecuteCell would
+// have produced leaves rendered tables byte-identical. Returns false
+// (and leaves the matrix unchanged) when the cell already exists; the
+// first result wins, mirroring the singleflight rule for matrix runs.
+// dur is the caller-measured simulation time, recorded in the run
+// report's per-cell stats.
 func (m *Matrix) Inject(key CellKey, res system.Results, aux any, dur time.Duration) bool {
 	cs := &cellState{done: make(chan struct{}), res: res, aux: aux}
 	close(cs.done)

@@ -13,14 +13,13 @@ import (
 // Job-granular cell execution: a CellKey plus a RunOptions value fully
 // determines one simulation. CellRunner reconstructs the prefetcher
 // factory (and any instrumentation probe) from the key's label alone, so
-// the identical cell can be executed by a local renderer, a parallel
-// warm worker, or a sweep worker in another process — and the
-// singleflight matrix, the warm-artifact store, and the distributed
-// sweep service all agree on what a cell *is*. Every experiment accessor
-// routes through ExecuteCell, which keeps the label grammar below the
-// single source of truth for custom-config variants: a label that parses
-// differently from what a renderer intended would change rendered tables
-// and be caught by the suite determinism oracles.
+// the identical cell can be executed by a local renderer or a parallel
+// warm worker — and the singleflight matrix and the warm-artifact store
+// agree on what a cell *is*. Every experiment accessor routes through
+// ExecuteCell, which keeps the label grammar below the single source of
+// truth for custom-config variants: a label that parses differently from
+// what a renderer intended would change rendered tables and be caught by
+// the suite determinism oracles.
 //
 // Config-level variants that modify RunOptions rather than the
 // prefetcher — queue=N, seed=N, and the core-scaling cores=N (see
@@ -31,51 +30,15 @@ import (
 // EventCounters is the instrumented payload of a single-event history
 // cell (Figure 2): predictions offered vs table lookups performed.
 type EventCounters struct {
-	Predicted uint64 `json:"predicted"`
-	Lookups   uint64 `json:"lookups"`
+	Predicted uint64
+	Lookups   uint64
 }
 
 // RedundancyCounters is the instrumented payload of the dual-table
 // redundancy probe (Figure 4).
 type RedundancyCounters struct {
-	BothHit   uint64 `json:"both_hit"`
-	Identical uint64 `json:"identical"`
-}
-
-// CellAux is the serializable union of instrumented cell payloads — the
-// wire form of the `aux` value a probe extracts from a finished system.
-// At most one field is set; the zero value means "no payload".
-type CellAux struct {
-	Events     *EventCounters      `json:"events,omitempty"`
-	Redundancy *RedundancyCounters `json:"redundancy,omitempty"`
-}
-
-// EncodeAux converts a probe payload into its wire form. A nil payload
-// encodes as the zero CellAux.
-func EncodeAux(aux any) (CellAux, error) {
-	switch v := aux.(type) {
-	case nil:
-		return CellAux{}, nil
-	case EventCounters:
-		return CellAux{Events: &v}, nil
-	case RedundancyCounters:
-		return CellAux{Redundancy: &v}, nil
-	default:
-		return CellAux{}, fmt.Errorf("harness: unencodable cell aux payload %T", aux)
-	}
-}
-
-// Decode converts the wire form back into the payload value ExecuteCell
-// would have produced locally (nil when no payload is set).
-func (a CellAux) Decode() any {
-	switch {
-	case a.Events != nil:
-		return *a.Events
-	case a.Redundancy != nil:
-		return *a.Redundancy
-	default:
-		return nil
-	}
+	BothHit   uint64
+	Identical uint64
 }
 
 // CellRunner resolves a cell key's prefetcher label into the factory
@@ -153,7 +116,7 @@ func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func
 		}
 		// Build one instance up front: a label whose configuration core.New
 		// rejects must fail here with an error, not panic inside the
-		// factory when a (possibly remote) worker builds the system.
+		// factory when a warm worker builds the system.
 		if _, err := core.New(cfg); err != nil {
 			return nil, nil, fmt.Errorf("harness: cell label %q: %w", name, err)
 		}
@@ -223,9 +186,9 @@ func parseEventKind(s string) (prefetch.EventKind, error) {
 
 // ExecuteCell runs (or recalls) the cell identified by key under opts,
 // resolving the cell's configuration from the key itself. This is the
-// execution path shared by local renderers, the parallel warm engine,
-// and remote sweep workers: whoever holds (key, opts) can perform — and
-// memoise — the identical simulation.
+// execution path shared by renderers and the parallel warm engine:
+// whoever holds (key, opts) can perform — and memoise — the identical
+// simulation.
 func (m *Matrix) ExecuteCell(key CellKey, opts RunOptions) (system.Results, any, error) {
 	build, probe, err := CellRunner(key)
 	if err != nil {

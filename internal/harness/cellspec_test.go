@@ -7,7 +7,7 @@ import (
 // TestCellRunnerRejectsBadLabels pins the label grammar's error paths. The
 // first five labels parse but describe a Bingo configuration core.New
 // rejects; CellRunner must report them instead of handing out a factory
-// that panics when a (possibly remote) worker builds the system.
+// that panics when a warm worker builds the system.
 func TestCellRunnerRejectsBadLabels(t *testing.T) {
 	for _, label := range []string{
 		"bingo[region=3000]",    // not a power of two

@@ -7,18 +7,13 @@ import (
 )
 
 // PlannedCell is one schedulable unit of the run matrix: a cell key plus
-// the options it runs under and a thunk that performs (and memoises) the
-// simulation. The thunk calls the same Matrix accessor the experiment's
+// a thunk that performs (and memoises) the simulation under the cell's
+// run options. The thunk calls the same Matrix accessor the experiment's
 // renderer will call, so a warmed cell is guaranteed to be a cache hit at
-// render time. Key and Opts alone fully describe the simulation (see
-// CellRunner), which is what lets a sweep coordinator ship planned cells
-// to workers in other processes.
+// render time.
 type PlannedCell struct {
 	Key CellKey
-	// Opts are the run options the cell executes under (the matrix's
-	// base options unless Key.Variant says otherwise).
-	Opts RunOptions
-	run  func() error
+	run func() error
 }
 
 // Engine executes planned cells on a bounded worker pool. The zero value

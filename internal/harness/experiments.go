@@ -485,7 +485,7 @@ func regionCellLabel(size uint64) string { return fmt.Sprintf("bingo[region=%d]"
 // variantCell runs (or recalls) a custom-config prefetcher labelled pf on
 // w under the matrix's base options. The label itself encodes the
 // configuration (see CellRunner), so the identical cell is reproducible
-// from the key alone — locally or on a sweep worker.
+// from the key alone.
 func (m *Matrix) variantCell(w workloads.Spec, pf string) (system.Results, error) {
 	res, _, err := m.ExecuteCell(CellKey{Workload: w.Name, Prefetcher: pf}, m.opts)
 	return res, err

@@ -13,16 +13,13 @@ import (
 // calls, so the enumeration can never produce a *different* simulation —
 // at worst an out-of-date enumerator warms too few cells (they then run
 // lazily, sequentially, at render time) or too many (wasted work), never
-// wrong output. Because every cell executes through ExecuteCell, a
-// planned cell is fully described by (Key, Opts) — the serializable unit
-// the sweep coordinator hands to remote workers.
+// wrong output.
 
 // planned builds the schedulable unit for one (key, options) cell.
 func (m *Matrix) planned(key CellKey, opts RunOptions) PlannedCell {
 	return PlannedCell{
-		Key:  key,
-		Opts: opts,
-		run:  func() error { _, _, err := m.ExecuteCell(key, opts); return err },
+		Key: key,
+		run: func() error { _, _, err := m.ExecuteCell(key, opts); return err },
 	}
 }
 

@@ -42,6 +42,26 @@ func (e UnknownExperimentError) Error() string {
 	return fmt.Sprintf("unknown experiment %q (have %v)", e.Name, experimentOrder)
 }
 
+// UnknownFormatError reports a SuiteConfig.Format the renderers do not
+// support.
+type UnknownFormatError struct {
+	Format string
+}
+
+// Error implements error.
+func (e UnknownFormatError) Error() string {
+	return fmt.Sprintf("unknown output format %q (have text, csv, markdown)", e.Format)
+}
+
+// checkFormat accepts the formats RenderTables knows; "" means text.
+func checkFormat(format string) error {
+	switch format {
+	case "", "text", "csv", "markdown":
+		return nil
+	}
+	return UnknownFormatError{Format: format}
+}
+
 // BuildExperiment builds (running any simulations still missing from m)
 // the named experiment's table.
 func BuildExperiment(name string, m *Matrix) (Table, error) {
@@ -103,7 +123,8 @@ type SuiteConfig struct {
 	// Jobs bounds the worker pool warming the matrix: 1 recovers the
 	// fully sequential lazy path; <= 0 selects runtime.GOMAXPROCS(0).
 	Jobs int
-	// Format is "text" (default), "csv", or "markdown".
+	// Format is "text" (or "", the default), "csv", or "markdown";
+	// RunSuite rejects anything else with UnknownFormatError.
 	Format string
 	// BudgetLabel names the instruction budgets in table notes
 	// ("full", "fast"); empty omits the note's budget clause.
@@ -184,6 +205,9 @@ func (c SuiteConfig) Selected() ([]string, error) {
 // repeated runs at the same value. Jobs == 1 skips the warm phase
 // entirely, recovering the historical lazy sequential path.
 func RunSuite(out io.Writer, cfg SuiteConfig) error {
+	if err := checkFormat(cfg.Format); err != nil {
+		return err
+	}
 	names, err := cfg.Selected()
 	if err != nil {
 		return err
@@ -209,11 +233,11 @@ func RunSuite(out io.Writer, cfg SuiteConfig) error {
 		return err
 	}
 
-	WriteRunReport(cfg.Report, m, jobs, warmWall, time.Since(wallStart))
+	writeRunReport(cfg.Report, m, jobs, warmWall, time.Since(wallStart))
 	if cfg.TelemetryDir != "" {
 		reportf(cfg.Report, "telemetry: per-cell epoch series exported to %s\n", cfg.TelemetryDir)
 	}
-	ReportWarmStats(cfg.Report, warm)
+	reportWarmStats(cfg.Report, warm)
 	return nil
 }
 
@@ -247,7 +271,7 @@ func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, *WarmStore, error) {
 // RenderTables builds and renders the named experiments' tables to out,
 // strictly in the given order, in the configured format. Renderers pull
 // cells from the memoised matrix — any cell not already present (warmed
-// locally or injected from a sweep worker) is simulated lazily here, so
+// by the engine or injected by the caller) is simulated lazily here, so
 // the output never depends on how the matrix was populated.
 func RenderTables(out io.Writer, cfg SuiteConfig, m *Matrix, names []string) error {
 	for _, name := range names {
@@ -272,20 +296,15 @@ func RenderTables(out io.Writer, cfg SuiteConfig, m *Matrix, names []string) err
 	return nil
 }
 
-// ReportWarmStats writes the warm-start store's hit/miss line (plus the
-// remote-cache line when a distributed artifact cache was attached) to
-// the report sink. nil store or sink writes nothing.
-func ReportWarmStats(w io.Writer, warm *WarmStore) {
+// reportWarmStats writes the warm-start store's hit/miss line to the
+// report sink. nil store or sink writes nothing.
+func reportWarmStats(w io.Writer, warm *WarmStore) {
 	if warm == nil {
 		return
 	}
 	s := warm.Stats()
 	reportf(w, "warm-start store: %d hits (%d warm-up cycles skipped), %d misses (%d warm-up cycles run)\n",
 		s.Hits, s.CyclesSkipped, s.Misses, s.CyclesRun)
-	if s.RemoteHits > 0 || s.RemotePuts > 0 || s.RemotePutErrors > 0 {
-		reportf(w, "remote artifact cache: %d fetched, %d pushed, %d push errors\n",
-			s.RemoteHits, s.RemotePuts, s.RemotePutErrors)
-	}
 }
 
 // reportf writes a progress line to the report sink, if any.
@@ -295,10 +314,10 @@ func reportf(w io.Writer, format string, args ...any) {
 	}
 }
 
-// WriteRunReport renders the per-cell statistics: totals, effective
+// writeRunReport renders the per-cell statistics: totals, effective
 // parallelism, and the slowest cells with their timing (and allocation
 // volume when it was attributable, i.e. jobs == 1).
-func WriteRunReport(w io.Writer, m *Matrix, jobs int, warmWall, totalWall time.Duration) {
+func writeRunReport(w io.Writer, m *Matrix, jobs int, warmWall, totalWall time.Duration) {
 	if w == nil {
 		return
 	}

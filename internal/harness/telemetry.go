@@ -76,11 +76,11 @@ func (m *Matrix) newCellCollector(key CellKey) *telemetry.Collector {
 	return tel
 }
 
-// TelemetryFileBase derives the export filename stem for one cell: the
+// telemetryFileBase derives the export filename stem for one cell: the
 // key string with every byte outside [A-Za-z0-9._-] replaced by '_',
 // plus a short hash of the unsanitised key so distinct cells can never
 // collide after sanitisation.
-func TelemetryFileBase(key CellKey) string {
+func telemetryFileBase(key CellKey) string {
 	s := key.String()
 	b := []byte(s)
 	for i, c := range b {
@@ -103,7 +103,7 @@ func (m *Matrix) exportCellTelemetry(key CellKey, tel *telemetry.Collector) erro
 	if dir == "" || tel == nil {
 		return nil
 	}
-	base := filepath.Join(dir, TelemetryFileBase(key))
+	base := filepath.Join(dir, telemetryFileBase(key))
 	if err := writeFileWith(base+".json", tel.WriteJSON); err != nil {
 		return fmt.Errorf("harness: telemetry export %s: %w", key, err)
 	}

@@ -20,7 +20,7 @@ const telemetryTestEpoch = 10_000
 // readTelemetryDoc loads and decodes one exported cell document.
 func readTelemetryDoc(t *testing.T, dir string, key CellKey) telemetry.Document {
 	t.Helper()
-	path := filepath.Join(dir, TelemetryFileBase(key)+".json")
+	path := filepath.Join(dir, telemetryFileBase(key)+".json")
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading export for %s: %v", key, err)
@@ -59,7 +59,7 @@ func TestMatrixTelemetryIsPureObserver(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: results differ with telemetry enabled", pf)
 		}
-		base := filepath.Join(dir, TelemetryFileBase(CellKey{Workload: w.Name, Prefetcher: pf}))
+		base := filepath.Join(dir, telemetryFileBase(CellKey{Workload: w.Name, Prefetcher: pf}))
 		for _, path := range []string{base + ".json", base + ".trace.json"} {
 			if _, err := os.Stat(path); err != nil {
 				t.Errorf("%s: missing export %s: %v", pf, path, err)
@@ -178,7 +178,7 @@ func TestTelemetryExportProperties(t *testing.T) {
 
 	// The Chrome trace carries one IPC counter event per epoch and
 	// declares the measurement span.
-	tracePath := filepath.Join(dir, TelemetryFileBase(key)+".trace.json")
+	tracePath := filepath.Join(dir, telemetryFileBase(key)+".trace.json")
 	traceBuf, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -270,11 +270,11 @@ func TestTelemetryWarmStoreDifferential(t *testing.T) {
 		t.Errorf("warm reuse: got %d hits / %d misses, want 1 hit", s.Hits, s.Misses)
 	}
 	for _, suffix := range []string{".json", ".trace.json"} {
-		coldBuf, err := os.ReadFile(filepath.Join(coldDir, TelemetryFileBase(key)+suffix))
+		coldBuf, err := os.ReadFile(filepath.Join(coldDir, telemetryFileBase(key)+suffix))
 		if err != nil {
 			t.Fatal(err)
 		}
-		onBuf, err := os.ReadFile(filepath.Join(onDir, TelemetryFileBase(key)+suffix))
+		onBuf, err := os.ReadFile(filepath.Join(onDir, telemetryFileBase(key)+suffix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,8 +349,8 @@ func TestTimelinessExperiment(t *testing.T) {
 // TestTelemetryFileBase pins the sanitisation contract: names stay
 // filesystem-safe and distinct keys can never collide.
 func TestTelemetryFileBase(t *testing.T) {
-	a := TelemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo[hist=2048]"})
-	b := TelemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo[hist_2048]"})
+	a := telemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo[hist=2048]"})
+	b := telemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo[hist_2048]"})
 	if a == b {
 		t.Errorf("distinct keys sanitise to the same file base %q", a)
 	}
@@ -359,7 +359,7 @@ func TestTelemetryFileBase(t *testing.T) {
 			t.Errorf("file base %q contains unsanitised bytes", base)
 		}
 	}
-	c := TelemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo", Variant: "seed=3"})
+	c := telemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo", Variant: "seed=3"})
 	if !strings.HasPrefix(c, "em3d_bingo_seed_3-") {
 		t.Errorf("file base %q does not embed the sanitised key", c)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"bingo/internal/prefetch"
@@ -25,30 +24,6 @@ type WarmStats struct {
 	// CyclesRun is the warm-up cycles the misses actually executed.
 	CyclesSkipped uint64
 	CyclesRun     uint64
-	// RemoteHits counts artifacts fetched from the remote cache; a
-	// fetch that passes checkpoint validation becomes a local hit, a
-	// corrupt fetch is rejected and regenerated cold. RemotePuts counts
-	// artifacts pushed after local population; RemotePutErrors counts
-	// failed pushes (best-effort — a failed push never fails the run).
-	RemoteHits      uint64
-	RemotePuts      uint64
-	RemotePutErrors uint64
-}
-
-// RemoteArtifacts is a remote warm-artifact cache — in a distributed
-// sweep, the coordinator's artifact endpoint. Artifacts are addressed by
-// the same sha256 content key the local store uses for file names, so a
-// fetched artifact drops directly into the local directory.
-//
-// Implementations must be safe for concurrent use. Fetch and store are
-// both best-effort from the store's perspective: a fetch miss or error
-// degrades to a local cold run, and a store error is only counted.
-type RemoteArtifacts interface {
-	// FetchArtifact returns the artifact bytes for hash, or (nil, nil)
-	// when the remote does not have it.
-	FetchArtifact(hash string) ([]byte, error)
-	// StoreArtifact uploads the artifact bytes under hash.
-	StoreArtifact(hash string, data []byte) error
 }
 
 // WarmStore caches end-of-warm-up checkpoints on disk so repeated
@@ -70,7 +45,6 @@ type WarmStore struct {
 	mu       sync.Mutex
 	inflight map[string]*warmCall
 	stats    WarmStats
-	remote   RemoteArtifacts
 }
 
 // warmCall is one in-flight artifact population; waiters block on done
@@ -89,35 +63,11 @@ func NewWarmStore(dir string) (*WarmStore, error) {
 	return &WarmStore{dir: dir, inflight: make(map[string]*warmCall)}, nil
 }
 
-// Dir returns the artifact directory.
-func (ws *WarmStore) Dir() string { return ws.dir }
-
 // Stats returns a snapshot of the hit/miss accounting.
 func (ws *WarmStore) Stats() WarmStats {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	return ws.stats
-}
-
-// SetRemote attaches a remote artifact cache: local misses first try a
-// remote fetch (a validated fetch becomes a local hit), and locally
-// populated artifacts are pushed back best-effort. A nil remote detaches.
-func (ws *WarmStore) SetRemote(r RemoteArtifacts) {
-	ws.mu.Lock()
-	ws.remote = r
-	ws.mu.Unlock()
-}
-
-// remoteCache returns the attached remote cache, if any.
-func (ws *WarmStore) remoteCache() RemoteArtifacts {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.remote
-}
-
-// artifactKey extracts the sha256 content key from an artifact path.
-func artifactKey(path string) string {
-	return strings.TrimSuffix(filepath.Base(path), ".ckpt")
 }
 
 // artifactPath derives the on-disk name for one cell's warm state. The
@@ -234,23 +184,12 @@ func (ws *WarmStore) acquire(path string, buildSys func() (*system.System, error
 }
 
 // tryLoad restores the artifact into a freshly built system. It returns
-// (nil, nil) when no artifact exists locally or remotely. A local miss
-// first consults the attached remote cache, if any: fetched bytes are
-// written atomically into the local directory and then loaded through
-// the exact same validation path as a locally produced artifact, so a
-// corrupt remote artifact is rejected (removed, regenerated cold), never
-// trusted. Any corrupt artifact is removed and reported as absent — the
-// caller regenerates it.
+// (nil, nil) when no artifact exists. A corrupt artifact is removed and
+// reported as absent — the caller regenerates it.
 func (ws *WarmStore) tryLoad(path string, buildSys func() (*system.System, error)) (*system.System, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		if !ws.fetchRemote(path) {
-			return nil, nil
-		}
-		f, err = os.Open(path)
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
+		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("harness: warm store: %w", err)
@@ -272,41 +211,6 @@ func (ws *WarmStore) tryLoad(path string, buildSys func() (*system.System, error
 		return nil, nil
 	}
 	return sys, nil
-}
-
-// fetchRemote tries to satisfy a local artifact miss from the remote
-// cache, writing the fetched bytes atomically into the local directory.
-// Returns true when a local file now exists for the caller to load (and
-// validate). Fetch misses and errors both degrade to a cold run.
-func (ws *WarmStore) fetchRemote(path string) bool {
-	remote := ws.remoteCache()
-	if remote == nil {
-		return false
-	}
-	data, err := remote.FetchArtifact(artifactKey(path))
-	if err != nil || data == nil {
-		return false
-	}
-	tmp, err := os.CreateTemp(ws.dir, ".tmp-*")
-	if err != nil {
-		return false
-	}
-	_, writeErr := tmp.Write(data)
-	closeErr := tmp.Close()
-	if writeErr == nil {
-		writeErr = closeErr
-	}
-	if writeErr == nil {
-		writeErr = os.Rename(tmp.Name(), path)
-	}
-	if writeErr != nil {
-		_ = os.Remove(tmp.Name()) // best-effort temp cleanup: fetch degrades to cold
-		return false
-	}
-	ws.mu.Lock()
-	ws.stats.RemoteHits++
-	ws.mu.Unlock()
-	return true
 }
 
 // populate executes the warm-up on a fresh system and saves its end
@@ -336,28 +240,5 @@ func (ws *WarmStore) populate(path string, buildSys func() (*system.System, erro
 		_ = os.Remove(tmp.Name()) // best-effort temp cleanup: the save error wins
 		return nil, fmt.Errorf("harness: warm store: saving %s: %w", filepath.Base(path), saveErr)
 	}
-	ws.pushRemote(path)
 	return sys, nil
-}
-
-// pushRemote uploads a freshly populated artifact to the remote cache,
-// best-effort: push failures are counted, never propagated — the local
-// run already has its warmed system.
-func (ws *WarmStore) pushRemote(path string) {
-	remote := ws.remoteCache()
-	if remote == nil {
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	err = remote.StoreArtifact(artifactKey(path), data)
-	ws.mu.Lock()
-	if err != nil {
-		ws.stats.RemotePutErrors++
-	} else {
-		ws.stats.RemotePuts++
-	}
-	ws.mu.Unlock()
 }

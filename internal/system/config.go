@@ -139,6 +139,9 @@ func (c Config) Scaled(warmup, measure uint64) Config {
 // translator never runs out of real frames. Per-core structures (L1,
 // ROB/LSQ, prefetch queue) are per-core already and stay untouched.
 // WithCores(4) equals DefaultConfig — the scaling is anchored there.
+// n must be a power of two: the LLC's set count scales with n and the
+// cache requires a power-of-two set count, so any other n yields a
+// config that fails at system construction.
 func (c Config) WithCores(n int) Config {
 	c.NumCores = n
 	c.LLC.SizeBytes = n * 2 * 1024 * 1024
