@@ -43,8 +43,8 @@ func main() {
 		workloadFlag = flag.String("workload", "em3d", "workload name (see -list)")
 		pfFlag       = flag.String("prefetcher", "bingo", "prefetcher name (see -list)")
 		traceFlag    = flag.String("trace", "", "replay a recorded trace file on every core instead of a workload")
-		warmupFlag   = flag.Uint64("warmup", 0, "override warm-up instructions per core")
-		measureFlag  = flag.Uint64("measure", 0, "override measured instructions per core")
+		warmupFlag   = flag.Uint64("warmup", 0, "override warm-up instructions per core (must be positive)")
+		measureFlag  = flag.Uint64("measure", 0, "override measured instructions per core (must be positive)")
 		seedFlag     = flag.Int64("seed", 1, "workload generator seed")
 		listFlag     = flag.Bool("list", false, "list workloads and prefetchers, then exit")
 		compareFlag  = flag.Bool("compare", false, "also run the no-prefetcher baseline and report speedup/coverage")
@@ -75,6 +75,18 @@ func main() {
 		fmt.Printf("prefetchers: %v\n", harness.PrefetcherNames())
 		return
 	}
+	if _, err := harness.FactoryByName(*pfFlag); err != nil {
+		fmt.Fprintf(os.Stderr, "bingosim: -prefetcher: %v\n", err)
+		os.Exit(2)
+	}
+	// 0 is the "no override" default, so an explicit -warmup 0 or
+	// -measure 0 would silently run the Table I budget instead.
+	flag.Visit(func(f *flag.Flag) {
+		if (f.Name == "warmup" || f.Name == "measure") && f.Value.String() == "0" {
+			fmt.Fprintf(os.Stderr, "bingosim: -%s 0: instruction budget must be positive (omit the flag for the Table I default)\n", f.Name)
+			os.Exit(2)
+		}
+	})
 	if *ckptEvery > 0 && *ckptOutFlag == "" {
 		fmt.Fprintln(os.Stderr, "bingosim: -checkpoint-every requires -checkpoint-out")
 		os.Exit(2)

@@ -57,6 +57,11 @@ func main() {
 	}
 	san.SetEnabled(*sanFlag)
 
+	if *jobsFlag < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -j %d: worker count must not be negative (0 = GOMAXPROCS)\n", *jobsFlag)
+		os.Exit(2)
+	}
+
 	opts := harness.DefaultRunOptions()
 	if *fastFlag {
 		opts = harness.FastRunOptions()

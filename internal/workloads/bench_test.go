@@ -17,3 +17,18 @@ func BenchmarkGenerators(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSources measures per-cell set-up: building the four Table I
+// cores' generators, which every simulation pays before its first cycle.
+func BenchmarkSources(b *testing.B) {
+	for _, spec := range All() {
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(spec.Sources(4, 1)) != 4 {
+					b.Fatal("want four sources")
+				}
+			}
+		})
+	}
+}

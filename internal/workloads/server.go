@@ -217,25 +217,53 @@ func (g *streaming) generate() {
 // traversed repeatedly: the *sequence* of misses recurs perfectly (a
 // temporal prefetcher's dream) but consecutive chain nodes live in
 // unrelated regions, so region footprints are sparse and unstable.
+//
+// The chain is one cycle through a 1 M-block permutation, visited in
+// permutation order from its first entry. A run walks only a few
+// thousand steps of it, so the generator holds just the visited prefix
+// of the permutation and doubles it when the walk reaches its end.
 type zeus struct {
 	filler
-	rng    *rand.Rand
-	vbase  uint64
-	chain  []uint32 // permutation: block i -> next block
-	cursor uint32
+	rng       *rand.Rand
+	vbase     uint64
+	chainSeed int64
+	order     []uint32 // first len(order) blocks of the chain's permutation
+	step      int      // index in order of the next block to visit
 }
 
+const (
+	zeusChainBlocks = 1 << 20 // 64 MB of chained blocks
+	zeusPrefix      = 1 << 16 // blocks of the chain built up front
+)
+
 func newZeus(seed int64, vbase uint64) trace.Source {
-	const chainBlocks = 1024 * 1024 // 64 MB of chained blocks
-	g := &zeus{rng: newRNG(seed), vbase: vbase}
-	perm := rand.New(rand.NewSource(seed ^ 0xC4A1)).Perm(chainBlocks)
-	g.chain = make([]uint32, chainBlocks)
-	for i := 0; i < chainBlocks; i++ {
-		g.chain[perm[i]] = uint32(perm[(i+1)%chainBlocks])
-	}
-	g.cursor = uint32(perm[0])
+	g := &zeus{rng: newRNG(seed), vbase: vbase, chainSeed: seed ^ 0xC4A1}
+	g.order = permPrefix(g.chainSeed, zeusChainBlocks, zeusPrefix)
 	g.fill = g.generate
 	return g
+}
+
+// permPrefix returns the first k entries of
+// rand.New(rand.NewSource(seed)).Perm(n) without building the rest. It
+// replays all n of Perm's Intn(i+1) draws, but keeps only positions
+// below k. Perm's inside-out shuffle sets m[i] = m[j], m[j] = i with
+// j <= i, so a value only ever moves from a lower position to a higher
+// one: once i >= k, a draw can change a kept position j < k only by
+// writing i into it.
+func permPrefix(seed int64, n, k int) []uint32 {
+	r := rand.New(rand.NewSource(seed))
+	m := make([]uint32, k)
+	for i := 0; i < k; i++ {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = uint32(i)
+	}
+	for i := k; i < n; i++ {
+		if j := r.Intn(i + 1); j < k {
+			m[j] = uint32(i)
+		}
+	}
+	return m
 }
 
 func (g *zeus) generate() {
@@ -250,8 +278,15 @@ func (g *zeus) generate() {
 	}
 	// One step of the request-metadata pointer chain, reached from one
 	// of eight handler call sites.
-	g.emitDep(pcChase+uint64(g.rng.Intn(8)), g.vbase+uint64(g.cursor)<<mem.BlockShift, trace.Load, 55)
-	g.cursor = g.chain[g.cursor]
+	g.emitDep(pcChase+uint64(g.rng.Intn(8)), g.vbase+uint64(g.order[g.step])<<mem.BlockShift, trace.Load, 55)
+	g.step++
+	if g.step == len(g.order) {
+		if len(g.order) == zeusChainBlocks {
+			g.step = 0 // the chain closes: its last block links to its first
+		} else {
+			g.order = permPrefix(g.chainSeed, zeusChainBlocks, 2*len(g.order))
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

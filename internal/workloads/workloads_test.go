@@ -1,8 +1,10 @@
 package workloads
 
 import (
+	"math/rand"
 	"testing"
 
+	"bingo/internal/mem"
 	"bingo/internal/trace"
 )
 
@@ -181,21 +183,49 @@ func TestStoresExist(t *testing.T) {
 	}
 }
 
-func TestZeusChainIsPermutation(t *testing.T) {
-	// The Zeus chain must be a single cycle: temporally perfectly
-	// repeatable, spatially random.
-	g := newZeus(1, 1<<40).(*zeus)
-	seen := make([]bool, len(g.chain))
-	cur := g.cursor
-	for i := 0; i < len(g.chain); i++ {
-		if seen[cur] {
-			t.Fatalf("chain revisits block %d after %d steps", cur, i)
+func TestZeusPrefixMatchesPerm(t *testing.T) {
+	// The visit order must be exactly a prefix of the permutation the
+	// chain is defined by; that the chain is a single cycle through all
+	// blocks follows, since a permutation visits each block once.
+	for _, seed := range []int64{1, 2} {
+		chainSeed := seed ^ 0xC4A1
+		perm := rand.New(rand.NewSource(chainSeed)).Perm(zeusChainBlocks)
+		for _, k := range []int{1, 1000, zeusPrefix, zeusChainBlocks} {
+			got := permPrefix(chainSeed, zeusChainBlocks, k)
+			if len(got) != k {
+				t.Fatalf("seed %d k %d: prefix has %d entries", seed, k, len(got))
+			}
+			for i, v := range got {
+				if int(v) != perm[i] {
+					t.Fatalf("seed %d k %d: prefix[%d] = %d, Perm gives %d", seed, k, i, v, perm[i])
+				}
+			}
 		}
-		seen[cur] = true
-		cur = g.chain[cur]
 	}
-	if cur != g.cursor {
-		t.Fatal("chain does not close into a single cycle")
+}
+
+func TestZeusFollowsSuccessorChain(t *testing.T) {
+	// Reference: the successor-array chain walked from perm[0]. Walk
+	// once round the whole cycle and on, so every prefix doubling and
+	// the wrap from the last block back to the first are covered.
+	const steps = zeusChainBlocks + 1000
+	perm := rand.New(rand.NewSource(1 ^ 0xC4A1)).Perm(zeusChainBlocks)
+	chain := make([]uint32, zeusChainBlocks)
+	for i := range perm {
+		chain[perm[i]] = uint32(perm[(i+1)%zeusChainBlocks])
+	}
+	g := newZeus(1, 0)
+	cur := uint32(perm[0])
+	for step := 0; step < steps; {
+		rec, _ := g.Next()
+		if rec.PC < 0x32000 || rec.PC > 0x32007 {
+			continue
+		}
+		if want := mem.Addr(uint64(cur) << mem.BlockShift); rec.Addr != want {
+			t.Fatalf("chase step %d loads %v, successor chain gives %v", step, rec.Addr, want)
+		}
+		cur = chain[cur]
+		step++
 	}
 }
 
