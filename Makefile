@@ -4,7 +4,7 @@ GO ?= go
 # exceeded so future PRs notice a regression.
 LINT_BUDGET_SECONDS ?= 60
 
-.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop bench-lint san-test san-suite fuzz
+.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop san-test san-suite fuzz
 
 all: build lint test
 
@@ -31,15 +31,13 @@ vet:
 	$(GO) vet ./...
 
 # simlint is the project-specific invariant suite (determinism,
-# address-unit safety, concurrency contracts, checkpoint completeness,
+# address-unit safety, shared-state contracts, checkpoint completeness,
 # sanitizer gating, parameter hygiene, hot-path allocation discipline,
-# telemetry purity, lock ordering); see README.md "Static analysis &
-# invariants". -unused-suppressions reports //lint: directives that no
-# longer suppress anything, so stale suppressions cannot accumulate;
-# -factcache makes repeat runs incremental (unchanged packages replay
-# from .lintcache, which is gitignored).
+# telemetry purity); see README.md "Static analysis & invariants".
+# -unused-suppressions reports //lint: directives that no longer
+# suppress anything, so stale suppressions cannot accumulate.
 simlint:
-	$(GO) run ./cmd/simlint -unused-suppressions -factcache .lintcache ./...
+	$(GO) run ./cmd/simlint -unused-suppressions ./...
 
 # lint runs every static gate: go vet, simlint, and — when installed —
 # staticcheck and govulncheck (the repo carries no dependency on either;
@@ -50,8 +48,8 @@ lint:
 	set -e; \
 	echo ">> go vet ./..."; \
 	$(GO) vet ./...; \
-	echo ">> simlint -unused-suppressions -factcache .lintcache ./..."; \
-	$(GO) run ./cmd/simlint -unused-suppressions -factcache .lintcache ./...; \
+	echo ">> simlint -unused-suppressions ./..."; \
+	$(GO) run ./cmd/simlint -unused-suppressions ./...; \
 	if command -v staticcheck >/dev/null 2>&1; then \
 		echo ">> staticcheck ./..."; staticcheck ./...; \
 	else echo ">> staticcheck not installed; skipping"; fi; \
@@ -116,9 +114,3 @@ bench-telemetry:
 # results and >=2x speedup on at least one memory-bound family.
 bench-eventloop:
 	BENCH_EVENTLOOP_JSON=$(CURDIR)/BENCH_eventloop.json $(GO) test -run TestEmitEventloopBench -v ./internal/harness/
-
-# Regenerates BENCH_lint.json: full simlint suite wall time cold vs warm
-# (fact-cache replay) plus the process's peak RSS, against the 60s CI
-# budget.
-bench-lint:
-	BENCH_LINT_JSON=$(CURDIR)/BENCH_lint.json $(GO) test -run TestEmitLintBench -v -timeout 300s ./internal/lint/

@@ -2,23 +2,27 @@ package bingo_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestCLIBadInputExitsTwo builds bingosim and experiments once and
-// checks that each bad flag value is a usage error: exit status 2 and a
-// stderr message naming the flag, before any simulation runs.
+// TestCLIBadInputExitsTwo builds bingosim, experiments, tracegen and
+// traceinfo once and checks that each bad flag value is a usage error:
+// exit status 2 and a stderr message naming the flag, before any
+// simulation runs or output is written. One valid run per command
+// guards against a check that rejects everything.
 func TestCLIBadInputExitsTwo(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
 	dir := t.TempDir()
-	for _, cmd := range []string{"bingosim", "experiments"} {
+	for _, cmd := range []string{"bingosim", "experiments", "tracegen", "traceinfo"} {
 		out, err := exec.Command(goTool, "build", "-o", filepath.Join(dir, cmd), "./cmd/"+cmd).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go build ./cmd/%s: %v\n%s", cmd, err, out)
@@ -26,11 +30,18 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 	}
 	run := func(args ...string) (int, string) {
 		var stderr bytes.Buffer
-		c := exec.Command(filepath.Join(dir, args[0]), args[1:]...)
+		// A bad budget used to send traceinfo into an endless generator,
+		// growing its record slice until killed; the deadline turns that
+		// into a prompt failure. Every run here takes well under a second.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		c := exec.CommandContext(ctx, filepath.Join(dir, args[0]), args[1:]...)
 		c.Stderr = &stderr
 		err := c.Run()
 		var exit *exec.ExitError
 		switch {
+		case ctx.Err() != nil:
+			t.Fatalf("%v: still running after 20s", args)
 		case err == nil:
 			return 0, stderr.String()
 		case errors.As(err, &exit):
@@ -48,6 +59,10 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"bingosim", "-warmup", "0"}, "-warmup"},
 		{[]string{"bingosim", "-measure", "0"}, "-measure"},
 		{[]string{"experiments", "-j", "-3"}, "-j"},
+		{[]string{"tracegen", "-workload", "em3d", "-core", "-1", "-o", filepath.Join(dir, "bad.trc")}, "-core -1"},
+		{[]string{"tracegen", "-workload", "em3d", "-n", "-5", "-o", filepath.Join(dir, "bad.trc")}, "-n -5"},
+		{[]string{"traceinfo", "-workload", "Zeus", "-n", "0"}, "-n 0"},
+		{[]string{"traceinfo", "-workload", "Zeus", "-n", "-5"}, "-n -5"},
 	} {
 		code, stderr := run(tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.flag) {
@@ -55,8 +70,13 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		}
 	}
 
-	valid := []string{"bingosim", "-workload", "em3d", "-prefetcher", "none", "-warmup", "1000", "-measure", "2000"}
-	if code, stderr := run(valid...); code != 0 {
-		t.Errorf("%v: exit %d, stderr %q; want exit 0", valid, code, stderr)
+	for _, valid := range [][]string{
+		{"bingosim", "-workload", "em3d", "-prefetcher", "none", "-warmup", "1000", "-measure", "2000"},
+		{"tracegen", "-workload", "em3d", "-n", "1000", "-o", filepath.Join(dir, "ok.trc")},
+		{"traceinfo", "-workload", "Zeus", "-n", "1000"},
+	} {
+		if code, stderr := run(valid...); code != 0 {
+			t.Errorf("%v: exit %d, stderr %q; want exit 0", valid, code, stderr)
+		}
 	}
 }

@@ -1,25 +1,23 @@
 // Command simlint runs the simulator's invariant suite — detlint,
-// unitlint, contractlint, paramlint, errlint, statelint, sharelint,
-// sanlint, hotlint, purelint, locklint — over the repository. It is the
-// project-specific complement to go vet: the analyzers encode contracts
-// (determinism, address-unit safety, concurrency documentation,
-// checkpoint completeness, sanitizer gating, hot-path allocation
-// discipline, telemetry purity, lock ordering) that generic tooling
-// cannot know about.
+// unitlint, paramlint, errlint, statelint, sharelint, sanlint, hotlint,
+// purelint — over the repository. It is the project-specific complement
+// to go vet: the analyzers encode contracts (determinism, address-unit
+// safety, shared-state documentation, checkpoint completeness, sanitizer
+// gating, hot-path allocation discipline, telemetry purity) that generic
+// tooling cannot know about.
 //
 // Usage:
 //
-//	simlint [-only name,name] [-json] [-sarif] [-factcache dir] [-tests] [-san] [-unused-suppressions] [-list] [packages]
+//	simlint [-only name,name] [-json] [-sarif] [-tests] [-san] [-unused-suppressions] [-list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. By default
 // the suite analyzes test files too (-tests) and runs a second pass under
 // the `san` build tag (-san) so the sanitizer's gated files are covered;
 // disable either for a faster partial run. -json emits a structured
 // report that includes suppressed findings; -sarif emits a SARIF 2.1.0
-// log for code-scanning upload; -factcache makes runs incremental by
-// replaying packages whose import closure is unchanged from a cache
-// directory; -unused-suppressions reports
-// stale //lint: directives as findings. Exit status is 0 when no
+// log for code-scanning upload; -unused-suppressions reports stale
+// //lint: directives — including any that name an analyzer the suite
+// does not have — as findings. Exit status is 0 when no
 // actionable findings are reported, 1 on findings, 2 on usage or load
 // errors. Suppress a single finding with
 //
@@ -47,9 +45,8 @@ func main() {
 	tests := flag.Bool("tests", true, "also analyze _test.go compilation units")
 	san := flag.Bool("san", true, "also analyze the -tags=san build configuration")
 	unused := flag.Bool("unused-suppressions", false, "report //lint: directives that no longer suppress anything")
-	factcache := flag.String("factcache", "", "directory for the incremental fact cache (replays unchanged packages)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-only name,name] [-json] [-sarif] [-factcache dir] [-tests] [-san] [-unused-suppressions] [-list] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-only name,name] [-json] [-sarif] [-tests] [-san] [-unused-suppressions] [-list] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Suite() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-13s %s\n", a.Name, a.Doc)
 		}
@@ -101,7 +98,6 @@ func main() {
 		JSON:               *jsonOut,
 		SARIF:              *sarifOut,
 		UnusedSuppressions: *unused,
-		FactCache:          *factcache,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)

@@ -29,6 +29,14 @@ func main() {
 	)
 	flag.Parse()
 
+	if *coreFlag < 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -core %d: core index must be non-negative\n", *coreFlag)
+		os.Exit(2)
+	}
+	if *nFlag < 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d: record count must be non-negative\n", *nFlag)
+		os.Exit(2)
+	}
 	src, err := buildSource(*workloadFlag, *kernelFlag, *coreFlag, *seedFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)

@@ -30,6 +30,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if *traceFlag == "" && *nFlag <= 0 {
+		// Generated streams are endless: the record budget is what ends them.
+		fmt.Fprintf(os.Stderr, "traceinfo: -n %d: record count must be positive for a generated stream\n", *nFlag)
+		os.Exit(2)
+	}
 	src, label, cleanup, err := buildSource(*traceFlag, *workloadFlag, *kernelFlag, *seedFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceinfo: %v\n", err)

@@ -80,18 +80,6 @@ func (db *factDB) commit(pkgPath, analyzer string, fs factSet) error {
 	return nil
 }
 
-// seed installs an already-encoded fact blob (from a previous run) for
-// (pkgPath, analyzer). Decoding is deferred to first import, exactly as
-// for facts committed live.
-func (db *factDB) seed(pkgPath, analyzer string, data []byte) {
-	m := db.encoded[pkgPath]
-	if m == nil {
-		m = map[string][]byte{}
-		db.encoded[pkgPath] = m
-	}
-	m[analyzer] = data
-}
-
 // load returns the decoded fact set for (pkgPath, analyzer), decoding
 // and caching on first use.
 func (db *factDB) load(pkgPath, analyzer string) (factSet, error) {

@@ -171,32 +171,3 @@ func (r *Runner) analyze(pkg *Package, commit bool) ([]Diagnostic, error) {
 // covered at least one finding; drivers merge usage across configurations
 // (default and san-tagged passes) before declaring one stale.
 func (r *Runner) Directives() []*Directive { return r.directives }
-
-// Seed marks importPath as already analyzed and installs facts — encoded
-// fact blobs from a previous run's ExportedFacts, keyed by analyzer name
-// — into the fact store. Dependents then import the package's facts
-// without the suite ever running on it. The caller owns cache validity:
-// seeding a package whose source (or whose dependencies' source) has
-// changed replays stale facts. Seed must happen before any Package or
-// TestUnits call that reaches the seeded package.
-func (r *Runner) Seed(importPath string, facts map[string][]byte) {
-	for analyzer, data := range facts {
-		r.db.seed(importPath, analyzer, data)
-	}
-	r.analyzed[importPath] = true
-}
-
-// ExportedFacts returns the encoded fact blobs importPath committed when
-// it was analyzed (analyzer name → gob bytes), for persisting in a fact
-// cache. The map is a copy; nil when the package exported nothing.
-func (r *Runner) ExportedFacts(importPath string) map[string][]byte {
-	src := r.db.encoded[importPath]
-	if len(src) == 0 {
-		return nil
-	}
-	out := make(map[string][]byte, len(src))
-	for analyzer, data := range src {
-		out[analyzer] = data
-	}
-	return out
-}

@@ -1,16 +1,14 @@
 // Package effects is the interprocedural layer of the invariant suite:
 // one pass over every package distills each function body into a compact,
 // serializable effect summary — the allocation sites it contains, the
-// package-level or receiver state it writes, the locks it acquires and
-// releases in order, the channel and blocking operations it performs, and
-// the calls (static, interface-dispatched, and function-valued) it makes.
-// The summaries travel across package boundaries as one gob-encoded
-// package fact (PkgEffects), exported by the Facts analyzer; consumers
-// assemble them into a module-wide CHA-style call graph with the World
-// helper in world.go and answer reachability questions no single-package
-// analyzer can: "can the per-cycle hot path allocate?" (hotlint), "can a
-// telemetry probe mutate simulator state?" (purelint), "do two call
-// chains acquire the same locks in opposite orders?" (locklint).
+// package-level or receiver state it writes, and the calls (static,
+// interface-dispatched, function-valued, and spawned) it makes. The
+// summaries travel across package boundaries as one gob-encoded package
+// fact (PkgEffects), exported by the Facts analyzer; consumers assemble
+// them into a module-wide CHA-style call graph with the World helper in
+// world.go and answer reachability questions no single-package analyzer
+// can: "can the per-cycle hot path allocate?" (hotlint), "can a
+// telemetry probe mutate simulator state?" (purelint).
 //
 // Call-graph construction is class-hierarchy analysis, deliberately
 // unsound in the classic, documented ways:
@@ -26,8 +24,7 @@
 //     nothing — code reachable only that way is invisible to the graph.
 //   - Standard-library bodies are not summarized: calls into a small
 //     table of known-allocating packages (fmt, errors, sort, ...) are
-//     recorded as allocation sites, sync primitives and channel
-//     operations are modeled specially, and everything else is assumed
+//     recorded as allocation sites, and everything else is assumed
 //     effect-free.
 //
 // Positions cross package boundaries as module-relative "file:line"
@@ -48,31 +45,19 @@ import (
 // EventKind discriminates the entries of a function's effect trace.
 type EventKind uint8
 
-// Event kinds. EvBranch and EvReturn give the trace just enough control
-// structure for the lock interpreter to be path-sensitive inside one
-// function: alternatives are explored separately, and a path that
-// returns stops contributing to the held-lock state of the code after
-// the branch (the singleflight pattern — unlock, receive, return inside
-// an if — interprets cleanly).
+// Event kinds.
 const (
 	EvCall    EventKind = iota + 1 // static call; Key = callee key
 	EvDynCall                      // interface method call; Key = "pkgpath.Iface", Method, Sig set
 	EvDynFunc                      // call through a function value; Sig set
-	EvLock                         // mutex acquisition; Key = lock key
-	EvUnlock                       // mutex release; Key = lock key
-	EvChan                         // channel send/receive/range/blocking select; Key describes it
-	EvBlock                        // known blocking call (time.Sleep, WaitGroup.Wait, Cond.Wait); Key names it
-	EvBranch                       // alternatives in Alts, explored separately
-	EvReturn                       // terminates the current path
 	EvSpawn                        // go statement; Key/Sig as for EvCall/EvDynFunc, fresh goroutine
 )
 
-// Event is one entry of a function's ordered effect trace.
+// Event is one call edge of a function's effect trace.
 type Event struct {
 	Kind EventKind
 	// Key identifies the event's subject: a callee key for EvCall/EvSpawn,
-	// a lock key for EvLock/EvUnlock, the interface key "pkgpath.Iface"
-	// for EvDynCall, a short description for EvChan/EvBlock.
+	// the interface key "pkgpath.Iface" for EvDynCall.
 	Key string
 	// Method is the called method's name, for EvDynCall.
 	Method string
@@ -82,8 +67,6 @@ type Event struct {
 	Sig string
 	// Pos is the module-relative "file:line" of the event.
 	Pos string
-	// Alts are the alternative continuations of an EvBranch.
-	Alts [][]Event
 
 	localPos token.Pos // live-only; gob drops it (see package doc)
 }
@@ -180,10 +163,9 @@ type FuncEffects struct {
 
 	Allocs []AllocSite
 	Writes []WriteSite
-	// Trace is the ordered effect trace of the body; Deferred holds the
-	// effects of defer statements, hoisted to run at every exit.
-	Trace    []Event
-	Deferred []Event
+	// Trace lists the body's call edges, deferred and spawned calls
+	// included.
+	Trace []Event
 
 	localDecl token.Pos
 }
@@ -204,11 +186,11 @@ func (*PkgEffects) AFact() {}
 
 // Facts is the effect-summary producer: it emits no diagnostics, only
 // one PkgEffects fact per package. The reachability analyzers (hotlint,
-// purelint, locklint) list it in Requires and assemble the module-wide
+// purelint) list it in Requires and assemble the module-wide
 // view with NewWorld.
 var Facts = &analysis.Analyzer{
 	Name:      "effectfacts",
-	Doc:       "summarize every function's allocations, state writes, lock operations, and call edges as a cross-package fact",
+	Doc:       "summarize every function's allocations, state writes, and call edges as a cross-package fact",
 	FactTypes: []analysis.Fact{new(PkgEffects)},
 	Run:       runFacts,
 }

@@ -115,39 +115,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// lockKeyOf derives the type-based key of the mutex expression x: the
-// owning named type and field for struct-held mutexes ("pkg.Type.mu"),
-// the variable for package-level ones ("pkg.mu"). Locks the analysis
-// cannot name — locals, parameters — yield "" and drop out of the order
-// graph (a documented soundness caveat).
-func lockKeyOf(pass *analysis.Pass, x ast.Expr) string {
-	x = ast.Unparen(x)
-	switch x := x.(type) {
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return lockKeyOf(pass, x.X)
-		}
-	case *ast.StarExpr:
-		return lockKeyOf(pass, x.X)
-	case *ast.Ident:
-		if v, ok := pass.ObjectOf(x).(*types.Var); ok && pkgLevelVar(v) {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			if named := namedOf(sel.Recv()); named != nil && pkgScopedNamed(named) {
-				obj := named.Obj()
-				return obj.Pkg().Path() + "." + obj.Name() + "." + x.Sel.Name
-			}
-			return ""
-		}
-		if v, ok := pass.ObjectOf(x.Sel).(*types.Var); ok && pkgLevelVar(v) {
-			return v.Pkg().Path() + "." + v.Name()
-		}
-	}
-	return ""
-}
-
 func pkgLevelVar(v *types.Var) bool {
 	return v.Pkg() != nil && v.Pkg().Scope().Lookup(v.Name()) == v
 }

@@ -161,10 +161,8 @@ func hotRootShape(name string, sig *types.Signature) bool {
 	return false
 }
 
-// walker builds one function's effect trace. Allocation and write sites
-// are recorded flat on the summary (reachability consumers need no
-// ordering); lock, channel, and call events keep source order and
-// branch structure for the lock interpreter.
+// walker builds one function's effect trace: its call edges, flat, with
+// allocation and write sites recorded on the summary alongside.
 type walker struct {
 	s       *summarizer
 	fe      *FuncEffects
@@ -292,12 +290,12 @@ func (w *walker) stmt(st ast.Stmt) []Event {
 		w.write(st.X, st.Pos())
 		return evs
 	case *ast.SendStmt:
-		evs := append(w.expr(st.Chan), w.expr(st.Value)...)
-		return append(evs, w.event(EvChan, st.Pos(), "send"))
+		return append(w.expr(st.Chan), w.expr(st.Value)...)
 	case *ast.GoStmt:
 		return w.goStmt(st)
 	case *ast.DeferStmt:
-		return w.deferStmt(st)
+		evs, _ := w.callParts(st.Call)
+		return evs
 	case *ast.ReturnStmt:
 		var evs []Event
 		for i, r := range st.Results {
@@ -306,7 +304,7 @@ func (w *walker) stmt(st ast.Stmt) []Event {
 				w.boxCheck(w.results.At(i).Type(), r)
 			}
 		}
-		return append(evs, w.event(EvReturn, st.Pos(), ""))
+		return evs
 	case *ast.BlockStmt:
 		return w.stmts(st.List)
 	case *ast.LabeledStmt:
@@ -314,18 +312,15 @@ func (w *walker) stmt(st ast.Stmt) []Event {
 	case *ast.IfStmt:
 		evs := w.stmt(st.Init)
 		evs = append(evs, w.expr(st.Cond)...)
-		alts := [][]Event{w.stmts(st.Body.List), w.stmt(st.Else)}
-		return append(evs, Event{Kind: EvBranch, Alts: alts})
+		evs = append(evs, w.stmts(st.Body.List)...)
+		return append(evs, w.stmt(st.Else)...)
 	case *ast.ForStmt:
 		evs := w.stmt(st.Init)
 		evs = append(evs, w.expr(st.Cond)...)
-		body := append(w.stmts(st.Body.List), w.stmt(st.Post)...)
-		return append(evs, Event{Kind: EvBranch, Alts: [][]Event{body, nil}})
+		evs = append(evs, w.stmts(st.Body.List)...)
+		return append(evs, w.stmt(st.Post)...)
 	case *ast.RangeStmt:
 		evs := w.expr(st.X)
-		if _, ok := typeUnderlying(w.pass(), st.X).(*types.Chan); ok {
-			evs = append(evs, w.event(EvChan, st.Pos(), "range over channel"))
-		}
 		if st.Tok == token.ASSIGN {
 			if st.Key != nil {
 				w.write(st.Key, st.Key.Pos())
@@ -334,76 +329,40 @@ func (w *walker) stmt(st ast.Stmt) []Event {
 				w.write(st.Value, st.Value.Pos())
 			}
 		}
-		return append(evs, Event{Kind: EvBranch, Alts: [][]Event{w.stmts(st.Body.List), nil}})
+		return append(evs, w.stmts(st.Body.List)...)
 	case *ast.SwitchStmt:
 		evs := w.stmt(st.Init)
 		evs = append(evs, w.expr(st.Tag)...)
-		return append(evs, w.clauses(st.Body))
+		return append(evs, w.clauses(st.Body)...)
 	case *ast.TypeSwitchStmt:
 		evs := w.stmt(st.Init)
 		evs = append(evs, w.stmt(st.Assign)...)
-		return append(evs, w.clauses(st.Body))
+		return append(evs, w.clauses(st.Body)...)
 	case *ast.SelectStmt:
-		return w.selectStmt(st)
+		return w.clauses(st.Body)
 	case *ast.DeclStmt:
 		return w.declStmt(st)
 	}
 	return nil
 }
 
-// clauses folds a switch body's case clauses into one branch event; a
-// missing default contributes an empty fall-through alternative.
-func (w *walker) clauses(body *ast.BlockStmt) Event {
-	var alts [][]Event
-	hasDefault := false
+// clauses walks the case clauses of a switch or the comm clauses of a
+// select.
+func (w *walker) clauses(body *ast.BlockStmt) []Event {
+	var evs []Event
 	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		var arm []Event
-		for _, e := range cc.List {
-			arm = append(arm, w.expr(e)...)
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		alts = append(alts, append(arm, w.stmts(cc.Body)...))
-	}
-	if !hasDefault {
-		alts = append(alts, nil)
-	}
-	return Event{Kind: EvBranch, Alts: alts}
-}
-
-func (w *walker) selectStmt(st *ast.SelectStmt) []Event {
-	hasDefault := false
-	for _, cl := range st.Body.List {
-		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
-		}
-	}
-	var alts [][]Event
-	for _, cl := range st.Body.List {
-		cc, ok := cl.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		arm := w.stmt(cc.Comm)
-		if hasDefault {
-			// A select with a default never blocks: drop the arm's own
-			// channel event but keep everything it computed.
-			kept := arm[:0]
-			for _, ev := range arm {
-				if ev.Kind != EvChan {
-					kept = append(kept, ev)
-				}
+		switch cl := cl.(type) {
+		case *ast.CaseClause:
+			for _, e := range cl.List {
+				evs = append(evs, w.expr(e)...)
 			}
-			arm = kept
+			evs = append(evs, w.stmts(cl.Body)...)
+		case *ast.CommClause:
+			evs = append(evs, w.stmt(cl.Comm)...)
+			evs = append(evs, w.stmts(cl.Body)...)
 		}
-		alts = append(alts, append(arm, w.stmts(cc.Body)...))
 	}
-	return []Event{{Kind: EvBranch, Alts: alts}}
+	return evs
 }
 
 func (w *walker) declStmt(st *ast.DeclStmt) []Event {
@@ -458,21 +417,12 @@ func (w *walker) goStmt(st *ast.GoStmt) []Event {
 	evs, own := w.callParts(st.Call)
 	if own >= 0 {
 		// Recast the call's own event as a spawn: same target resolution,
-		// but the interpreter starts the goroutine with an empty held set.
+		// but consumers can tell the goroutine runs on another stack.
 		ev := evs[own]
 		ev.Kind = EvSpawn
 		evs = append(evs[:own:own], ev)
 	}
 	return evs
-}
-
-func (w *walker) deferStmt(st *ast.DeferStmt) []Event {
-	evs, own := w.callParts(st.Call)
-	if own < 0 {
-		return evs
-	}
-	w.fe.Deferred = append(w.fe.Deferred, evs[own])
-	return evs[:own:own]
 }
 
 // ---- expressions ----
@@ -494,9 +444,6 @@ func (w *walker) expr(e ast.Expr) []Event {
 		w.alloc(e.Pos(), "closure")
 		return nil
 	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			return append(w.expr(e.X), w.event(EvChan, e.Pos(), "receive"))
-		}
 		if e.Op == token.AND {
 			if cl, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
 				w.alloc(e.Pos(), "&composite literal")
@@ -600,10 +547,9 @@ func (w *walker) boxCheck(dst types.Type, src ast.Expr) {
 }
 
 // callParts walks a call expression and returns its events; own is the
-// index of the call's own event (the one a defer or go statement hoists
-// or recasts), or -1 for conversions, builtins, and calls modeled as
-// something other than a call (allocation sites, lock events keep their
-// own index too).
+// index of the call's own event (the one a go statement recasts as a
+// spawn), or -1 for conversions, builtins, and calls into packages whose
+// bodies are not summarized.
 func (w *walker) callParts(call *ast.CallExpr) (evs []Event, own int) {
 	own = -1
 	pass := w.pass()
@@ -689,21 +635,6 @@ func (w *walker) callParts(call *ast.CallExpr) (evs []Event, own int) {
 		return evs, -1
 	}
 
-	switch pkg.Path() {
-	case "sync":
-		if ev, ok := w.syncEvent(call, fn); ok {
-			evs = append(evs, ev)
-			return evs, len(evs) - 1
-		}
-		return evs, -1
-	case "time":
-		if fn.Name() == "Sleep" && sig.Recv() == nil {
-			evs = append(evs, w.event(EvBlock, call.Pos(), "time.Sleep"))
-			return evs, len(evs) - 1
-		}
-		return evs, -1
-	}
-
 	if moduleLocal(pkg.Path()) {
 		key, ok := FuncKey(fn)
 		if !ok {
@@ -717,51 +648,6 @@ func (w *walker) callParts(call *ast.CallExpr) (evs []Event, own int) {
 		w.alloc(call.Pos(), "call to "+pkg.Path()+"."+fn.Name())
 	}
 	return evs, -1
-}
-
-// syncEvent models the sync package's primitives: mutex operations
-// become lock/unlock events keyed by the mutex's owner, WaitGroup.Wait
-// and Cond.Wait become blocking events.
-func (w *walker) syncEvent(call *ast.CallExpr, fn *types.Func) (Event, bool) {
-	sig := fn.Type().(*types.Signature)
-	recv := sig.Recv()
-	if recv == nil {
-		return Event{}, false // sync.OnceFunc and friends: no event model
-	}
-	named := namedOf(recv.Type())
-	if named == nil {
-		return Event{}, false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return Event{}, false
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		var kind EventKind
-		switch fn.Name() {
-		case "Lock", "RLock":
-			kind = EvLock
-		case "Unlock", "RUnlock":
-			kind = EvUnlock
-		default:
-			return Event{}, false
-		}
-		key := lockKeyOf(w.pass(), sel.X)
-		if key == "" {
-			return Event{}, false // unnameable lock: out of the order graph
-		}
-		return w.event(kind, call.Pos(), key), true
-	case "WaitGroup":
-		if fn.Name() == "Wait" {
-			return w.event(EvBlock, call.Pos(), "sync.WaitGroup.Wait"), true
-		}
-	case "Cond":
-		if fn.Name() == "Wait" {
-			return w.event(EvBlock, call.Pos(), "sync.Cond.Wait"), true
-		}
-	}
-	return Event{}, false
 }
 
 // callArgs walks the arguments and records boxing against the callee's

@@ -1,7 +1,6 @@
 package effects
 
 import (
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -20,13 +19,7 @@ type World struct {
 	typePkg map[string]*types.Package // full import closure, by path
 	module  []*types.Package          // module-local closure, current package included
 
-	chaMemo  map[string][]string
-	lockMemo map[string]map[string]bool
-	lockIn   map[string]bool
-	blockIn  map[string]bool
-	blockSet map[string]string
-	netMemo  map[string]*LockNet
-	netIn    map[string]bool
+	chaMemo map[string][]string
 }
 
 // NewWorld gathers the PkgEffects facts visible to pass (its own live
@@ -34,17 +27,11 @@ type World struct {
 // World. The consuming analyzer must list Facts in Requires.
 func NewWorld(pass *analysis.Pass) *World {
 	w := &World{
-		pass:     pass,
-		Funcs:    map[string]*FuncEffects{},
-		escapes:  map[string][]string{},
-		typePkg:  map[string]*types.Package{},
-		chaMemo:  map[string][]string{},
-		lockMemo: map[string]map[string]bool{},
-		lockIn:   map[string]bool{},
-		blockIn:  map[string]bool{},
-		blockSet: map[string]string{},
-		netMemo:  map[string]*LockNet{},
-		netIn:    map[string]bool{},
+		pass:    pass,
+		Funcs:   map[string]*FuncEffects{},
+		escapes: map[string][]string{},
+		typePkg: map[string]*types.Package{},
+		chaMemo: map[string][]string{},
 	}
 	seen := map[*types.Package]bool{}
 	var visit func(p *types.Package)
@@ -167,37 +154,27 @@ func (w *World) implementors(iface *types.Interface, method string) []string {
 }
 
 // Edges invokes fn for every outgoing call edge of fe — static calls,
-// spawns, and every resolved dynamic target — across the trace, its
-// branch alternatives, and the deferred events.
+// spawns, and every resolved dynamic target.
 func (w *World) Edges(fe *FuncEffects, fn func(ev *Event, target string)) {
-	var walk func(evs []Event)
-	walk = func(evs []Event) {
-		for i := range evs {
-			ev := &evs[i]
-			switch ev.Kind {
-			case EvCall:
+	for i := range fe.Trace {
+		ev := &fe.Trace[i]
+		switch ev.Kind {
+		case EvCall:
+			fn(ev, ev.Key)
+		case EvSpawn:
+			if ev.Key != "" {
 				fn(ev, ev.Key)
-			case EvSpawn:
-				if ev.Key != "" {
-					fn(ev, ev.Key)
-				} else {
-					for _, t := range w.DynTargets(ev) {
-						fn(ev, t)
-					}
-				}
-			case EvDynCall, EvDynFunc:
+			} else {
 				for _, t := range w.DynTargets(ev) {
 					fn(ev, t)
 				}
-			case EvBranch:
-				for _, alt := range ev.Alts {
-					walk(alt)
-				}
+			}
+		case EvDynCall, EvDynFunc:
+			for _, t := range w.DynTargets(ev) {
+				fn(ev, t)
 			}
 		}
 	}
-	walk(fe.Trace)
-	walk(fe.Deferred)
 }
 
 // Walk traverses the call graph from root. descend sees every reachable
@@ -217,389 +194,4 @@ func (w *World) Walk(root string, descend func(fe *FuncEffects) bool) {
 		w.Edges(fe, func(_ *Event, target string) { visit(target) })
 	}
 	visit(root)
-}
-
-// Lockset returns every lock key acquired anywhere in key's transitive
-// call graph (spawned goroutines excluded: their acquisitions happen on
-// another stack).
-func (w *World) Lockset(key string) map[string]bool {
-	if ls, ok := w.lockMemo[key]; ok {
-		return ls
-	}
-	if w.lockIn[key] {
-		return nil // recursion: the outer frame owns the answer
-	}
-	w.lockIn[key] = true
-	defer delete(w.lockIn, key)
-	ls := map[string]bool{}
-	fe := w.Funcs[key]
-	if fe == nil {
-		w.lockMemo[key] = ls
-		return ls
-	}
-	var walk func(evs []Event)
-	walk = func(evs []Event) {
-		for i := range evs {
-			ev := &evs[i]
-			switch ev.Kind {
-			case EvLock:
-				ls[ev.Key] = true
-			case EvCall:
-				for l := range w.Lockset(ev.Key) {
-					ls[l] = true
-				}
-			case EvDynCall, EvDynFunc:
-				for _, t := range w.DynTargets(ev) {
-					for l := range w.Lockset(t) {
-						ls[l] = true
-					}
-				}
-			case EvBranch:
-				for _, alt := range ev.Alts {
-					walk(alt)
-				}
-			}
-		}
-	}
-	walk(fe.Trace)
-	walk(fe.Deferred)
-	w.lockMemo[key] = ls
-	return ls
-}
-
-// Blocks returns a description of a channel or blocking operation inside
-// key's transitive call graph, or "". Path-insensitive across call
-// boundaries: a callee that releases the caller's lock before blocking
-// still reads as blocking (a documented over-approximation; suppress
-// with //lint:ignore locklint and a reason when the release is real).
-func (w *World) Blocks(key string) string {
-	if d, ok := w.blockSet[key]; ok {
-		return d
-	}
-	if w.blockIn[key] {
-		return ""
-	}
-	w.blockIn[key] = true
-	defer delete(w.blockIn, key)
-	d := ""
-	fe := w.Funcs[key]
-	if fe != nil {
-		var walk func(evs []Event)
-		walk = func(evs []Event) {
-			for i := range evs {
-				if d != "" {
-					return
-				}
-				ev := &evs[i]
-				switch ev.Kind {
-				case EvChan:
-					d = "channel " + ev.Key
-				case EvBlock:
-					d = ev.Key
-				case EvCall:
-					if inner := w.Blocks(ev.Key); inner != "" {
-						d = inner
-					}
-				case EvDynCall, EvDynFunc:
-					for _, t := range w.DynTargets(ev) {
-						if inner := w.Blocks(t); inner != "" {
-							d = inner
-							break
-						}
-					}
-				case EvBranch:
-					for _, alt := range ev.Alts {
-						walk(alt)
-					}
-				}
-			}
-		}
-		walk(fe.Trace)
-		walk(fe.Deferred)
-	}
-	w.blockSet[key] = d
-	return d
-}
-
-// LockEdge is one observed acquisition ordering: To was acquired while
-// From was held, at Pos (in the function of package Pkg whose
-// interpretation produced it).
-type LockEdge struct {
-	From, To string
-	Pkg      string
-	Pos      string
-	localPos token.Pos
-}
-
-// LocalPos returns the edge's live position when its owning function was
-// summarized in the current package, else token.NoPos.
-func (e *LockEdge) LocalPos() token.Pos { return e.localPos }
-
-// LockWarn is one channel or blocking operation performed while at
-// least one lock was held.
-type LockWarn struct {
-	Held     []string
-	What     string
-	Pkg      string
-	Pos      string
-	localPos token.Pos
-}
-
-// LocalPos returns the warning's live position, or token.NoPos.
-func (e *LockWarn) LocalPos() token.Pos { return e.localPos }
-
-// LockNet is the lock-relevant abstract of one function: the order edges
-// and held-while-blocking warnings its body produces from an empty held
-// set, and its net effect on a caller's held set (for lock/unlock
-// helper methods).
-type LockNet struct {
-	Edges    []LockEdge
-	Warns    []LockWarn
-	Acquired []string // held at exit on at least one path
-	Released []string // released without having been acquired here
-}
-
-// maxHeldStates bounds the branch-sensitive state exploration per
-// function; beyond it, alternatives collapse into one unioned held set.
-const maxHeldStates = 12
-
-// Interpret runs the lock interpreter over key's summary: branch
-// alternatives are explored separately, a path that returns applies the
-// deferred events and stops, and calls contribute their callee's
-// transitive lockset (as order edges), blocking behavior (as warnings),
-// and net held-set effect. Results are memoized per World.
-func (w *World) Interpret(key string) *LockNet {
-	if n, ok := w.netMemo[key]; ok {
-		return n
-	}
-	if w.netIn[key] {
-		return &LockNet{} // recursive cycle: fixed point of the empty net
-	}
-	w.netIn[key] = true
-	defer delete(w.netIn, key)
-
-	net := &LockNet{}
-	fe := w.Funcs[key]
-	if fe == nil {
-		w.netMemo[key] = net
-		return net
-	}
-	it := &lockInterp{w: w, fe: fe, net: net}
-	states := it.seq(fe.Trace, [][]string{{}})
-	for _, st := range states {
-		it.exit(st)
-	}
-	sort.Strings(net.Acquired)
-	net.Acquired = dedupeSorted(net.Acquired)
-	sort.Strings(net.Released)
-	net.Released = dedupeSorted(net.Released)
-	w.netMemo[key] = net
-	return net
-}
-
-type lockInterp struct {
-	w   *World
-	fe  *FuncEffects
-	net *LockNet
-}
-
-func (it *lockInterp) edge(from, to string, ev *Event) {
-	it.net.Edges = append(it.net.Edges, LockEdge{
-		From: from, To: to, Pkg: it.fe.Pkg, Pos: ev.Pos, localPos: ev.localPos,
-	})
-}
-
-func (it *lockInterp) warn(held []string, what string, ev *Event) {
-	it.net.Warns = append(it.net.Warns, LockWarn{
-		Held: append([]string(nil), held...), What: what,
-		Pkg: it.fe.Pkg, Pos: ev.Pos, localPos: ev.localPos,
-	})
-}
-
-// exit records one path's held set at function exit, after its deferred
-// events ran.
-func (it *lockInterp) exit(held []string) {
-	for _, st := range it.seq(it.fe.Deferred, [][]string{held}) {
-		it.net.Acquired = append(it.net.Acquired, st...)
-	}
-}
-
-func (it *lockInterp) seq(evs []Event, states [][]string) [][]string {
-	for i := range evs {
-		states = it.step(&evs[i], states)
-		if len(states) == 0 {
-			return nil // every path returned
-		}
-	}
-	return states
-}
-
-func (it *lockInterp) step(ev *Event, states [][]string) [][]string {
-	switch ev.Kind {
-	case EvLock:
-		for i, held := range states {
-			for _, h := range held {
-				it.edge(h, ev.Key, ev)
-			}
-			if !contains(held, ev.Key) {
-				states[i] = append(held, ev.Key)
-			}
-		}
-	case EvUnlock:
-		for i, held := range states {
-			if contains(held, ev.Key) {
-				states[i] = remove(held, ev.Key)
-			} else {
-				it.net.Released = append(it.net.Released, ev.Key)
-			}
-		}
-	case EvChan, EvBlock:
-		what := ev.Key
-		if ev.Kind == EvChan {
-			what = "channel " + ev.Key
-		}
-		for _, held := range states {
-			if len(held) > 0 {
-				it.warn(held, what, ev)
-				break // one warning per site, not per explored path
-			}
-		}
-	case EvCall:
-		states = it.call(ev, ev.Key, states, true)
-	case EvDynCall, EvDynFunc:
-		for _, t := range it.w.DynTargets(ev) {
-			// Dynamic targets contribute edges and warnings but not net
-			// held-set effects: the targets need not agree on one.
-			states = it.call(ev, t, states, false)
-		}
-	case EvSpawn:
-		// A fresh goroutine starts with an empty held set; its own
-		// interpretation covers its body.
-	case EvReturn:
-		for _, held := range states {
-			it.exit(held)
-		}
-		return nil
-	case EvBranch:
-		var next [][]string
-		for _, alt := range ev.Alts {
-			branch := make([][]string, len(states))
-			for i, held := range states {
-				branch[i] = append([]string(nil), held...)
-			}
-			next = append(next, it.seq(alt, branch)...)
-		}
-		return mergeStates(next)
-	}
-	return states
-}
-
-// call applies one resolved call edge to the held states: order edges to
-// everything the callee's graph acquires, a warning if it can block, and
-// (for static calls) the callee's net lock effect.
-func (it *lockInterp) call(ev *Event, target string, states [][]string, net bool) [][]string {
-	anyHeld := false
-	for _, held := range states {
-		if len(held) > 0 {
-			anyHeld = true
-			break
-		}
-	}
-	if anyHeld {
-		ls := it.w.Lockset(target)
-		if len(ls) > 0 {
-			acq := make([]string, 0, len(ls))
-			for l := range ls {
-				acq = append(acq, l)
-			}
-			sort.Strings(acq)
-			seenPairs := map[string]bool{}
-			for _, held := range states {
-				for _, h := range held {
-					for _, l := range acq {
-						if !seenPairs[h+"\x00"+l] {
-							seenPairs[h+"\x00"+l] = true
-							it.edge(h, l, ev)
-						}
-					}
-				}
-			}
-		}
-		if d := it.w.Blocks(target); d != "" {
-			for _, held := range states {
-				if len(held) > 0 {
-					it.warn(held, d+" inside "+target, ev)
-					break
-				}
-			}
-		}
-	}
-	if !net {
-		return states
-	}
-	n := it.w.Interpret(target)
-	if len(n.Acquired) == 0 && len(n.Released) == 0 {
-		return states
-	}
-	for i, held := range states {
-		for _, r := range n.Released {
-			if contains(held, r) {
-				held = remove(held, r)
-			}
-		}
-		for _, a := range n.Acquired {
-			if !contains(held, a) {
-				held = append(held, a)
-			}
-		}
-		states[i] = held
-	}
-	return states
-}
-
-func contains(held []string, k string) bool {
-	for _, h := range held {
-		if h == k {
-			return true
-		}
-	}
-	return false
-}
-
-func remove(held []string, k string) []string {
-	out := make([]string, 0, len(held))
-	for _, h := range held {
-		if h != k {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// mergeStates dedupes identical held sets and, past maxHeldStates,
-// collapses everything into one union set to bound the exploration.
-func mergeStates(states [][]string) [][]string {
-	seen := map[string]bool{}
-	out := states[:0]
-	for _, held := range states {
-		k := strings.Join(held, "\x00")
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, held)
-		}
-	}
-	if len(out) <= maxHeldStates {
-		return out
-	}
-	union := map[string]bool{}
-	var merged []string
-	for _, held := range out {
-		for _, h := range held {
-			if !union[h] {
-				union[h] = true
-				merged = append(merged, h)
-			}
-		}
-	}
-	return [][]string{merged}
 }

@@ -1,8 +1,8 @@
 // Package lint assembles simlint, the simulator's invariant suite:
 // project-specific analyzers on the cross-package mini go/analysis
 // framework in internal/lint/analysis. See the package docs of detlint,
-// errlint, unitlint, contractlint, paramlint, statelint, sharelint, and
-// sanlint for the invariant each one guards, DESIGN.md §10 for the
+// errlint, hotlint, paramlint, purelint, sanlint, sharelint, statelint,
+// and unitlint for the invariant each one guards, DESIGN.md §10 for the
 // catalog, and README.md ("Static analysis & invariants") for the
 // suppression directives.
 package lint
@@ -11,15 +11,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"path/filepath"
 	"sort"
 
 	"bingo/internal/lint/analysis"
-	"bingo/internal/lint/contractlint"
 	"bingo/internal/lint/detlint"
 	"bingo/internal/lint/errlint"
 	"bingo/internal/lint/hotlint"
-	"bingo/internal/lint/locklint"
 	"bingo/internal/lint/paramlint"
 	"bingo/internal/lint/purelint"
 	"bingo/internal/lint/sanlint"
@@ -29,16 +26,13 @@ import (
 )
 
 // Suite returns the full analyzer suite in stable (alphabetical) order.
-// Fact-producing prerequisites (sharelint's lock facts, the effects
-// summaries) are not listed — the scheduler pulls them in through
-// Requires.
+// The fact-producing prerequisite (the effects summaries) is not listed —
+// the scheduler pulls it in through Requires.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		contractlint.Analyzer,
 		detlint.Analyzer,
 		errlint.Analyzer,
 		hotlint.Analyzer,
-		locklint.Analyzer,
 		paramlint.Analyzer,
 		purelint.Analyzer,
 		sanlint.Analyzer,
@@ -65,20 +59,14 @@ type Options struct {
 	// findings, marked with their suppression reason.
 	JSON bool
 	// UnusedSuppressions reports //lint:ignore and //lint:file-ignore
-	// directives (for analyzers in this run) that no longer suppress any
-	// finding; they count as findings.
+	// directives that no longer suppress any finding — for analyzers in
+	// this run, and for names no analyzer in the Suite answers to — as
+	// findings.
 	UnusedSuppressions bool
 	// SARIF switches the output to a SARIF 2.1.0 log for code-scanning
 	// upload. Like JSON, it includes suppressed findings (carried as
 	// inSource suppressions). Takes precedence over JSON.
 	SARIF bool
-	// FactCache names a directory for persisting per-package analysis
-	// results (findings, directives, exported facts) keyed by a content
-	// hash of the package's import closure and the run configuration.
-	// Packages whose key is unchanged are replayed, not re-analyzed.
-	// Empty disables caching. Designed for whole-module runs: packages
-	// analyzed only as dependencies of a narrow pattern are not cached.
-	FactCache string
 }
 
 // Finding is one diagnostic with its position resolved, as emitted in
@@ -103,12 +91,12 @@ func Check(w io.Writer, moduleRoot string, patterns []string, opts Options) (int
 	if analyzers == nil {
 		analyzers = Suite()
 	}
-	findings, dirs, err := runConfig(moduleRoot, nil, patterns, analyzers, opts.Tests, opts.FactCache)
+	findings, dirs, err := runConfig(moduleRoot, nil, patterns, analyzers, opts.Tests)
 	if err != nil {
 		return 0, err
 	}
 	if opts.San {
-		sanFindings, sanDirs, err := runConfig(moduleRoot, []string{"san"}, patterns, analyzers, opts.Tests, opts.FactCache)
+		sanFindings, sanDirs, err := runConfig(moduleRoot, []string{"san"}, patterns, analyzers, opts.Tests)
 		if err != nil {
 			return 0, err
 		}
@@ -159,11 +147,8 @@ func Check(w io.Writer, moduleRoot string, patterns []string, opts Options) (int
 }
 
 // runConfig analyzes patterns under one build configuration (tag set) and
-// returns resolved findings plus the suppression directives seen. With a
-// cache directory, packages whose content key is unchanged are replayed
-// from their cached entry (their facts seeded for dependents) instead of
-// re-analyzed, and fresh results are stored back.
-func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis.Analyzer, tests bool, cacheDir string) ([]Finding, []*analysis.Directive, error) {
+// returns resolved findings plus the suppression directives seen.
+func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis.Analyzer, tests bool) ([]Finding, []*analysis.Directive, error) {
 	loader, err := analysis.NewLoader(moduleRoot)
 	if err != nil {
 		return nil, nil, err
@@ -177,33 +162,8 @@ func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis
 	if err != nil {
 		return nil, nil, err
 	}
-	var cache *factCache
-	if cacheDir != "" {
-		cache, err = newFactCache(cacheDir, moduleRoot, loader.ModulePath, tags, tests, analyzers)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	// Seed every hit before running any miss: a miss may import a hit
-	// package and must find its facts already in the store.
-	hits := map[string]*cacheEntry{}
-	if cache != nil {
-		for _, path := range paths {
-			if e, ok := cache.load(path); ok {
-				hits[path] = e
-				runner.Seed(path, e.Facts)
-			}
-		}
-	}
 	var findings []Finding
-	var dirs []*analysis.Directive
-	missFindings := map[string][]Finding{}
 	for _, path := range paths {
-		if e := hits[path]; e != nil {
-			findings = append(findings, e.Findings...)
-			dirs = append(dirs, fromCachedDirectives(moduleRoot, e.Directives)...)
-			continue
-		}
 		diags, err := runner.Package(path)
 		if err != nil {
 			return nil, nil, err
@@ -215,10 +175,9 @@ func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis
 			}
 			diags = append(diags, testDiags...)
 		}
-		var pkgFindings []Finding
 		for _, d := range diags {
 			pos := loader.Fset.Position(d.Pos)
-			pkgFindings = append(pkgFindings, Finding{
+			findings = append(findings, Finding{
 				File:         relPath(moduleRoot, pos.Filename),
 				Line:         pos.Line,
 				Col:          pos.Column,
@@ -228,36 +187,8 @@ func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis
 				SuppressedBy: d.SuppressedBy,
 			})
 		}
-		findings = append(findings, pkgFindings...)
-		if cache != nil {
-			missFindings[path] = pkgFindings
-		}
 	}
-	liveDirs := runner.Directives()
-	dirs = append(dirs, liveDirs...)
-	if cache != nil {
-		// Directives carry no package attribution; group the live ones by
-		// directory (a package's units all live in its directory).
-		byDir := map[string][]*analysis.Directive{}
-		for _, d := range liveDirs {
-			byDir[filepath.Dir(d.File)] = append(byDir[filepath.Dir(d.File)], d)
-		}
-		for path, pkgFindings := range missFindings {
-			dir, ok := cache.pkgDir(path)
-			if !ok {
-				continue
-			}
-			e := &cacheEntry{
-				Findings:   pkgFindings,
-				Directives: toCachedDirectives(moduleRoot, byDir[dir]),
-				Facts:      runner.ExportedFacts(path),
-			}
-			if err := cache.store(path, e); err != nil {
-				return nil, nil, fmt.Errorf("factcache: storing %s: %w", path, err)
-			}
-		}
-	}
-	return findings, dirs, nil
+	return findings, runner.Directives(), nil
 }
 
 // dedupeFindings collapses findings reported identically by more than one
@@ -289,10 +220,14 @@ func dedupeFindings(findings []Finding) []Finding {
 // unusedSuppressions turns directives that suppressed nothing in any
 // configuration into findings. Usage is merged across configurations
 // first: a directive used only under -tags=san is not stale. Directives
-// naming analyzers outside this run are skipped — a partial run proves
-// nothing about them.
+// naming a Suite analyzer left out of this run (-only) are skipped — a
+// partial run proves nothing about them — but a directive naming no
+// Suite analyzer at all can never suppress anything and is reported.
 func unusedSuppressions(moduleRoot string, dirs []*analysis.Directive, analyzers []*analysis.Analyzer) []Finding {
-	inRun := map[string]bool{}
+	inSuite, inRun := map[string]bool{}, map[string]bool{}
+	for _, a := range Suite() {
+		inSuite[a.Name] = true
+	}
 	for _, a := range analyzers {
 		inRun[a.Name] = true
 	}
@@ -324,19 +259,23 @@ func unusedSuppressions(moduleRoot string, dirs []*analysis.Directive, analyzers
 	var out []Finding
 	for _, k := range keys {
 		d := merged[k]
-		if used[k] || !inRun[d.Analyzer] {
+		if used[k] || (inSuite[d.Analyzer] && !inRun[d.Analyzer]) {
 			continue
 		}
 		kind := "ignore"
 		if d.FileWide {
 			kind = "file-ignore"
 		}
+		stale := "no longer suppresses anything"
+		if !inSuite[d.Analyzer] && !inRun[d.Analyzer] {
+			stale = "names no analyzer in the suite"
+		}
 		out = append(out, Finding{
 			File:     relPath(moduleRoot, d.File),
 			Line:     d.Line,
 			Col:      d.Col,
 			Analyzer: "unused-suppression",
-			Message:  fmt.Sprintf("//lint:%s %s no longer suppresses anything; delete it (reason was: %s)", kind, d.Analyzer, d.Reason),
+			Message:  fmt.Sprintf("//lint:%s %s %s; delete it (reason was: %s)", kind, d.Analyzer, stale, d.Reason),
 		})
 	}
 	return out

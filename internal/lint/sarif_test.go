@@ -13,16 +13,16 @@ import (
 func TestWriteSARIFShape(t *testing.T) {
 	findings := []Finding{
 		{File: "internal/cache/cache.go", Line: 42, Col: 7, Analyzer: "hotlint", Message: "interface boxing on the hot path"},
-		{File: "internal/vm/vm.go", Line: 9, Col: 2, Analyzer: "locklint", Message: "potential deadlock", Suppressed: true, SuppressedBy: "distinct registries"},
+		{File: "internal/telemetry/probe.go", Line: 9, Col: 2, Analyzer: "purelint", Message: "telemetry code writes simulator state", Suppressed: true, SuppressedBy: "reseeds its own sampler"},
 	}
 	docs := map[string]string{
 		"hotlint":  "hotlint flags allocation on simulator hot paths.\n\nLong detail.",
-		"locklint": "locklint orders locks module-wide.",
+		"purelint": "purelint keeps telemetry passive.",
 	}
 	var buf bytes.Buffer
 	if err := writeSARIF(&buf, findings, map[string]string{
 		"hotlint":  firstLine(docs["hotlint"]),
-		"locklint": firstLine(docs["locklint"]),
+		"purelint": firstLine(docs["purelint"]),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWriteSARIFShape(t *testing.T) {
 		t.Errorf("unsuppressed finding carries suppressions")
 	}
 	sup := run.Results[1]
-	if len(sup.Suppressions) != 1 || sup.Suppressions[0].Kind != "inSource" || sup.Suppressions[0].Justification != "distinct registries" {
+	if len(sup.Suppressions) != 1 || sup.Suppressions[0].Kind != "inSource" || sup.Suppressions[0].Justification != "reseeds its own sampler" {
 		t.Errorf("suppression record = %+v", sup.Suppressions)
 	}
 }

@@ -3,22 +3,19 @@
 // package-level state in the simulator packages (cache, core, cpu, dram,
 // prefetch, prefetchers, sched, system, telemetry, trace, vm) is shared
 // by every System at once. Each System is driven by one goroutine, so
-// state inside a System needs no contract. Two rules apply:
+// state inside a System needs no contract. One rule applies:
 //
 //  1. Package-level vars in the simulator packages must hold a sync
 //     primitive by value, or carry a //conc: contract annotation (see
-//     below).
-//
-//  3. Lock-bearing values must not be passed, returned, or received by
-//     value: the copy duplicates the lock, the classic lost-wakeup /
-//     deadlock footgun. Unlike rule 1 this one applies to every package,
-//     and it is cross-package: whether a type holds a lock is resolved
-//     through the LockFact facts the sharefacts analyzer exports (this
-//     supersedes contractlint's old local copy check).
+//     below). Whether a type holds one is decided by walking its
+//     structure, across package boundaries, in the shared type-checked
+//     world.
 //
 // Rule 2 (a //conc: contract on every cross-component struct field) was
-// retired with the parallel per-core frontend it existed for; the rule
-// numbers are kept so older references stay meaningful.
+// retired with the parallel per-core frontend it existed for, and rule 3
+// (no by-value copies of lock-bearing values) was handed to go vet's
+// copylocks pass, which `make lint` and CI run; the rule numbers are kept
+// so older references stay meaningful.
 //
 // The annotation vocabulary, shared with the rest of the suite:
 //
@@ -28,8 +25,7 @@
 //	                                 serialization point the reason names
 //
 // A reason is mandatory; an annotation without one is itself a finding.
-// Test files are exempt from rule 1 but not from rule 3 (a copied lock
-// is broken anywhere).
+// Test files are exempt.
 //
 // sharelint is the static half of the check. The dynamic oracle for
 // cross-System sharing is `go test -race ./...` (a CI step), which runs
@@ -46,14 +42,13 @@ import (
 	"bingo/internal/lint/analysis"
 )
 
-// Analyzer enforces the concurrency-readiness rules described in the
-// package documentation.
+// Analyzer enforces the shared-state rule described in the package
+// documentation.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharelint",
 	Doc: "require //conc: contract annotations (or sync primitives) on package-level state in the " +
-		"simulator packages, and forbid by-value copies of lock-bearing types anywhere",
-	Requires: []*analysis.Analyzer{Facts},
-	Run:      run,
+		"simulator packages",
+	Run: run,
 }
 
 // scopeWords identify the simulator packages every System in a `-j`
@@ -78,17 +73,16 @@ func inScope(pkgPath string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	scoped := inScope(pass.Pkg.Path())
+	if !inScope(pass.Pkg.Path()) {
+		return nil
+	}
 	for _, f := range pass.Files {
-		inTest := pass.InTestFile(f.Package)
+		if pass.InTestFile(f.Package) {
+			continue
+		}
 		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.GenDecl:
-				if scoped && !inTest {
-					checkGenDecl(pass, decl)
-				}
-			case *ast.FuncDecl:
-				checkFuncDecl(pass, decl)
+			if decl, ok := decl.(*ast.GenDecl); ok {
+				checkGenDecl(pass, decl)
 			}
 		}
 	}
@@ -113,7 +107,7 @@ func checkGenDecl(pass *analysis.Pass, decl *ast.GenDecl) {
 			if !ok {
 				continue
 			}
-			if IsSynchronized(pass, obj.Type()) {
+			if holdsSync(obj.Type(), map[types.Type]bool{}) {
 				continue
 			}
 			if checkConcAnnotation(pass, name.Pos(), "var "+name.Name, spec.Doc, spec.Comment, decl.Doc) {
@@ -126,38 +120,42 @@ func checkGenDecl(pass *analysis.Pass, decl *ast.GenDecl) {
 	}
 }
 
-// checkFuncDecl applies rule 3 to a function's receiver, parameters, and
-// results.
-func checkFuncDecl(pass *analysis.Pass, decl *ast.FuncDecl) {
-	if decl.Recv != nil {
-		for _, field := range decl.Recv.List {
-			checkByValue(pass, field, "receiver of method "+decl.Name.Name)
-		}
-	}
-	if decl.Type.Params != nil {
-		for _, field := range decl.Type.Params.List {
-			checkByValue(pass, field, "parameter of "+decl.Name.Name)
-		}
-	}
-	if decl.Type.Results != nil {
-		for _, field := range decl.Type.Results.List {
-			checkByValue(pass, field, "result of "+decl.Name.Name)
-		}
-	}
+// syncPrimitives are the sync types that guard the state holding them.
+var syncPrimitives = map[string]bool{
+	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true,
+	"Map": true, "Cond": true, "Pool": true,
 }
 
-func checkByValue(pass *analysis.Pass, field *ast.Field, where string) {
-	t := pass.TypeOf(field.Type)
-	if t == nil {
-		return
+// holdsSync reports whether t is, or by value contains, a sync primitive
+// (a sync type above, or any sync/atomic type) — the "already
+// synchronized" exemption of rule 1. Named types from other packages are
+// walked structurally; seen breaks recursive type cycles.
+func holdsSync(t types.Type, seen map[types.Type]bool) bool {
+	if seen[t] {
+		return false
 	}
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return
+	seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		if pkg := t.Obj().Pkg(); pkg != nil {
+			switch pkg.Path() {
+			case "sync":
+				return syncPrimitives[t.Obj().Name()]
+			case "sync/atomic":
+				return true
+			}
+		}
+		return holdsSync(t.Underlying(), seen)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if holdsSync(t.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	case *types.Array:
+		return holdsSync(t.Elem(), seen)
 	}
-	if HoldsLock(pass, t) {
-		pass.Reportf(field.Type.Pos(), "%s copies %s by value, duplicating the lock it holds; use a pointer",
-			where, types.TypeString(t, types.RelativeTo(pass.Pkg)))
-	}
+	return false
 }
 
 // concContracts is the annotation vocabulary of rule 1.

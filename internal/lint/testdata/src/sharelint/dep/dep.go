@@ -1,6 +1,6 @@
 // Package dep is the cross-package half of the sharelint fixture: it
-// exports a mutex-bearing type whose LockFact must travel to the
-// importing fixture package through serialized facts. It is itself
+// exports a mutex-bearing type the importing fixture package holds in a
+// package-level var. It is itself
 // finding-free (its import path lands in sharelint's simulator-package
 // scope, so it must hold up under rule 1 too).
 package dep

@@ -1,8 +1,9 @@
 // Package cachefixture seeds shared-state violations for the sharelint
 // analyzer. Its synthetic import path contains "cache", landing it in
 // the simulator-package scope of rule 1; the dep subpackage supplies a
-// lock-bearing type whose LockFact crosses the package boundary for
-// rule 3.
+// lock-bearing type whose structure the rule-1 exemption must see
+// through across the package boundary. The by-value copies below are go
+// vet's copylocks territory, so sharelint stays quiet on them.
 package cachefixture
 
 import (
@@ -22,6 +23,10 @@ var Registered = map[string]int{}
 // Guarded carries its own sync primitive: no annotation needed.
 var Guarded sync.Mutex
 
+// GuardedDep holds a sync primitive inside another package's type: no
+// annotation needed either.
+var GuardedDep dep.Locked
+
 // Mislabeled uses a contract word outside the vocabulary.
 //
 //conc:bogus not a real contract
@@ -39,18 +44,18 @@ type wrapper struct {
 }
 
 // Count copies the embedded lock through its value receiver.
-func (w wrapper) Count() int { // want `receiver of method Count copies wrapper by value`
+func (w wrapper) Count() int {
 	return w.hits
 }
 
 // Merge receives a cross-package lock-bearing value by value.
-func Merge(dst *dep.Locked, src dep.Locked) { // want `parameter of Merge copies bingo/internal/cachefixture/dep\.Locked by value`
+func Merge(dst *dep.Locked, src dep.Locked) {
 	_ = src
 	dst.Inc()
 }
 
 // Snapshot returns a lock-bearing value by value.
-func Snapshot() dep.Locked { // want `result of Snapshot copies bingo/internal/cachefixture/dep\.Locked by value`
+func Snapshot() dep.Locked {
 	return dep.Locked{}
 }
 
@@ -60,7 +65,7 @@ func ByPointer(a *dep.Locked, b *wrapper) {
 	b.hits++
 }
 
-// CopyPlain copies a lock-free dep type; rule 3 stays quiet.
+// CopyPlain copies a lock-free dep type.
 func CopyPlain(p dep.Plain) int {
 	return p.N
 }

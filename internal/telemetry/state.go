@@ -349,21 +349,23 @@ func (r *Registry) loadState(rd *checkpoint.Reader) error {
 }
 
 // copyInto replays r's metrics into dst, preserving dst's existing
-// metric instances (pointers held elsewhere keep working).
+// metric instances (pointers held elsewhere keep working). It takes
+// dst's lock while holding r's, so r must be a fresh registry, distinct
+// from dst and unreachable from any other goroutine: Collector.loadState
+// decodes one, copies it into the collector's own, and drops it. No
+// caller can therefore hold dst's lock while waiting for r's, and the
+// nesting cannot form a cycle.
 func (r *Registry) copyInto(dst *Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
-		//lint:ignore locklint dst is a distinct registry and copyInto runs one direction only (epoch swap); same-type lock keys alias
 		dst.Counter(name).Store(c.Value())
 	}
 	for name, g := range r.gauges {
-		//lint:ignore locklint dst is a distinct registry and copyInto runs one direction only (epoch swap); same-type lock keys alias
 		dst.Gauge(name).Set(g.Value())
 	}
 	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
-		//lint:ignore locklint dst is a distinct registry and copyInto runs one direction only (epoch swap); same-type lock keys alias
 		dst.Histogram(name).restore(h.Buckets(), h.Sum(), h.Count())
 	}
 }
