@@ -4,7 +4,7 @@ GO ?= go
 # exceeded so future PRs notice a regression.
 LINT_BUDGET_SECONDS ?= 60
 
-.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-checkpoint bench-telemetry bench-eventloop san-test san-suite fuzz
+.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-telemetry bench-eventloop san-test san-suite fuzz
 
 all: build lint test
 
@@ -97,11 +97,6 @@ bench:
 # fast-budget benchmark matrix subset on this machine.
 bench-runner:
 	BENCH_RUNNER_JSON=$(CURDIR)/BENCH_runner.json $(GO) test -run TestEmitRunnerBench -v ./internal/harness/
-
-# Regenerates BENCH_checkpoint.json: cold vs warm-start (checkpoint
-# reuse) matrix time on this machine, verifying byte-identical tables.
-bench-checkpoint:
-	BENCH_CHECKPOINT_JSON=$(CURDIR)/BENCH_checkpoint.json $(GO) test -run TestEmitCheckpointBench -v ./internal/harness/
 
 # Regenerates BENCH_telemetry.json: wall time of the workload matrix
 # with telemetry export off vs on (budget: <3% overhead), verifying the

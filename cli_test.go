@@ -58,11 +58,14 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"bingosim", "-prefetcher", "nope"}, "-prefetcher"},
 		{[]string{"bingosim", "-warmup", "0"}, "-warmup"},
 		{[]string{"bingosim", "-measure", "0"}, "-measure"},
+		{[]string{"bingosim", "-epoch", "5000"}, "-epoch"},
 		{[]string{"experiments", "-j", "-3"}, "-j"},
+		{[]string{"experiments", "-epoch", "5000"}, "-epoch"},
 		{[]string{"tracegen", "-workload", "em3d", "-core", "-1", "-o", filepath.Join(dir, "bad.trc")}, "-core -1"},
 		{[]string{"tracegen", "-workload", "em3d", "-n", "-5", "-o", filepath.Join(dir, "bad.trc")}, "-n -5"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "0"}, "-n 0"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "-5"}, "-n -5"},
+		{[]string{"traceinfo", "-workload", "Zeus", "-n", "1000", "-top", "-1"}, "-top -1"},
 	} {
 		code, stderr := run(tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.flag) {
@@ -72,6 +75,7 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 
 	for _, valid := range [][]string{
 		{"bingosim", "-workload", "em3d", "-prefetcher", "none", "-warmup", "1000", "-measure", "2000"},
+		{"bingosim", "-workload", "em3d", "-prefetcher", "none", "-warmup", "1000", "-measure", "2000", "-epoch", "5000", "-telemetry-out", filepath.Join(dir, "ok.json")},
 		{"tracegen", "-workload", "em3d", "-n", "1000", "-o", filepath.Join(dir, "ok.trc")},
 		{"traceinfo", "-workload", "Zeus", "-n", "1000"},
 	} {

@@ -55,7 +55,7 @@ func main() {
 		telJSONFlag  = flag.String("telemetry-out", "", "write the epoch time-series and prefetch lifecycle as a JSON document to this file")
 		telCSVFlag   = flag.String("telemetry-csv", "", "write the epoch time-series as CSV to this file")
 		traceOutFlag = flag.String("trace-out", "", "write the epoch time-series as a Chrome trace_event file (chrome://tracing, Perfetto) to this file")
-		epochFlag    = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
+		epochFlag    = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default; needs a telemetry output or -debug-addr)")
 		debugFlag    = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live metrics on this address while running")
 		coresFlag    = flag.Int("cores", 0, "override the core count: a power of two, 0 = Table I's 4; LLC capacity, DRAM channels, and memory scale with it")
 	)
@@ -89,6 +89,10 @@ func main() {
 	})
 	if *ckptEvery > 0 && *ckptOutFlag == "" {
 		fmt.Fprintln(os.Stderr, "bingosim: -checkpoint-every requires -checkpoint-out")
+		os.Exit(2)
+	}
+	if *epochFlag > 0 && *telJSONFlag == "" && *telCSVFlag == "" && *traceOutFlag == "" && *debugFlag == "" {
+		fmt.Fprintln(os.Stderr, "bingosim: -epoch requires -telemetry-out, -telemetry-csv, -trace-out or -debug-addr")
 		os.Exit(2)
 	}
 	if *resumeFlag != "" && *ckptOutFlag != "" && *ckptEvery == 0 {

@@ -9,7 +9,6 @@
 //	experiments -exp fig7,fig8,fig9   # several (they share runs)
 //	experiments -fast                 # reduced instruction budgets
 //	experiments -exp all -fast -j 8   # warm the run matrix on 8 workers
-//	experiments -warm-reuse .warm     # reuse end-of-warm-up checkpoints
 //	experiments -telemetry out/       # export per-cell epoch series
 //	experiments -debug-addr :6060     # pprof/expvar while running
 //
@@ -44,9 +43,8 @@ func main() {
 		jobsFlag   = flag.Int("j", 0, "simulation workers; 1 = sequential, 0 = GOMAXPROCS")
 		quietFlag  = flag.Bool("quiet", false, "suppress the stderr run report")
 		sanFlag    = flag.Bool("san", san.Compiled, "runtime invariant checking (needs a -tags=san build)")
-		warmFlag   = flag.String("warm-reuse", "", "cache end-of-warm-up checkpoints in this directory and restore them on later runs (tables stay byte-identical)")
 		telFlag    = flag.String("telemetry", "", "export each cell's epoch time-series (JSON + Chrome trace) into this directory")
-		epochFlag  = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default)")
+		epochFlag  = flag.Uint64("epoch", 0, "telemetry sampling period in cycles (0 = default; needs -telemetry)")
 		debugFlag  = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live progress counters on this address while running")
 	)
 	flag.Parse()
@@ -59,6 +57,11 @@ func main() {
 
 	if *jobsFlag < 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -j %d: worker count must not be negative (0 = GOMAXPROCS)\n", *jobsFlag)
+		os.Exit(2)
+	}
+
+	if *epochFlag > 0 && *telFlag == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -epoch requires -telemetry")
 		os.Exit(2)
 	}
 
@@ -93,7 +96,6 @@ func main() {
 		Format:         *formatFlag,
 		BudgetLabel:    budgetName(*fastFlag),
 		Report:         report,
-		WarmDir:        *warmFlag,
 		TelemetryDir:   *telFlag,
 		TelemetryEpoch: *epochFlag,
 		Debug:          debugReg,

@@ -26,13 +26,17 @@ func main() {
 		kernelFlag   = flag.String("kernel", "", "SPEC-like kernel name to analyse")
 		nFlag        = flag.Int("n", 1_000_000, "records to analyse for generated streams")
 		seedFlag     = flag.Int64("seed", 1, "generator seed")
-		topFlag      = flag.Int("top", 10, "how many hot PCs to list")
+		topFlag      = flag.Int("top", 10, "how many hot PCs to list (0 = none)")
 	)
 	flag.Parse()
 
 	if *traceFlag == "" && *nFlag <= 0 {
 		// Generated streams are endless: the record budget is what ends them.
 		fmt.Fprintf(os.Stderr, "traceinfo: -n %d: record count must be positive for a generated stream\n", *nFlag)
+		os.Exit(2)
+	}
+	if *topFlag < 0 {
+		fmt.Fprintf(os.Stderr, "traceinfo: -top %d: hot-PC count must not be negative (0 lists none)\n", *topFlag)
 		os.Exit(2)
 	}
 	src, label, cleanup, err := buildSource(*traceFlag, *workloadFlag, *kernelFlag, *seedFlag)

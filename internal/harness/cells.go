@@ -124,42 +124,26 @@ func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Fa
 		return system.Results{}, nil, fmt.Errorf("harness: unknown workload %q", key.Workload)
 	}
 	return m.run(key, func() (system.Results, any, error) {
-		// The collector (nil when telemetry export is off) attaches to the
-		// system before any simulation: on the warm path that is before the
-		// checkpoint restore, so artifacts saved with or without telemetry
-		// both replay correctly (strict collector restore, or a resync onto
-		// the measurement-start epoch grid).
-		tel := m.newCellCollector(key)
-		var prep func(*system.System)
-		if tel != nil {
-			prep = func(sys *system.System) { sys.EnableTelemetry(tel) }
+		var factory prefetch.Factory
+		var err error
+		if build != nil {
+			factory, err = build()
 		}
 		var sys *system.System
-		var res system.Results
-		var err error
-		if ws := m.warmStore(); ws != nil {
-			sys, res, err = ws.RunWithSystem(w, key, opts, build, prep)
-		} else {
-			var factory prefetch.Factory
-			if build != nil {
-				factory, err = build()
-				if err != nil {
-					m.recordCellOutcome(system.Results{}, err)
-					return system.Results{}, nil, err
-				}
-			}
+		if err == nil {
 			sys, err = BuildSystem(w, factory, opts)
-			if err == nil {
-				if prep != nil {
-					prep(sys)
-				}
-				res = sys.Run()
-			}
 		}
-		m.recordCellOutcome(res, err)
 		if err != nil {
+			m.recordCellOutcome(system.Results{}, err)
 			return system.Results{}, nil, err
 		}
+		// The collector is nil when telemetry export is off.
+		tel := m.newCellCollector(key)
+		if tel != nil {
+			sys.EnableTelemetry(tel)
+		}
+		res := sys.Run()
+		m.recordCellOutcome(res, nil)
 		if err := m.exportCellTelemetry(key, tel); err != nil {
 			return system.Results{}, nil, err
 		}
@@ -197,23 +181,6 @@ func (m *Matrix) Inject(key CellKey, res system.Results, aux any, dur time.Durat
 	m.mu.Unlock()
 	m.recordCellOutcome(res, nil)
 	return true
-}
-
-// SetWarmStore routes every subsequent cell run through ws: warm-up
-// phases are restored from (or saved to) the store's artifact directory
-// instead of re-simulating. Results are unchanged — artifacts are keyed
-// per cell and options, and the checkpoint captures complete state.
-func (m *Matrix) SetWarmStore(ws *WarmStore) {
-	m.mu.Lock()
-	m.warm = ws
-	m.mu.Unlock()
-}
-
-// warmStore returns the configured warm store, if any.
-func (m *Matrix) warmStore() *WarmStore {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.warm
 }
 
 // Stats returns a copy of the per-cell run statistics collected so far,

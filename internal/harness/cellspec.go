@@ -14,12 +14,12 @@ import (
 // determines one simulation. CellRunner reconstructs the prefetcher
 // factory (and any instrumentation probe) from the key's label alone, so
 // the identical cell can be executed by a local renderer or a parallel
-// warm worker — and the singleflight matrix and the warm-artifact store
-// agree on what a cell *is*. Every experiment accessor routes through
-// ExecuteCell, which keeps the label grammar below the single source of
-// truth for custom-config variants: a label that parses differently from
-// what a renderer intended would change rendered tables and be caught by
-// the suite determinism oracles.
+// warm worker, and the singleflight matrix has one notion of what a cell
+// *is*. Every experiment accessor routes through ExecuteCell, which
+// keeps the label grammar below the single source of truth for
+// custom-config variants: a label that parses differently from what a
+// renderer intended would change rendered tables and be caught by the
+// suite determinism oracles.
 //
 // Config-level variants that modify RunOptions rather than the
 // prefetcher — queue=N, seed=N, and the core-scaling cores=N (see

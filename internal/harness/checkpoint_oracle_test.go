@@ -2,10 +2,7 @@ package harness
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bingo/internal/san"
@@ -135,8 +132,8 @@ func TestResumeEquivalenceMidWarmup(t *testing.T) {
 }
 
 // TestWarmStartCheckpointResume saves exactly at the warm-up boundary
-// (the warm store's artifact point) and requires the restored
-// measurement phase to match a cold run.
+// (where RunWarmup stops) and requires the restored measurement phase
+// to match a cold run.
 func TestWarmStartCheckpointResume(t *testing.T) {
 	w := checkpointOracleWorkload(t)
 	opts := tinyOptions()
@@ -238,117 +235,4 @@ func TestCheckpointCorruptionNeverSilentlyWrong(t *testing.T) {
 		}
 	}
 	t.Logf("flipped %d sampled bytes: %d loads survived (all behaviourally identical)", flipped, survived)
-}
-
-// TestWarmStoreByteIdentity runs the same cells cold, store-populating,
-// and store-reusing, and requires identical results (and a hit/miss
-// ledger that shows the reuse actually happened).
-func TestWarmStoreByteIdentity(t *testing.T) {
-	w := checkpointOracleWorkload(t)
-	opts := tinyOptions()
-	cells := []string{"none", "bingo", "stride"}
-
-	results := func(m *Matrix) []string {
-		var out []string
-		for _, name := range cells {
-			res, err := m.Get(w, name)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			out = append(out, res.String())
-		}
-		return out
-	}
-
-	cold := results(NewMatrix(opts))
-
-	dir := t.TempDir()
-	ws, err := NewWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populating := NewMatrix(opts)
-	populating.SetWarmStore(ws)
-	first := results(populating)
-	if s := ws.Stats(); s.Misses != uint64(len(cells)) || s.Hits != 0 {
-		t.Fatalf("populating pass: want %d misses 0 hits, got %+v", len(cells), s)
-	}
-
-	ws2, err := NewWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reusing := NewMatrix(opts)
-	reusing.SetWarmStore(ws2)
-	second := results(reusing)
-	s := ws2.Stats()
-	if s.Hits != uint64(len(cells)) || s.Misses != 0 {
-		t.Fatalf("reusing pass: want %d hits 0 misses, got %+v", len(cells), s)
-	}
-	if s.CyclesSkipped == 0 {
-		t.Fatal("reusing pass skipped zero warm-up cycles")
-	}
-
-	for i := range cells {
-		if cold[i] != first[i] || cold[i] != second[i] {
-			t.Errorf("%s: warm-start results differ from cold:\n--- cold ---\n%s--- populate ---\n%s--- reuse ---\n%s",
-				cells[i], cold[i], first[i], second[i])
-		}
-	}
-}
-
-// TestWarmStoreRecoversFromCorruptArtifact damages a stored artifact and
-// requires the store to regenerate it transparently with unchanged
-// results.
-func TestWarmStoreRecoversFromCorruptArtifact(t *testing.T) {
-	w := checkpointOracleWorkload(t)
-	opts := tinyOptions()
-	dir := t.TempDir()
-
-	ws, err := NewWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMatrix(opts)
-	m.SetWarmStore(ws)
-	want, err := m.Get(w, "bingo")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncate every artifact in the directory.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truncated := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".ckpt") {
-			continue
-		}
-		if err := os.Truncate(filepath.Join(dir, e.Name()), 40); err != nil {
-			t.Fatal(err)
-		}
-		truncated++
-	}
-	if truncated == 0 {
-		t.Fatal("populating pass left no artifacts")
-	}
-
-	ws2, err := NewWarmStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2 := NewMatrix(opts)
-	m2.SetWarmStore(ws2)
-	got, err := m2.Get(w, "bingo")
-	if err != nil {
-		t.Fatalf("corrupt artifact was not recovered: %v", err)
-	}
-	if s := ws2.Stats(); s.Hits != 0 || s.Misses != 1 {
-		t.Errorf("corrupt artifact should count as a miss, got %+v", s)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("results changed after artifact corruption recovery:\n  want %+v\n  got  %+v", want, got)
-	}
 }

@@ -13,7 +13,7 @@ import (
 // affected component's version constant (and, for container-level
 // changes, checkpoint.FormatVersion), then update the expectation here.
 // Old artifacts become unreadable, which is the intended fail-closed
-// behaviour; warm stores simply regenerate.
+// behaviour.
 func TestCheckpointSchemaGolden(t *testing.T) {
 	if checkpoint.FormatVersion != 1 {
 		t.Errorf("container FormatVersion = %d, golden pins 1; regenerate expectations deliberately", checkpoint.FormatVersion)

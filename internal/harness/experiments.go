@@ -31,7 +31,6 @@ type Matrix struct {
 	cells       map[CellKey]*cellState
 	stats       []CellStat
 	trackAllocs bool
-	warm        *WarmStore
 
 	// Telemetry export configuration (SetTelemetry) and the optional
 	// live-progress registry (SetDebugRegistry). Both are observability

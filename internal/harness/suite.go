@@ -124,7 +124,7 @@ type SuiteConfig struct {
 	// fully sequential lazy path; <= 0 selects runtime.GOMAXPROCS(0).
 	Jobs int
 	// Format is "text" (or "", the default), "csv", or "markdown";
-	// RunSuite rejects anything else with UnknownFormatError.
+	// NewSuiteMatrix rejects anything else with UnknownFormatError.
 	Format string
 	// BudgetLabel names the instruction budgets in table notes
 	// ("full", "fast"); empty omits the note's budget clause.
@@ -134,11 +134,6 @@ type SuiteConfig struct {
 	// output and deliberately kept off the table writer so rendered
 	// tables stay byte-identical across job counts and repeated runs.
 	Report io.Writer
-	// WarmDir, when non-empty, enables warm-start reuse: end-of-warm-up
-	// checkpoints are cached in this directory (keyed per cell and
-	// options) and restored on later runs, skipping re-simulation of the
-	// warm-up phase. Rendered tables are byte-identical either way.
-	WarmDir string
 	// TelemetryDir, when non-empty, exports every cell's epoch
 	// time-series (JSON document + Chrome trace_event file) into this
 	// directory. Collectors are pure observers: the rendered tables are
@@ -205,18 +200,11 @@ func (c SuiteConfig) Selected() ([]string, error) {
 // repeated runs at the same value. Jobs == 1 skips the warm phase
 // entirely, recovering the historical lazy sequential path.
 func RunSuite(out io.Writer, cfg SuiteConfig) error {
-	if err := checkFormat(cfg.Format); err != nil {
-		return err
-	}
-	names, err := cfg.Selected()
+	m, names, err := NewSuiteMatrix(cfg)
 	if err != nil {
 		return err
 	}
 	jobs := cfg.jobs()
-	m, warm, err := NewSuiteMatrix(cfg)
-	if err != nil {
-		return err
-	}
 
 	wallStart := time.Now()
 	var warmWall time.Duration
@@ -237,15 +225,22 @@ func RunSuite(out io.Writer, cfg SuiteConfig) error {
 	if cfg.TelemetryDir != "" {
 		reportf(cfg.Report, "telemetry: per-cell epoch series exported to %s\n", cfg.TelemetryDir)
 	}
-	reportWarmStats(cfg.Report, warm)
 	return nil
 }
 
-// NewSuiteMatrix builds the run matrix a suite configuration describes:
-// base options, telemetry export, debug registry, warm-start store, and
-// allocation tracking (only attributable at Jobs == 1). The returned
-// WarmStore is nil unless cfg.WarmDir is set.
-func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, *WarmStore, error) {
+// NewSuiteMatrix validates a suite configuration and builds the run
+// matrix it describes: base options, telemetry export, debug registry,
+// and allocation tracking (only attributable at Jobs == 1). It also
+// returns the selected experiment names in render order. An unknown
+// format or experiment fails here, before any simulation.
+func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, []string, error) {
+	if err := checkFormat(cfg.Format); err != nil {
+		return nil, nil, err
+	}
+	names, err := cfg.Selected()
+	if err != nil {
+		return nil, nil, err
+	}
 	m := NewMatrix(cfg.Opts)
 	// Per-cell allocation accounting is only attributable when cells run
 	// one at a time.
@@ -256,16 +251,7 @@ func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, *WarmStore, error) {
 		}
 	}
 	m.SetDebugRegistry(cfg.Debug)
-	var warm *WarmStore
-	if cfg.WarmDir != "" {
-		ws, err := NewWarmStore(cfg.WarmDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		m.SetWarmStore(ws)
-		warm = ws
-	}
-	return m, warm, nil
+	return m, names, nil
 }
 
 // RenderTables builds and renders the named experiments' tables to out,
@@ -294,17 +280,6 @@ func RenderTables(out io.Writer, cfg SuiteConfig, m *Matrix, names []string) err
 		reportf(cfg.Report, "%s: rendered in %s\n", name, time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// reportWarmStats writes the warm-start store's hit/miss line to the
-// report sink. nil store or sink writes nothing.
-func reportWarmStats(w io.Writer, warm *WarmStore) {
-	if warm == nil {
-		return
-	}
-	s := warm.Stats()
-	reportf(w, "warm-start store: %d hits (%d warm-up cycles skipped), %d misses (%d warm-up cycles run)\n",
-		s.Hits, s.CyclesSkipped, s.Misses, s.CyclesRun)
 }
 
 // reportf writes a progress line to the report sink, if any.

@@ -21,11 +21,7 @@ func TestInjectRendersIdentically(t *testing.T) {
 		Jobs:        1,
 		BudgetLabel: "micro",
 	}
-	names, err := cfg.Selected()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, _, err := NewSuiteMatrix(cfg)
+	src, names, err := NewSuiteMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

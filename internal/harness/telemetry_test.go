@@ -209,117 +209,6 @@ func TestTelemetryExportProperties(t *testing.T) {
 	}
 }
 
-// TestTelemetryWarmStoreDifferential proves telemetry and warm-start
-// reuse compose in both directions: an artifact populated without
-// telemetry replays under an attached collector (resync path) with
-// byte-identical exports to a cold telemetry run, and an artifact
-// populated with telemetry replays into a telemetry-free run with
-// identical Results.
-func TestTelemetryWarmStoreDifferential(t *testing.T) {
-	w := checkpointOracleWorkload(t)
-	opts := tinyOptions()
-	key := CellKey{Workload: w.Name, Prefetcher: "bingo"}
-
-	// Reference: cold run with telemetry.
-	coldDir := t.TempDir()
-	cold := NewMatrix(opts)
-	if err := cold.SetTelemetry(coldDir, telemetryTestEpoch); err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := cold.Get(w, "bingo")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Populate the warm store with telemetry off...
-	warmDir := t.TempDir()
-	offWS, err := NewWarmStore(warmDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := NewMatrix(opts)
-	off.SetWarmStore(offWS)
-	offRes, err := off.Get(w, "bingo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantRes, offRes) {
-		t.Error("warm-populating run differs from cold run")
-	}
-
-	// ...then reuse it with telemetry on: the collector attaches before
-	// the restore and resyncs onto the measurement-start epoch grid.
-	onWS, err := NewWarmStore(warmDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onDir := t.TempDir()
-	on := NewMatrix(opts)
-	on.SetWarmStore(onWS)
-	if err := on.SetTelemetry(onDir, telemetryTestEpoch); err != nil {
-		t.Fatal(err)
-	}
-	onRes, err := on.Get(w, "bingo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantRes, onRes) {
-		t.Error("warm-reusing telemetry run differs from cold run")
-	}
-	if s := onWS.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("warm reuse: got %d hits / %d misses, want 1 hit", s.Hits, s.Misses)
-	}
-	for _, suffix := range []string{".json", ".trace.json"} {
-		coldBuf, err := os.ReadFile(filepath.Join(coldDir, telemetryFileBase(key)+suffix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		onBuf, err := os.ReadFile(filepath.Join(onDir, telemetryFileBase(key)+suffix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(coldBuf, onBuf) {
-			t.Errorf("%s export differs between cold and warm-restored telemetry runs", suffix)
-		}
-	}
-
-	// Reverse direction: populate with telemetry, reuse without. The
-	// artifact's collector section is discarded on restore.
-	warm2 := t.TempDir()
-	popWS, err := NewWarmStore(warm2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop := NewMatrix(opts)
-	pop.SetWarmStore(popWS)
-	if err := pop.SetTelemetry(t.TempDir(), telemetryTestEpoch); err != nil {
-		t.Fatal(err)
-	}
-	popRes, err := pop.Get(w, "bingo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantRes, popRes) {
-		t.Error("telemetry-populating warm run differs from cold run")
-	}
-	reuseWS, err := NewWarmStore(warm2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reuse := NewMatrix(opts)
-	reuse.SetWarmStore(reuseWS)
-	reuseRes, err := reuse.Get(w, "bingo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantRes, reuseRes) {
-		t.Error("telemetry-free reuse of a telemetry-populated artifact differs from cold run")
-	}
-	if s := reuseWS.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("telemetry-free reuse: got %d hits / %d misses, want 1 hit", s.Hits, s.Misses)
-	}
-}
-
 // TestTimelinessExperiment builds the timeliness table end to end —
 // which doubles as the production-path conservation oracle, since the
 // builder errors on any cell whose lifecycle counters fail to conserve.

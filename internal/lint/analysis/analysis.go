@@ -14,8 +14,8 @@
 //
 // Since PR 7 the framework is cross-package: analyzers may declare
 // prerequisite analyzers (Requires — scheduled topologically, cycles are
-// errors) and attach Facts to objects or packages that downstream
-// packages consume through a serialized store. The Runner analyzes
+// errors) and attach Facts to packages that downstream packages
+// consume through a serialized store. The Runner analyzes
 // packages in module dependency order so facts always exist before they
 // are imported; see runner.go and facts.go.
 package analysis

@@ -52,13 +52,7 @@ func (*tfact) AFact() {}
 
 func TestFactRoundTrip(t *testing.T) {
 	registerFactTypes([]*Analyzer{{Name: "facttest", FactTypes: []Fact{&tfact{}}}})
-	fs := factSet{
-		objects: map[string][]Fact{
-			"B":     {&tfact{N: 2, Label: "b"}},
-			"A.fld": {&tfact{N: 1, Label: "a"}, &tfact{N: 3, Label: "aa"}},
-		},
-		pkgFacts: []Fact{&tfact{N: 9, Label: "pkg"}},
-	}
+	fs := factSet{&tfact{N: 9, Label: "pkg"}, &tfact{N: 1, Label: "second"}}
 
 	d1, err := encodeFacts(fs)
 	if err != nil {
@@ -76,21 +70,15 @@ func TestFactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.objects, fs.objects) {
-		t.Errorf("object facts did not survive the round trip:\n got %v\nwant %v", got.objects, fs.objects)
-	}
-	if !reflect.DeepEqual(got.pkgFacts, fs.pkgFacts) {
-		t.Errorf("package facts did not survive the round trip:\n got %v\nwant %v", got.pkgFacts, fs.pkgFacts)
+	if !reflect.DeepEqual(got, fs) {
+		t.Errorf("package facts did not survive the round trip:\n got %v\nwant %v", got, fs)
 	}
 }
 
 func TestFactDBCommitLoad(t *testing.T) {
 	registerFactTypes([]*Analyzer{{Name: "facttest", FactTypes: []Fact{&tfact{}}}})
 	db := newFactDB()
-	fs := factSet{
-		objects:  map[string][]Fact{"X": {&tfact{N: 7, Label: "x"}}},
-		pkgFacts: []Fact{&tfact{N: 8, Label: "p"}},
-	}
+	fs := factSet{&tfact{N: 8, Label: "p"}}
 	if err := db.commit("bingo/internal/mem", "facttest", fs); err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +86,14 @@ func TestFactDBCommitLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.objects, fs.objects) || !reflect.DeepEqual(got.pkgFacts, fs.pkgFacts) {
+	if !reflect.DeepEqual(got, fs) {
 		t.Errorf("factDB round trip mismatch: got %+v, want %+v", got, fs)
 	}
 	empty, err := db.load("bingo/internal/mem", "absent")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(empty.objects) != 0 || len(empty.pkgFacts) != 0 {
+	if len(empty) != 0 {
 		t.Errorf("missing entry should load empty, got %+v", empty)
 	}
 }

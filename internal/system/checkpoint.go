@@ -487,9 +487,8 @@ func (s *System) LoadCheckpoint(in io.Reader) error {
 		off += n
 	}
 	// A collector attached to this machine but absent from the snapshot
-	// (the warm-start path: artifacts are saved at the measurement
-	// boundary without telemetry) joins the epoch grid at the measurement
-	// start, so its series matches a cold telemetry-on run.
+	// (a checkpoint saved without telemetry) joins the epoch grid at the
+	// measurement start, so its series matches a cold telemetry-on run.
 	if s.tel != nil && !telEnabled && s.phase >= phaseMeasure {
 		s.tel.Resync(s.measureStart, s.clock)
 	}

@@ -340,7 +340,7 @@ func (s *System) Run() Results {
 
 // RunWarmup advances through the warm-up phase only, leaving the system
 // at the measurement boundary (stats reset, measurement clock marked).
-// A checkpoint taken here is a warm-start artifact: restoring it and
+// A checkpoint taken here holds the warmed machine: restoring it and
 // calling Run executes just the measurement phase.
 func (s *System) RunWarmup() {
 	if s.phase != phaseWarmup {

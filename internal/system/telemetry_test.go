@@ -229,9 +229,9 @@ func TestTelemetryCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestTelemetryAttachAfterWarmRestore is the warm-start path: the
-// artifact is saved at the measurement boundary without telemetry, then
-// restored into a telemetry-enabled run. Resync puts the collector on
+// TestTelemetryAttachAfterWarmRestore saves a checkpoint at the
+// measurement boundary without telemetry, then restores it into a
+// telemetry-enabled run. Resync puts the collector on
 // the measurement-start epoch grid, so the series matches a cold
 // telemetry-on run exactly.
 func TestTelemetryAttachAfterWarmRestore(t *testing.T) {
@@ -265,6 +265,52 @@ func TestTelemetryAttachAfterWarmRestore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warmTel.Series(), coldTel.Series()) {
 		t.Fatalf("warm-started epoch series diverged:\n got %+v\nwant %+v", warmTel.Series(), coldTel.Series())
+	}
+}
+
+// TestTelemetryCheckpointRestoresWithoutCollector is the reverse
+// direction: checkpoints saved with a collector attached, at the
+// measurement boundary and mid-measurement, restore into a system with
+// no collector (bingosim -resume without telemetry flags). The
+// collector section is discarded, and Results match a cold run.
+func TestTelemetryCheckpointRestoresWithoutCollector(t *testing.T) {
+	build := func() *System {
+		cfg := tinyConfig()
+		cfg.MeasureInstr = 5000
+		return MustNew(cfg, sources(seqTrace(4000, 1), seqTrace(4000, 3)), nextLineFactory)
+	}
+	cold := build().Run()
+
+	for _, tc := range []struct {
+		name    string
+		advance func(*System)
+	}{
+		{"measure-boundary", func(sys *System) { sys.RunWarmup() }},
+		{"mid-measurement", func(sys *System) {
+			sys.SetAdvanceHook(func(cycle uint64) bool {
+				return sys.phase == phaseMeasure && cycle >= sys.measureStart+1200
+			})
+			if _, p := sys.RunResumable(); !p {
+				t.Fatal("run completed before the pause point")
+			}
+			sys.SetAdvanceHook(nil)
+		}},
+	} {
+		saved := build()
+		saved.EnableTelemetry(telemetry.NewCollector(500))
+		tc.advance(saved)
+		var buf bytes.Buffer
+		if err := saved.SaveCheckpoint(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+
+		restored := build()
+		if err := restored.LoadCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res := restored.Run(); !reflect.DeepEqual(res, cold) {
+			t.Errorf("%s: collector-free restore diverged:\n got %+v\nwant %+v", tc.name, res, cold)
+		}
 	}
 }
 

@@ -99,7 +99,7 @@ func (c *Collector) Begin(cycle uint64) {
 	// The lifecycle probes fire in every phase, so any warm-up
 	// prefetch-use observations are discarded here: the distributions
 	// cover exactly the measurement window, like the series and counters
-	// (and like a collector attached only after a warm-start restore).
+	// (and like a collector attached only after a checkpoint restore).
 	c.margins.reset()
 	c.lateness.reset()
 }
