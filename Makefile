@@ -4,7 +4,7 @@ GO ?= go
 # exceeded so future PRs notice a regression.
 LINT_BUDGET_SECONDS ?= 60
 
-.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-telemetry bench-eventloop san-test san-suite fuzz
+.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-telemetry san-test san-suite fuzz
 
 all: build lint test
 
@@ -103,9 +103,3 @@ bench-runner:
 # simulation results are identical either way.
 bench-telemetry:
 	BENCH_TELEMETRY_JSON=$(CURDIR)/BENCH_telemetry.json $(GO) test -run TestEmitTelemetryBench -v ./internal/harness/
-
-# Regenerates BENCH_eventloop.json: lockstep vs event engine wall time
-# per workload family at the full default budget, verifying identical
-# results and >=2x speedup on at least one memory-bound family.
-bench-eventloop:
-	BENCH_EVENTLOOP_JSON=$(CURDIR)/BENCH_eventloop.json $(GO) test -run TestEmitEventloopBench -v ./internal/harness/

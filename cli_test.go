@@ -59,10 +59,15 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"bingosim", "-warmup", "0"}, "-warmup"},
 		{[]string{"bingosim", "-measure", "0"}, "-measure"},
 		{[]string{"bingosim", "-epoch", "5000"}, "-epoch"},
+		{[]string{"bingosim", "-cores", "1048576"}, "-cores"},
+		{[]string{"bingosim", "-trace", filepath.Join(dir, "any.trc"), "-workload", "Zeus"}, "-workload"},
 		{[]string{"experiments", "-j", "-3"}, "-j"},
 		{[]string{"experiments", "-epoch", "5000"}, "-epoch"},
+		{[]string{"experiments", "-exp", ""}, "-exp"},
+		{[]string{"experiments", "-exp", " , "}, "-exp"},
 		{[]string{"tracegen", "-workload", "em3d", "-core", "-1", "-o", filepath.Join(dir, "bad.trc")}, "-core -1"},
 		{[]string{"tracegen", "-workload", "em3d", "-n", "-5", "-o", filepath.Join(dir, "bad.trc")}, "-n -5"},
+		{[]string{"tracegen", "-workload", "Zeus", "-core", "100000", "-o", filepath.Join(dir, "bad.trc")}, "-core 100000"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "0"}, "-n 0"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "-5"}, "-n -5"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "1000", "-top", "-1"}, "-top -1"},

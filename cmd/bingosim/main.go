@@ -81,11 +81,13 @@ func main() {
 	}
 	// 0 is the "no override" default, so an explicit -warmup 0 or
 	// -measure 0 would silently run the Table I budget instead.
+	workloadSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if (f.Name == "warmup" || f.Name == "measure") && f.Value.String() == "0" {
 			fmt.Fprintf(os.Stderr, "bingosim: -%s 0: instruction budget must be positive (omit the flag for the Table I default)\n", f.Name)
 			os.Exit(2)
 		}
+		workloadSet = workloadSet || f.Name == "workload"
 	})
 	if *ckptEvery > 0 && *ckptOutFlag == "" {
 		fmt.Fprintln(os.Stderr, "bingosim: -checkpoint-every requires -checkpoint-out")
@@ -93,6 +95,12 @@ func main() {
 	}
 	if *epochFlag > 0 && *telJSONFlag == "" && *telCSVFlag == "" && *traceOutFlag == "" && *debugFlag == "" {
 		fmt.Fprintln(os.Stderr, "bingosim: -epoch requires -telemetry-out, -telemetry-csv, -trace-out or -debug-addr")
+		os.Exit(2)
+	}
+	if *traceFlag != "" && workloadSet {
+		// -trace replays one file on every core; a workload named beside
+		// it would be silently ignored.
+		fmt.Fprintln(os.Stderr, "bingosim: -workload cannot be combined with -trace (the trace replaces the workload)")
 		os.Exit(2)
 	}
 	if *resumeFlag != "" && *ckptOutFlag != "" && *ckptEvery == 0 {
@@ -110,6 +118,10 @@ func main() {
 	}
 	if *coresFlag&(*coresFlag-1) != 0 {
 		fmt.Fprintf(os.Stderr, "bingosim: -cores %d: core count must be a power of two (1, 2, 4, 8, ...; 0 = Table I default)\n", *coresFlag)
+		os.Exit(2)
+	}
+	if *coresFlag > system.MaxCores {
+		fmt.Fprintf(os.Stderr, "bingosim: -cores %d: core count must be at most %d\n", *coresFlag, system.MaxCores)
 		os.Exit(2)
 	}
 	if *coresFlag > 0 {
@@ -290,26 +302,16 @@ func execute(sys *system.System, resume, ckptOut string, every uint64) (system.R
 		}
 		return sys.Run(), nil
 	case ckptOut != "":
-		var hookErr error
-		next := sys.Clock() + every
-		sys.SetAdvanceHook(func(cycle uint64) bool {
-			if cycle < next {
-				return false
-			}
-			for next <= cycle {
-				next += every
+		for next := sys.Clock() + every; ; next += every {
+			sys.SetPauseAt(next)
+			res, paused := sys.RunResumable()
+			if !paused {
+				return res, nil
 			}
 			if err := saveCheckpointFile(sys, ckptOut); err != nil {
-				hookErr = err
-				return true // pause: abort the run on a failed save
+				return system.Results{}, err
 			}
-			return false
-		})
-		res, paused := sys.RunResumable()
-		if paused {
-			return system.Results{}, hookErr
 		}
-		return res, nil
 	default:
 		return sys.Run(), nil
 	}

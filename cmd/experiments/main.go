@@ -60,6 +60,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if strings.Trim(*expFlag, ", ") == "" {
+		fmt.Fprintf(os.Stderr, "experiments: -exp %q selects no experiment (name some, or \"all\")\n", *expFlag)
+		os.Exit(2)
+	}
+
 	if *epochFlag > 0 && *telFlag == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -epoch requires -telemetry")
 		os.Exit(2)

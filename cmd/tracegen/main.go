@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 
+	"bingo/internal/system"
 	"bingo/internal/trace"
 	"bingo/internal/workloads"
 )
@@ -29,8 +30,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *coreFlag < 0 {
-		fmt.Fprintf(os.Stderr, "tracegen: -core %d: core index must be non-negative\n", *coreFlag)
+	if *coreFlag < 0 || *coreFlag >= system.MaxCores {
+		fmt.Fprintf(os.Stderr, "tracegen: -core %d: core index must be in [0, %d)\n", *coreFlag, system.MaxCores)
 		os.Exit(2)
 	}
 	if *nFlag < 0 {

@@ -221,14 +221,6 @@ type Cache struct {
 	stats Stats
 	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
 	san sanState // runtime invariant sanitizer (empty without -tags=san)
-
-	// Event-engine support (off by default; see EnableEventTracking):
-	// a min-heap of in-flight fill arrival cycles, so NextEventAt can
-	// report the earliest pending MSHR completion without scanning sets.
-	//ckpt:skip engine mode flag, chosen by Run after restore
-	evTrack bool
-	//ckpt:skip derived from persisted line arrivals by EnableEventTracking
-	inflight []uint64
 }
 
 // New builds a cache over the given lower level.
@@ -432,83 +424,7 @@ func (c *Cache) installLine(now uint64, si int, ln line) int {
 	}
 	c.sanAtInstall(now, si, ln)
 	set[w] = ln
-	if c.evTrack && ln.arrival > now {
-		c.evPush(ln.arrival)
-	}
 	return w
-}
-
-// EnableEventTracking turns on in-flight fill bookkeeping for the event
-// engine, seeding the heap from lines already in flight at cycle now —
-// which is how a system restored from a checkpoint (whose persisted
-// lines may carry future arrivals) re-derives the heap instead of
-// persisting it. Idempotent: re-enabling rebuilds the heap from the
-// current set contents.
-func (c *Cache) EnableEventTracking(now uint64) {
-	c.evTrack = true
-	c.inflight = c.inflight[:0]
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			if ln := &c.sets[si][w]; ln.valid && ln.arrival > now {
-				c.evPush(ln.arrival)
-			}
-		}
-	}
-}
-
-// NextEventAt returns the earliest in-flight fill arrival strictly after
-// now, or ^uint64(0) when none is pending — the cache's contribution to
-// the event engine's wakeup queue (see internal/sched). The cache is
-// passive between accesses, so pending fill arrivals are its only
-// time-driven transitions. Entries whose line was evicted while still in
-// flight are removed lazily once their cycle passes; until then they
-// only bound skips tighter than necessary, never looser. Requires
-// EnableEventTracking.
-func (c *Cache) NextEventAt(now uint64) uint64 {
-	for len(c.inflight) > 0 && c.inflight[0] <= now {
-		c.evPop()
-	}
-	if len(c.inflight) == 0 {
-		return ^uint64(0)
-	}
-	return c.inflight[0]
-}
-
-// evPush adds an arrival cycle to the in-flight min-heap.
-func (c *Cache) evPush(at uint64) {
-	c.inflight = append(c.inflight, at) //hot:alloc in-flight heap grows to steady-state capacity, then reuses
-	i := len(c.inflight) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if c.inflight[parent] <= c.inflight[i] {
-			break
-		}
-		c.inflight[parent], c.inflight[i] = c.inflight[i], c.inflight[parent]
-		i = parent
-	}
-}
-
-// evPop removes the minimum arrival cycle.
-func (c *Cache) evPop() {
-	n := len(c.inflight) - 1
-	c.inflight[0] = c.inflight[n]
-	c.inflight = c.inflight[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && c.inflight[l] < c.inflight[smallest] {
-			smallest = l
-		}
-		if r < n && c.inflight[r] < c.inflight[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		c.inflight[i], c.inflight[smallest] = c.inflight[smallest], c.inflight[i]
-		i = smallest
-	}
 }
 
 func (c *Cache) evict(now uint64, si int, victim *line) {

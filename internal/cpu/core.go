@@ -48,10 +48,9 @@ type Stats struct {
 	Loads        uint64
 	Stores       uint64
 	// MemStall counts cycles where retirement was blocked by a memory op
-	// at the ROB head. The count is exact under both simulation engines:
-	// the lockstep loop observes every cycle directly, and the
-	// event-driven loop accounts for each skipped stall stretch through
-	// CatchUp before the clock lands past it.
+	// at the ROB head. The count is exact under both ways of driving a
+	// core: Tick observes every cycle directly, and RunAhead accounts for
+	// the stall cycles between its own ticks in one addition.
 	MemStall uint64
 }
 
@@ -75,8 +74,9 @@ type robEntry struct {
 }
 
 // Core simulates one hardware context. The system loop drives it with
-// Tick on the cycles its NextEventAt names and with IdleAt or CatchUp
-// over the cycles in between; ticking it on every cycle (the lockstep
+// RunAhead, which ticks the core at the cycles its NextEventAt names and
+// suspends it before each memory operation so the system can issue those
+// in global (cycle, core) order; ticking it on every cycle (the lockstep
 // reference) gives identical results.
 type Core struct {
 	//ckpt:skip construction parameter, re-supplied by New; LoadState validates the ROB size
@@ -113,6 +113,21 @@ type Core struct {
 	fetched uint64
 
 	stats Stats
+
+	// Run-ahead position (see RunAhead): next is the cycle of the core's
+	// next tick, idleFrom the first cycle whose MemStall is not yet
+	// accounted, and slot the dispatch slot of the tick in progress; mid
+	// reports a tick begun at next and suspended before a memory op.
+	// Every run entry resets them through Enter, so none is persisted.
+	//ckpt:skip run-ahead position, reset by Enter at every run entry
+	next uint64
+	//ckpt:skip run-ahead position, reset by Enter at every run entry
+	idleFrom uint64
+	//ckpt:skip dispatch slot of a suspended tick; a checkpoint never holds one
+	slot int
+	//ckpt:skip a checkpoint is only taken between ticks
+	mid bool
+
 	//ckpt:skip wiring, re-established by the harness before restore
 	tap DemandTap
 	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
@@ -174,11 +189,16 @@ func (c *Core) Done() bool {
 	return c.exhausted && !c.curValid && c.robCount == 0
 }
 
-// Tick advances the core by one cycle: retire then dispatch.
+// Tick advances the core by one cycle: retire then dispatch, issuing
+// every memory operation as it dispatches. It is the lockstep reference
+// for RunAhead, built from the same retire, dispatch and issue steps.
 func (c *Core) Tick(now uint64) {
 	c.sanAtTick(now)
 	c.retire(now)
-	c.dispatch(now)
+	c.slot = 0
+	for c.dispatch(now) {
+		c.issue(now)
+	}
 }
 
 func (c *Core) retire(now uint64) {
@@ -203,14 +223,19 @@ func (c *Core) retire(now uint64) {
 	}
 }
 
-func (c *Core) dispatch(now uint64) {
-	for n := 0; n < c.cfg.Width; n++ {
+// dispatch fills the cycle's dispatch slots from c.slot on. It returns
+// true when it stops at a memory operation that has passed its
+// dependence and LSQ checks, leaving c.slot on it: the caller issues it
+// with issue and calls dispatch again for the rest of the cycle. Nothing
+// before that point touches state outside the core.
+func (c *Core) dispatch(now uint64) bool {
+	for ; c.slot < c.cfg.Width; c.slot++ {
 		if c.robCount == c.cfg.ROBSize {
-			return
+			return false
 		}
 		if !c.curValid {
 			if !c.fetch() {
-				return
+				return false
 			}
 		}
 		if c.nonMemLeft > 0 {
@@ -220,34 +245,43 @@ func (c *Core) dispatch(now uint64) {
 		}
 		// Memory operation of the current record.
 		if c.cur.Dep && c.lastLoadDone > now {
-			return // address depends on an in-flight load: stall
+			return false // address depends on an in-flight load: stall
 		}
 		if !c.lsqReserve(now) {
-			return // LSQ full: stall dispatch this cycle
+			return false // LSQ full: stall dispatch this cycle
 		}
-		if c.tap != nil {
-			c.tap(c.cur.PC, c.cur.Addr, c.cur.Kind == trace.Store, c.cur.Dep)
-		}
-		pa := c.xlat.Translate(c.cur.Addr)
-		kind := cache.Demand
-		if c.cur.Kind == trace.Store {
-			kind = cache.Write
-			c.stats.Stores++
-		} else {
-			c.stats.Loads++
-		}
-		res := c.port.Access(now, cache.Request{Addr: pa, PC: c.cur.PC, Core: c.id, Kind: kind})
-		complete := res.CompleteAt
-		if kind == cache.Write {
-			// Stores retire once issued; the hierarchy absorbs them.
-			complete = now + 1
-		} else {
-			c.lastLoadDone = res.CompleteAt
-		}
-		c.outstanding = append(c.outstanding, res.CompleteAt) //hot:alloc outstanding grows to LSQSize, then reuses
-		c.push(robEntry{completeAt: complete, isMem: true})
-		c.curValid = false
+		return true
 	}
+	return false
+}
+
+// issue performs the memory operation dispatch stopped at: translation
+// and the hierarchy access, the only steps of a tick that touch shared
+// state.
+func (c *Core) issue(now uint64) {
+	if c.tap != nil {
+		c.tap(c.cur.PC, c.cur.Addr, c.cur.Kind == trace.Store, c.cur.Dep)
+	}
+	pa := c.xlat.Translate(c.cur.Addr)
+	kind := cache.Demand
+	if c.cur.Kind == trace.Store {
+		kind = cache.Write
+		c.stats.Stores++
+	} else {
+		c.stats.Loads++
+	}
+	res := c.port.Access(now, cache.Request{Addr: pa, PC: c.cur.PC, Core: c.id, Kind: kind})
+	complete := res.CompleteAt
+	if kind == cache.Write {
+		// Stores retire once issued; the hierarchy absorbs them.
+		complete = now + 1
+	} else {
+		c.lastLoadDone = res.CompleteAt
+	}
+	c.outstanding = append(c.outstanding, res.CompleteAt) //hot:alloc outstanding grows to LSQSize, then reuses
+	c.push(robEntry{completeAt: complete, isMem: true})
+	c.curValid = false
+	c.slot++
 }
 
 // fetch pulls the next trace record.
@@ -294,7 +328,7 @@ func (c *Core) push(e robEntry) {
 
 // NextEventAt returns the earliest cycle strictly after now at which this
 // core can retire or dispatch anything, given its state after Tick(now).
-// It implements the event engine's Waker contract (see internal/sched):
+// RunAhead ticks the core only at these cycles, which is sound because
 // between two ticks every piece of core state is frozen except time
 // itself — completion cycles, the ROB, the LSQ, and the pending record
 // only change inside Tick — so the next progress cycle is an exact
@@ -368,45 +402,110 @@ func (c *Core) NextEventAt(now uint64) uint64 {
 	return next
 }
 
-// CatchUp accounts for the cycles in the open interval (from, to) that
-// the event engine is about to skip. A skip is only legal when the core
-// can neither retire nor dispatch anywhere inside the gap, so each
-// skipped cycle's Tick would have been a no-op — except for MemStall,
-// which the lockstep loop increments once per cycle a memory op blocks
-// the ROB head. Adding exactly that count here is what keeps the two
-// engines' statistics identical (the endpoints are excluded: the core
-// was ticked at from and will be ticked at to).
-func (c *Core) CatchUp(from, to uint64) {
-	if to <= from+1 || c.robCount == 0 {
-		return
-	}
-	head := c.rob[c.robHead]
-	if !head.isMem || head.completeAt <= from {
-		// A complete (or non-memory) head cannot have stalled the gap:
-		// it would have retired, making the gap illegal. Defensive only.
-		return
-	}
-	end := to
-	if head.completeAt < end {
-		end = head.completeAt
-	}
-	if end > from+1 {
-		c.stats.MemStall += end - from - 1
+// Stop says why RunAhead returned.
+type Stop uint8
+
+const (
+	// AtMemOp: the core is suspended inside its tick at the returned
+	// cycle, just before a memory operation issues. Issue performs it;
+	// the next RunAhead finishes the tick.
+	AtMemOp Stop = iota
+	// AtBound: the core's next tick lies at or past the bound, and its
+	// MemStall is accounted through bound-1.
+	AtBound
+	// Reached: the tick at the returned cycle completed with the retired
+	// instruction count at or past the target, or drained the core.
+	Reached
+)
+
+// Enter starts a run of RunAhead calls at cycle now: the core's next
+// tick is at now whatever its NextEventAt says (every run entry ticks
+// every live core, as the lockstep loop does), and MemStall accounting
+// resumes at now. A drained core stays parked.
+func (c *Core) Enter(now uint64) {
+	c.next, c.idleFrom, c.mid = now, now, false
+	if c.Done() {
+		c.next = ^uint64(0)
 	}
 }
 
-// IdleAt applies the one side effect a Tick has on a core with no
-// progress available at cycle now: the retire stage's MemStall count
-// when a memory op blocks the ROB head. The event engine calls it in
-// place of a full Tick for cores whose next event lies beyond a landed
-// cycle — same statistics, none of the retire/dispatch probing
-// (TestEventSteppedCoreMatchesLockstep pins the equivalence). Calling it
-// on a core that could make progress at now would lose that progress;
-// the caller guarantees NextEventAt(prev) > now.
-func (c *Core) IdleAt(now uint64) {
-	if c.robCount > 0 {
-		if head := &c.rob[c.robHead]; head.isMem && head.completeAt > now {
-			c.stats.MemStall++
+// At returns the cycle of the core's next tick, or of the suspended one.
+func (c *Core) At() uint64 { return c.next }
+
+// RunAhead ticks the core at its own event cycles below bound, touching
+// nothing outside the core, and returns as soon as one of three things
+// happens: a memory operation is ready to issue (AtMemOp; the tick is
+// suspended just before it), the next tick would be at or past bound
+// (AtBound), or a tick leaves the core at target retired instructions or
+// drained (Reached). Between ticks it adds the MemStall cycles a
+// lockstep Tick would have counted, so the statistics match ticking
+// every cycle exactly.
+func (c *Core) RunAhead(bound, target uint64) (Stop, uint64) {
+	for {
+		if !c.mid {
+			if c.next >= bound {
+				c.idleTo(bound)
+				return AtBound, bound
+			}
+			c.idleTo(c.next)
+			c.sanAtTick(c.next)
+			c.retire(c.next)
+			c.slot, c.mid = 0, true
+		}
+		now := c.next
+		if c.dispatch(now) {
+			return AtMemOp, now
+		}
+		c.mid = false
+		c.idleFrom = now + 1
+		c.next = c.NextEventAt(now)
+		if c.stats.Instructions >= target || c.Done() {
+			return Reached, now
 		}
 	}
+}
+
+// Issue performs the memory operation RunAhead suspended at.
+func (c *Core) Issue() { c.issue(c.next) }
+
+// idleTo accounts the cycles in [idleFrom, to), on none of which the
+// core ticks: a Tick there would only count MemStall, once per cycle a
+// memory op blocks the ROB head.
+func (c *Core) idleTo(to uint64) {
+	if to <= c.idleFrom {
+		return
+	}
+	if c.robCount > 0 {
+		if head := &c.rob[c.robHead]; head.isMem && head.completeAt > c.idleFrom {
+			c.stats.MemStall += min(to, head.completeAt) - c.idleFrom
+		}
+	}
+	c.idleFrom = to
+}
+
+// EarliestReach returns a lower bound on the cycle of the tick after
+// which RunAhead would report Reached for target, for a core that has
+// not reached it yet. Retirement is at most Width per tick and ticks
+// are at least a cycle apart, so remaining instructions take at least
+// ceil(remaining/Width) ticks from the next one. The source may also end
+// at the next fetch, draining the core once it has retired everything
+// in flight or in hand; that takes ceil(n/Width) ticks for n such
+// instructions. The bound does not ask the source whether it can end,
+// so it is the same for a source seen through any wrapper.
+func (c *Core) EarliestReach(target uint64) uint64 {
+	first := c.next // first tick whose retire stage has not run
+	if c.mid {
+		first++
+	}
+	if c.stats.Instructions >= target {
+		return c.next // reached once the tick in progress completes
+	}
+	w := uint64(c.cfg.Width)
+	ticks := func(n uint64) uint64 { return max((n+w-1)/w, 1) }
+	n := uint64(c.robCount)
+	if c.curValid {
+		n += uint64(c.nonMemLeft) + 1
+	}
+	at := first + min(ticks(target-c.stats.Instructions), ticks(n)) - 1
+	return max(at, c.next)
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bingo/internal/cache"
@@ -126,11 +127,35 @@ func TestNextEventAtIsExact(t *testing.T) {
 	}
 }
 
+// runAheadToEnd drives c with RunAhead and no bound, issuing every
+// suspended memory operation at once, until it drains. It returns the
+// cycle of its last tick and the number of RunAhead calls.
+func runAheadToEnd(t *testing.T, c *Core) (last, calls uint64) {
+	t.Helper()
+	c.Enter(0)
+	for !c.Done() {
+		stop, at := c.RunAhead(^uint64(0), ^uint64(0))
+		calls++
+		switch stop {
+		case AtMemOp:
+			c.Issue()
+		case Reached:
+			last = at
+		case AtBound:
+			t.Fatalf("live core parked at cycle %d with no bound", c.At())
+		}
+		if c.At() != ^uint64(0) && c.At() > 5_000_000 {
+			t.Fatal("run-ahead core did not drain")
+		}
+	}
+	return last, calls
+}
+
 // TestEventSteppedCoreMatchesLockstep runs the same core twice: once
-// ticking every cycle, once ticking only at the cycles NextEventAt
-// names, with CatchUp applied over each gap. Final statistics must be
-// deeply equal — including MemStall, the one counter the skipped cycles
-// would otherwise lose.
+// ticking every cycle, once running ahead on its own (ticking only at
+// the cycles NextEventAt names and accruing MemStall over the gaps).
+// Final statistics must be deeply equal — including MemStall, the one
+// counter the skipped cycles would otherwise lose.
 func TestEventSteppedCoreMatchesLockstep(t *testing.T) {
 	for _, cfg := range []Config{
 		{Width: 4, ROBSize: 256, LSQSize: 64},
@@ -155,107 +180,171 @@ func TestEventSteppedCoreMatchesLockstep(t *testing.T) {
 		}
 
 		ev := build()
-		var cycle, ticks uint64
-		for !ev.Done() {
-			ev.Tick(cycle)
-			ticks++
-			if ev.Done() {
-				break
-			}
-			next := ev.NextEventAt(cycle)
-			if next == ^uint64(0) {
-				t.Fatalf("cfg %+v: live core reported no next event at cycle %d", cfg, cycle)
-			}
-			if next <= cycle {
-				t.Fatalf("cfg %+v: NextEventAt(%d) = %d, not strictly in the future", cfg, cycle, next)
-			}
-			ev.CatchUp(cycle, next)
-			cycle = next
-			if cycle > 5_000_000 {
-				t.Fatal("event-stepped core did not drain")
-			}
-		}
-
-		if cycle != lockCycles {
-			t.Fatalf("cfg %+v: event-stepped core drained at cycle %d, lockstep at %d", cfg, cycle, lockCycles)
+		last, calls := runAheadToEnd(t, ev)
+		if last != lockCycles {
+			t.Fatalf("cfg %+v: run-ahead core drained at cycle %d, lockstep at %d", cfg, last, lockCycles)
 		}
 		if ev.Stats() != lock.Stats() {
 			t.Fatalf("cfg %+v: stats diverge:\n  event:    %+v\n  lockstep: %+v", cfg, ev.Stats(), lock.Stats())
 		}
-		if ticks > lockCycles {
-			t.Fatalf("cfg %+v: event stepping took %d ticks over %d cycles — no skipping happened", cfg, ticks, lockCycles)
+		if calls > lockCycles {
+			t.Fatalf("cfg %+v: run-ahead took %d calls over %d cycles — no skipping happened", cfg, calls, lockCycles)
 		}
 	}
 }
 
-// TestIdleAtMatchesLockstepAtForeignLandings mirrors the system loop's
-// selective-ticking discipline: in a multi-core run the clock lands on
-// cycles *other* cores need, and a core whose own deadline is still in
-// the future receives IdleAt there instead of a full Tick. The test
-// drives one core with extra foreign landings injected between its own
-// event cycles — IdleAt at the foreign cycles, Tick at its own — and
-// requires the final statistics (MemStall included) to match a lockstep
-// run exactly.
-func TestIdleAtMatchesLockstepAtForeignLandings(t *testing.T) {
-	for _, cfg := range []Config{
-		{Width: 4, ROBSize: 256, LSQSize: 64},
-		{Width: 2, ROBSize: 16, LSQSize: 4},
+// recordingPort returns seeded random latencies and logs the (cycle,
+// address) of every access, so two cores driven differently can be
+// required to present the identical access sequence to the hierarchy.
+type recordingPort struct {
+	rng *rand.Rand
+	log []portAccess
+}
+
+type portAccess struct {
+	cycle uint64
+	addr  mem.Addr
+}
+
+func (p *recordingPort) Access(now uint64, req cache.Request) cache.Result {
+	p.log = append(p.log, portAccess{now, req.Addr})
+	return cache.Result{CompleteAt: now + 1 + uint64(p.rng.Intn(300)), HitLevel: "X"}
+}
+
+// loopSource replays recs in a loop and never ends.
+type loopSource struct {
+	recs []trace.Record
+	pos  int
+}
+
+func (s *loopSource) Next() (trace.Record, bool) {
+	r := s.recs[s.pos%len(s.recs)]
+	s.pos++
+	return r, true
+}
+
+// coreState is everything in a core that a cycle can change.
+type coreState struct {
+	stats        Stats
+	rob          []robEntry
+	outstanding  []uint64
+	cur          trace.Record
+	curValid     bool
+	nonMemLeft   uint32
+	exhausted    bool
+	lastLoadDone uint64
+	fetched      uint64
+}
+
+func stateOf(c *Core) coreState {
+	st := coreState{
+		stats: c.stats, cur: c.cur, curValid: c.curValid, nonMemLeft: c.nonMemLeft,
+		exhausted: c.exhausted, lastLoadDone: c.lastLoadDone, fetched: c.fetched,
+		outstanding: append([]uint64(nil), c.outstanding...),
+	}
+	for i := 0; i < c.robCount; i++ {
+		st.rob = append(st.rob, c.rob[(c.robHead+i)%len(c.rob)])
+	}
+	return st
+}
+
+// TestRunAheadMatchesTickEveryCycle is the core-level exactness oracle of
+// the event engine. A core runs ahead to random bounds, resuming each
+// suspended memory operation, sometimes re-entering at a bound as a
+// resumed run does; a reference core ticks every cycle. At every bound
+// the two must agree exactly on statistics, ROB contents and the rest of
+// the pipeline, and on the (cycle, address) sequence their ports saw.
+// Every Reached report must name the first cycle the reference reaches
+// the target, and EarliestReach must never exceed it.
+func TestRunAheadMatchesTickEveryCycle(t *testing.T) {
+	for _, tc := range []struct {
+		cfg   Config
+		loop  bool // replay the records forever
+		drain bool // target beyond the trace: the core reaches it by draining
+	}{
+		{Config{Width: 4, ROBSize: 256, LSQSize: 64}, false, false},
+		{Config{Width: 2, ROBSize: 16, LSQSize: 4}, false, false},
+		{Config{Width: 1, ROBSize: 4, LSQSize: 2}, false, false},
+		{Config{Width: 4, ROBSize: 64, LSQSize: 16}, true, false},
+		{Config{Width: 4, ROBSize: 64, LSQSize: 16}, false, true},
 	} {
-		build := func() *Core {
-			c, err := New(cfg, 0, trace.NewSliceSource(randomRecords(31, 4000)), vm.Identity{}, &variedPort{})
+		recs := randomRecords(61, 3000)
+		build := func() (*Core, *recordingPort) {
+			var src trace.Source = trace.NewSliceSource(recs)
+			if tc.loop {
+				src = &loopSource{recs: recs}
+			}
+			port := &recordingPort{rng: rand.New(rand.NewSource(5))}
+			c, err := New(tc.cfg, 0, src, vm.Identity{}, port)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c
+			return c, port
 		}
+		ref, refPort := build()
+		ra, raPort := build()
+		rng := rand.New(rand.NewSource(83))
 
-		lock := build()
-		for cycle := uint64(0); !lock.Done(); cycle++ {
-			lock.Tick(cycle)
-			if cycle > 5_000_000 {
-				t.Fatal("lockstep core did not drain")
+		target := uint64(1 + rng.Intn(2000))
+		if tc.drain {
+			target = 1 << 40
+		}
+		refReach, raReach, lowest := ^uint64(0), ^uint64(0), uint64(0)
+		ra.Enter(0)
+		for cycle := uint64(0); (!ref.Done() || !ra.Done()) && cycle < 200_000; {
+			bound := cycle + 1 + uint64(rng.Intn(400))
+			for ; cycle < bound; cycle++ {
+				if ref.Done() {
+					continue
+				}
+				ref.Tick(cycle)
+				if refReach == ^uint64(0) && (ref.stats.Instructions >= target || ref.Done()) {
+					refReach = cycle
+				}
 			}
-		}
-
-		ev := build()
-		rng := rand.New(rand.NewSource(47))
-		cycle, next := uint64(0), uint64(0) // due at entry
-		var idles uint64
-		for !ev.Done() {
-			if next > cycle {
-				// Foreign landing: some other core needed this cycle; this
-				// one is frozen until `next`.
-				ev.IdleAt(cycle)
-				idles++
-			} else {
-				ev.Tick(cycle)
-				if ev.Done() {
+			for {
+				tgt := target
+				if raReach != ^uint64(0) {
+					tgt = ^uint64(0)
+				}
+				stop, at := ra.RunAhead(bound, tgt)
+				if raReach == ^uint64(0) && stop != Reached {
+					lowest = max(lowest, ra.EarliestReach(target))
+				}
+				if stop == AtBound {
 					break
 				}
-				next = ev.NextEventAt(cycle)
-				if next <= cycle {
-					t.Fatalf("cfg %+v: NextEventAt(%d) = %d, not strictly in the future", cfg, cycle, next)
+				if stop == AtMemOp {
+					if at >= bound {
+						t.Fatalf("cfg %+v: suspended at cycle %d past the bound %d", tc.cfg, at, bound)
+					}
+					ra.Issue()
+				} else if raReach == ^uint64(0) {
+					raReach = at
 				}
 			}
-			// Land either on this core's own deadline (after catching up the
-			// gap) or on a random foreign cycle strictly inside it.
-			target := next
-			if gap := next - cycle; gap > 1 && rng.Intn(2) == 0 {
-				target = cycle + 1 + uint64(rng.Intn(int(gap-1)))
+			if got, want := stateOf(ra), stateOf(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cfg %+v: state diverged at bound %d:\n run-ahead %+v\n reference %+v", tc.cfg, bound, got, want)
 			}
-			ev.CatchUp(cycle, target)
-			cycle = target
-			if cycle > 5_000_000 {
-				t.Fatal("event-stepped core did not drain")
+			if !reflect.DeepEqual(raPort.log, refPort.log) {
+				t.Fatalf("cfg %+v: port sequences diverged by bound %d (%d vs %d accesses)",
+					tc.cfg, bound, len(raPort.log), len(refPort.log))
+			}
+			if rng.Intn(8) == 0 {
+				ra.Enter(bound) // a resumed run ticks every live core at entry
 			}
 		}
-
-		if idles == 0 {
-			t.Fatal("no foreign landings exercised IdleAt")
+		if refReach == ^uint64(0) {
+			t.Fatalf("cfg %+v: reference never reached target %d", tc.cfg, target)
 		}
-		if ev.Stats() != lock.Stats() {
-			t.Fatalf("cfg %+v: stats diverge after %d IdleAt landings:\n  event:    %+v\n  lockstep: %+v",
-				cfg, idles, ev.Stats(), lock.Stats())
+		if raReach != refReach {
+			t.Fatalf("cfg %+v: run-ahead reached target at cycle %d, reference at %d", tc.cfg, raReach, refReach)
+		}
+		if lowest > refReach {
+			t.Fatalf("cfg %+v: EarliestReach promised %d, after the reach at %d", tc.cfg, lowest, refReach)
+		}
+		if len(refPort.log) == 0 {
+			t.Fatal("reference issued no memory operations")
 		}
 	}
 }

@@ -226,29 +226,6 @@ func (d *DRAM) Access(now uint64, addr mem.Addr, write bool) uint64 {
 	return done
 }
 
-// NextEventAt returns the earliest cycle strictly after now at which a
-// bank or channel-bus busy timer expires, or ^uint64(0) when every timer
-// has already run out. It is the DRAM's contribution to the event
-// engine's wakeup queue (see internal/sched): the model is passive —
-// rows, timers, and counters change only inside Access — so timer
-// expiries are its only time-driven transitions, and a clock skip that
-// lands at or before the earliest of them can never jump over one.
-func (d *DRAM) NextEventAt(now uint64) uint64 {
-	next := ^uint64(0)
-	for ci := range d.chans {
-		ch := &d.chans[ci]
-		if ch.busFreeAt > now && ch.busFreeAt < next {
-			next = ch.busFreeAt
-		}
-		for bi := range ch.banks {
-			if f := ch.banks[bi].freeAt; f > now && f < next {
-				next = f
-			}
-		}
-	}
-	return next
-}
-
 // PeakBandwidthGBps returns the theoretical peak bandwidth implied by the
 // configuration at the given core clock in GHz.
 func (d *DRAM) PeakBandwidthGBps(coreGHz float64) float64 {

@@ -44,16 +44,16 @@ func buildFor(t *testing.T, w workloads.Spec, prefetcher string, opts RunOptions
 	return sys
 }
 
-// pauseAndSnapshot runs sys until the first clock advance at or past
-// pauseAt, then serialises it. It fails the test if the run completes
+// pauseAndSnapshot runs sys until the clock reaches pauseAt, then
+// serialises it. It fails the test if the run completes
 // before pausing.
 func pauseAndSnapshot(t *testing.T, sys *system.System, pauseAt uint64) []byte {
 	t.Helper()
-	sys.SetAdvanceHook(func(cycle uint64) bool { return cycle >= pauseAt })
+	sys.SetPauseAt(pauseAt)
 	if _, paused := sys.RunResumable(); !paused {
 		t.Fatalf("run completed before the pause point (cycle %d)", pauseAt)
 	}
-	sys.SetAdvanceHook(nil)
+	sys.SetPauseAt(0)
 	var buf bytes.Buffer
 	if err := sys.SaveCheckpoint(&buf); err != nil {
 		t.Fatalf("saving checkpoint: %v", err)

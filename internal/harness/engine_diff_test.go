@@ -17,13 +17,9 @@ import (
 // every telemetry epoch — on every prefetcher and every workload. These
 // tests run each cell under both engines and compare the full Results
 // struct (reflect.DeepEqual) and the rendered report (byte equality of
-// Results.String), with the sanitizer enabled when compiled so the skip
-// audit (DESIGN.md §6b) re-checks every jump the event engine takes.
-//
-// A companion property — no waker may ever schedule a wakeup at or
-// before the current clock — is enforced unconditionally: sched.Queue
-// panics on violation (see internal/sched, TestNextWakePanicsOnPastWakeup),
-// so every event-engine run below doubles as a property test of it.
+// Results.String), with the sanitizer enabled when compiled so the
+// ordering audit (DESIGN.md §6b) re-checks every memory operation the
+// event engine issues and every cut it takes.
 
 // runEngine builds one cell, selects the engine, and runs it to
 // completion. Every call resolves a fresh factory: prefetcher instances
@@ -143,21 +139,41 @@ func TestEngineDifferentialCoreCounts(t *testing.T) {
 }
 
 // TestEngineActuallySkips pins the optimisation itself: on a memory-
-// bound workload the event engine must take strictly fewer clock
-// advances than cycles simulated, i.e. the skip machinery engages. A
-// regression that silently degenerates to +1 stepping would keep results
-// identical and slip past the differential tests; this one catches it.
+// bound workload the event engine must land on strictly fewer cycles
+// than it simulates, and its global loop may iterate only once per
+// memory operation or cut. A regression that silently degenerates to
+// per-cycle stepping would keep results identical and slip past the
+// differential tests; this one catches it.
 func TestEngineActuallySkips(t *testing.T) {
 	w, ok := workloads.ByName("Zeus")
 	if !ok {
 		t.Fatal("workload Zeus not registered")
 	}
 	opts := oracleRunOptions()
-	_, _, stats := runBothEngines(t, w, "none", opts)
+	opts.System.WarmupInstr = 0 // every L1 access is in the measured counters
+	factory, err := FactoryByName("none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := BuildSystem(w, factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	stats := sys.EngineStats()
 	if stats.SkippedCycles == 0 {
 		t.Fatalf("event engine skipped no cycles on Zeus/none (advances=%d)", stats.Advances)
 	}
-	t.Logf("Zeus/none: advances=%d skipped=%d", stats.Advances, stats.SkippedCycles)
+	var demand uint64
+	for _, c := range sys.Cores() {
+		demand += c.Stats().Loads + c.Stats().Stores
+	}
+	if stats.Advances > demand+stats.Cuts {
+		t.Fatalf("event engine took %d advances for %d L1 demand accesses and %d cuts",
+			stats.Advances, demand, stats.Cuts)
+	}
+	t.Logf("Zeus/none: advances=%d (demand=%d cuts=%d) skipped=%d",
+		stats.Advances, demand, stats.Cuts, stats.SkippedCycles)
 }
 
 // TestDefaultRunIsEventDriven pins the production default: a system
@@ -218,5 +234,126 @@ func TestEngineDifferentialTelemetry(t *testing.T) {
 	}
 	if len(lockSeries) < 2 {
 		t.Fatalf("want >= 2 epochs for a meaningful comparison, got %d", len(lockSeries))
+	}
+}
+
+// runWithPause runs one cell under eng with telemetry epoch epoch (0:
+// no collector), pausing at each cycle in pauses (absolute) and resuming
+// in place; it returns the results and the epoch series.
+func runWithPause(t *testing.T, w workloads.Spec, prefetcher string, eng system.Engine, opts RunOptions, epoch uint64, pauses ...uint64) (system.Results, []telemetry.EpochSample) {
+	t.Helper()
+	factory, err := FactoryByName(prefetcher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := BuildSystem(w, factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetEngine(eng)
+	var col *telemetry.Collector
+	if epoch > 0 {
+		col = telemetry.NewCollector(epoch)
+		sys.EnableTelemetry(col)
+	}
+	for _, at := range pauses {
+		sys.SetPauseAt(at)
+		if _, paused := sys.RunResumable(); !paused {
+			t.Fatalf("%s/%s: run completed before the pause at cycle %d", w.Name, prefetcher, at)
+		}
+		if sys.Clock() != at {
+			t.Fatalf("%s/%s: paused at cycle %d, want %d", w.Name, prefetcher, sys.Clock(), at)
+		}
+	}
+	sys.SetPauseAt(0)
+	res := sys.Run()
+	if col == nil {
+		return res, nil
+	}
+	return res, col.Series()
+}
+
+// warmupEnd returns the cycle a cell's warm-up ends on: the cycle every
+// core ticks at twice, once to finish warm-up and once to start
+// measuring.
+func warmupEnd(t *testing.T, w workloads.Spec, prefetcher string, opts RunOptions) uint64 {
+	t.Helper()
+	factory, err := FactoryByName(prefetcher)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := BuildSystem(w, factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.RunWarmup()
+	return sys.Clock()
+}
+
+// TestEngineDifferentialCutPoints pauses runs exactly on the event
+// engine's cuts — the warm-up→measurement cycle (where every core ticks
+// twice) and the cycle after it, and a telemetry epoch edge — and
+// requires both engines, paused and resumed in place, to reproduce the
+// uninterrupted lockstep run's results and epoch series.
+func TestEngineDifferentialCutPoints(t *testing.T) {
+	defer san.SetEnabled(san.Compiled)
+	san.SetEnabled(san.Compiled)
+	opts := oracleRunOptions()
+	const epoch = 20_000
+	for _, wname := range []string{"em3d", "Zeus"} {
+		w, ok := workloads.ByName(wname)
+		if !ok {
+			t.Fatalf("workload %q not registered", wname)
+		}
+		end := warmupEnd(t, w, "bingo", opts)
+		ref, refSeries := runWithPause(t, w, "bingo", system.EngineLockstep, opts, epoch)
+		if len(refSeries) < 3 {
+			t.Fatalf("%s: want >= 3 epochs, got %d", wname, len(refSeries))
+		}
+		for _, tc := range []struct {
+			name   string
+			pauses []uint64
+		}{
+			{"warm-up end", []uint64{end}},
+			{"warm-up end and next cycle", []uint64{end, end + 1}},
+			{"epoch edge", []uint64{end + 2*epoch}},
+		} {
+			for _, eng := range []system.Engine{system.EngineLockstep, system.EngineEvent} {
+				res, series := runWithPause(t, w, "bingo", eng, opts, epoch, tc.pauses...)
+				label := fmt.Sprintf("%s/bingo engine=%d paused at %s", wname, eng, tc.name)
+				requireIdentical(t, label, ref, res)
+				if !reflect.DeepEqual(refSeries, series) {
+					t.Errorf("%s: epoch series diverged (%d vs %d epochs)", label, len(series), len(refSeries))
+				}
+			}
+		}
+	}
+}
+
+// TestEngineDifferentialMachines covers the machine shapes the other
+// differential tests do not: the prefetcher attached at the L1
+// (ablate-level), where its fills go into a private cache, and a
+// single-core machine, where no other core's operations interleave.
+func TestEngineDifferentialMachines(t *testing.T) {
+	defer san.SetEnabled(san.Compiled)
+	san.SetEnabled(san.Compiled)
+	l1 := oracleRunOptions()
+	l1.System.PrefetchAt = system.AttachL1
+	one := oracleRunOptions()
+	one.System = one.System.WithCores(1)
+	for _, m := range []struct {
+		name string
+		opts RunOptions
+	}{{"attach-l1", l1}, {"1-core", one}} {
+		for _, wname := range []string{"em3d", "Zeus"} {
+			w, ok := workloads.ByName(wname)
+			if !ok {
+				t.Fatalf("workload %q not registered", wname)
+			}
+			for _, p := range []string{"none", "bingo", "sms"} {
+				lock, ev, _ := runBothEngines(t, w, p, m.opts)
+				requireIdentical(t, fmt.Sprintf("%s/%s %s", w.Name, p, m.name), lock, ev)
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package sharelint guards the one form of sharing the simulator still
 // has: the `-j` worker pool runs many Systems in one process, so any
 // package-level state in the simulator packages (cache, core, cpu, dram,
-// prefetch, prefetchers, sched, system, telemetry, trace, vm) is shared
+// prefetch, prefetchers, system, telemetry, trace, vm) is shared
 // by every System at once. Each System is driven by one goroutine, so
 // state inside a System needs no contract. One rule applies:
 //
@@ -56,7 +56,7 @@ var Analyzer = &analysis.Analyzer{
 // fixtures, loaded under synthetic bingo/internal/... paths, in scope.
 var scopeWords = []string{
 	"cache", "core", "cpu", "dram", "prefetch",
-	"sched", "system", "telemetry", "trace", "vm",
+	"system", "telemetry", "trace", "vm",
 }
 
 func inScope(pkgPath string) bool {

@@ -83,15 +83,16 @@ const (
 	// passed, in order, at most Width per cycle.
 	CPURetire ID = "SAN-CPU-RETIRE"
 
-	// SysClock: the lockstep system clock is strictly monotone.
+	// SysClock: the system clock is strictly monotone.
 	SysClock ID = "SAN-SYS-CLOCK"
 	// SysEvents: end-to-end event conservation — every L1 demand miss is an
 	// LLC demand access, per-core prefetch queues respect their bound.
 	SysEvents ID = "SAN-SYS-EVENTS"
-	// SysSkip: the event engine never jumps the clock over a pending
-	// wakeup — on every skip prev→next, no registered waker (hard or
-	// lazy) reports an event strictly inside (prev, next).
-	SysSkip ID = "SAN-SYS-SKIP"
+	// SysOrder: the event engine issues memory operations in
+	// non-decreasing (cycle, core) order, never at or past the current
+	// cut, and every core has finished every cycle below a cut when the
+	// loop takes it.
+	SysOrder ID = "SAN-SYS-ORDER"
 
 	// BingoResidency: the unified history table never exceeds its
 	// configured residency (valid entries per set ≤ ways, unique long tags

@@ -2,10 +2,10 @@
 // DRAM, address translation, and per-core prefetchers into the simulated
 // machine of the paper's Table I, and runs the simulation loop that
 // produces per-core IPC and memory-system statistics. The loop has two
-// byte-identical clock-advance strategies (engine.go): event-driven
-// cycle skipping over the shared wakeup scheduler (internal/sched), the
-// default, and lockstep ticking of every cycle, kept as the reference
-// the differential oracles compare it to.
+// byte-identical engines (engine.go): the default runs each core ahead
+// between memory operations and orders only those, and lockstep ticking
+// of every cycle is kept as the reference the differential oracles
+// compare it to.
 package system
 
 import (
@@ -96,10 +96,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxCores is the largest machine the simulator builds: the biggest
+// point of the core-scaling sweep. WithCores scales the LLC with the core
+// count, so an unbounded count would exhaust host memory.
+const MaxCores = 64
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.NumCores <= 0 {
 		return fmt.Errorf("system: core count must be positive")
+	}
+	if c.NumCores > MaxCores {
+		return fmt.Errorf("system: %d cores exceeds the maximum of %d", c.NumCores, MaxCores)
 	}
 	if err := c.Core.Validate(); err != nil {
 		return err

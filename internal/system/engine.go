@@ -1,12 +1,8 @@
 package system
 
-import (
-	"fmt"
+import "bingo/internal/cpu"
 
-	"bingo/internal/sched"
-)
-
-// Engine selects the simulation loop's clock-advance strategy. Both
+// Engine selects how the simulation loop advances the machine. Both
 // engines simulate the identical machine and are proven byte-identical
 // by the engine-differential oracles (internal/harness); they differ
 // only in wall-clock cost. Every production run uses the zero value,
@@ -14,156 +10,234 @@ import (
 type Engine uint8
 
 const (
-	// EngineEvent jumps the clock straight to the earliest wakeup
-	// registered with the scheduler (internal/sched), skipping stretches
-	// where every component is provably idle. On memory-bound workloads
-	// this removes the bulk of the per-cycle probing.
+	// EngineEvent runs each core ahead on its own between memory
+	// operations and orders only the operations that reach the shared
+	// memory system (run, below). On memory-bound workloads this removes
+	// the bulk of the per-cycle work.
 	EngineEvent Engine = iota
 	// EngineLockstep ticks every core on every cycle — the reference
 	// semantics the differential oracles compare the event engine to.
 	EngineLockstep
 )
 
-// EngineStats counts the event engine's clock advances. It is
+// EngineStats counts the event engine's global-loop iterations. It is
 // diagnostic output for the bench harness, deliberately kept out of
 // Results so both engines produce identical result documents.
 type EngineStats struct {
-	// Advances is the number of clock advances the loop took.
+	// Advances is the number of global-loop iterations: memory
+	// operations issued plus cuts taken.
 	Advances uint64
-	// SkippedCycles is the total cycles jumped over (advances of more
-	// than +1 contribute their gap). Zero under the lockstep engine.
+	// SkippedCycles counts the cycles no iteration landed on, the ones
+	// the cores covered on their own. Zero under the lockstep engine.
 	SkippedCycles uint64
+	// Cuts is the number of cuts among Advances (see run).
+	Cuts uint64
 }
 
-// SetEngine selects the clock-advance strategy. A freshly built System
-// already runs the event engine; SetEngine(EngineLockstep) exists only
-// so the engine-differential oracles and the BENCH_eventloop emitter can
-// run the lockstep reference. Call it before Run (or between a
-// checkpoint restore and the resuming Run — the engine is not part of a
-// checkpoint, and either engine resumes any checkpoint to the same
-// results). The scheduler itself binds lazily at run entry, so a
-// restore's state is what seeds the in-flight heaps.
+// SetEngine selects the engine. A freshly built System already runs the
+// event engine; SetEngine(EngineLockstep) exists only so the
+// engine-differential oracles can run the lockstep reference. Call it
+// before Run (or between a checkpoint restore and the resuming Run — the
+// engine is not part of a checkpoint, and either engine resumes any
+// checkpoint to the same results).
 func (s *System) SetEngine(e Engine) { s.engine = e }
 
-// Engine returns the selected clock-advance strategy.
+// Engine returns the selected engine.
 func (s *System) Engine() Engine { return s.engine }
 
-// EngineStats returns the clock-advance accounting of the run so far.
+// EngineStats returns the global-loop accounting of the run so far.
 func (s *System) EngineStats() EngineStats { return s.engineStats }
 
-// pfQueueWaker exposes the per-core prefetch queues as a Waker: an
-// in-flight prefetch completing frees an issue slot, which is the only
-// time-driven transition the queues have.
-type pfQueueWaker struct {
-	s *System
+// SetPauseAt makes RunResumable pause when the clock first reaches cycle
+// at, before any core ticks there — the invariant that makes a
+// checkpoint taken at the pause resume exactly. A cycle the run has
+// already reached pauses at the next one. Zero clears the pause point.
+func (s *System) SetPauseAt(at uint64) { s.pauseAt = at }
+
+// runUntil simulates until every core has retired target instructions
+// (or drained), reporting once per core through mark the cycle of the
+// tick that got it there, and leaves the clock on the last such cycle.
+// It returns true when a pause point stopped it first. Re-entry after a
+// pause is exact: every live core ticks at the entry cycle, as the
+// lockstep loop does, and a tick a core has no work for changes nothing
+// but the MemStall count the uninterrupted run would add there anyway.
+// mark-once idempotence across re-entry is the caller's guard.
+func (s *System) runUntil(target uint64, mark func(core int, cycle uint64)) bool {
+	if s.engine == EngineLockstep {
+		return s.runLockstep(target, mark)
+	}
+	return s.run(target, mark)
 }
 
-// NextEventAt implements sched.Waker.
-func (p pfQueueWaker) NextEventAt(now uint64) uint64 {
-	next := ^uint64(0)
-	for _, q := range p.s.pfInflight {
-		for _, t := range q {
-			if t > now && t < next {
-				next = t
+// runLockstep is the reference loop: every live core ticks on every
+// cycle, in core order.
+func (s *System) runLockstep(target uint64, mark func(core int, cycle uint64)) bool {
+	reached := make([]bool, len(s.cores))
+	for first := true; ; first = false {
+		all := true
+		for i, c := range s.cores {
+			ticked := first
+			if !c.Done() {
+				c.Tick(s.clock)
+				ticked = true
+			}
+			if !reached[i] {
+				if ticked && (c.Stats().Instructions >= target || c.Done()) {
+					reached[i] = true
+					mark(i, s.clock)
+				} else {
+					all = false
+				}
+			}
+		}
+		if all {
+			return false
+		}
+		if s.cut(s.clock + 1) {
+			return true
+		}
+	}
+}
+
+// run is the event engine. Between two memory operations a core touches
+// only its own state, so each core runs ahead by itself (cpu.RunAhead)
+// and stops just before its next memory operation; the loop issues the
+// suspended operations in (cycle, core) order, which is exactly the
+// order the lockstep loop issues them in. Cores run ahead only up to a
+// bound, the nearest cut: the next telemetry epoch edge, the pause
+// point, or the earliest cycle the phase can end. No core ticks at or
+// past a cut until every core has finished every cycle below it, so the
+// machine is whole there, as a lockstep run is between two cycles.
+// DESIGN.md §9 gives the argument.
+func (s *System) run(target uint64, mark func(core int, cycle uint64)) bool {
+	n := len(s.cores)
+	// reachAt[i] is the cycle core i reached target, and pending[i] the
+	// cycle of the memory operation it is suspended at; ^0 for neither.
+	reachAt := make([]uint64, n)
+	pending := make([]uint64, n)
+	left := n
+	for i, c := range s.cores {
+		reachAt[i], pending[i] = ^uint64(0), ^uint64(0)
+		if c.Done() {
+			reachAt[i] = s.clock
+			left--
+			mark(i, s.clock)
+		}
+		c.Enter(s.clock)
+	}
+	landed := s.clock
+	land := func(cycle uint64) {
+		s.engineStats.Advances++
+		if cycle > landed {
+			s.engineStats.SkippedCycles += cycle - landed - 1
+			landed = cycle
+		}
+	}
+	// step runs core i ahead to bound, recording where it stopped.
+	step := func(i int, bound uint64) {
+		c := s.cores[i]
+		for {
+			tgt := target
+			if reachAt[i] != ^uint64(0) {
+				tgt = ^uint64(0)
+			}
+			stop, at := c.RunAhead(bound, tgt)
+			switch stop {
+			case cpu.AtMemOp:
+				pending[i] = at
+				return
+			case cpu.AtBound:
+				return
+			}
+			if reachAt[i] == ^uint64(0) {
+				reachAt[i] = at
+				left--
+				mark(i, at)
 			}
 		}
 	}
-	return next
+	s.sanAtRunEntry()
+	for {
+		// The phase ends on the cycle its last core reaches target.
+		// EarliestReach bounds that cycle from below for the cores still
+		// short of it, so no core bounded by end+1 ticks past the end.
+		end := uint64(0)
+		for i, c := range s.cores {
+			at := reachAt[i]
+			if at == ^uint64(0) {
+				at = c.EarliestReach(target)
+			}
+			end = max(end, at)
+		}
+		bound := end + 1
+		if left > 0 {
+			bound = min(bound, s.nextCut())
+		}
+		// A core already parked past bound only accounts its MemStall up
+		// to it: a cut observes every core's counters.
+		for i, at := range pending {
+			if at == ^uint64(0) {
+				step(i, bound)
+			}
+		}
+		for {
+			next, at := -1, ^uint64(0)
+			for i, p := range pending {
+				if p < at { // strict: the lower core wins a tie
+					next, at = i, p
+				}
+			}
+			if next < 0 {
+				break
+			}
+			s.sanAtIssue(next, at, bound)
+			land(at)
+			s.cores[next].Issue()
+			pending[next] = ^uint64(0)
+			step(next, bound)
+		}
+		// Every core has finished every cycle below bound.
+		s.engineStats.Cuts++
+		land(bound)
+		if left == 0 {
+			last := uint64(0)
+			for _, at := range reachAt {
+				last = max(last, at)
+			}
+			s.sanAtPhaseEnd(last, bound)
+			s.clock = last
+			return false
+		}
+		s.sanAtCut(bound)
+		if s.cut(bound) {
+			return true
+		}
+	}
 }
 
-// ensureScheduler builds and populates the wakeup queue on first use of
-// the event engine. It runs at run entry rather than construction so a
-// checkpoint restore (which rewrites clock, cache contents, and queue
-// state into a freshly built system) is already in place when the cache
-// in-flight heaps are seeded.
-func (s *System) ensureScheduler() {
-	if s.engine != EngineEvent || s.queue != nil {
-		return
-	}
-	q := sched.New()
-	s.coreNext = make([]uint64, len(s.cores))
-	for i, c := range s.cores {
-		q.Register(fmt.Sprintf("core[%d]", i), c)
-	}
-	// The memory system is passive: caches, DRAM, and the prefetch queues
-	// mutate state only inside the Access calls core ticks make, and the
-	// completion times that gate core progress are baked into core state
-	// at dispatch. Their wakers are registered lazy — real deadlines, but
-	// only the conservative (sanitized) skip policy lands on them.
-	q.RegisterLazy("dram", s.dram)
-	// Cache in-flight heaps feed only the conservative paths (NextWakeLazy
-	// clamps and the skip audit), so the per-fill heap bookkeeping is paid
-	// only when those paths can run. Without tracking the cache wakers
-	// report no pending events, which for a lazy waker is always sound.
-	track := s.sanConservativeSkips()
-	if track {
-		s.llc.EnableEventTracking(s.clock)
-	}
-	q.RegisterLazy("llc", s.llc)
-	for i, l1 := range s.l1s {
-		if track {
-			l1.EnableEventTracking(s.clock)
-		}
-		q.RegisterLazy(fmt.Sprintf("l1[%d]", i), l1)
-	}
-	if s.pfInflight != nil {
-		q.RegisterLazy("prefetch-queue", pfQueueWaker{s: s})
-	}
-	s.queue = q
-}
-
-// advanceClock picks the cycle the loop simulates next. The lockstep
-// engine ticks every cycle; the event engine jumps to the earliest
-// registered wakeup, clamped to the next telemetry epoch edge so the
-// epoch series closes at exactly the boundaries a lockstep run closes
-// at. Cores are caught up over the skipped gap (MemStall is the one
-// counter the lockstep loop accrues on otherwise idle cycles), which is
-// what makes the two engines' statistics — not just their progress —
-// identical.
-//
-// Skip-safety argument, in brief: between ticks, every component's
-// state is frozen except time itself (cores mutate only in Tick; caches,
-// DRAM, translation, and prefetchers mutate only inside the Access calls
-// ticks make). The cores' wakeups are exact next-progress cycles
-// (cpu.NextEventAt), so no retire or dispatch can occur strictly inside
-// the gap; the passive components' timer expiries need no landing at all
-// — an expiry changes nothing until the next access observes it against
-// the clock. Sanitizer-enabled runs nevertheless clamp to the passive
-// wakers too (NextWakeLazy), so the skip audit in sanAtAdvance is a
-// strict invariant and the san/non-san differential oracle doubles as a
-// proof that the two skip policies agree. DESIGN.md §9 spells the
-// argument out.
-func (s *System) advanceClock(prev uint64) uint64 {
-	if s.engine != EngineEvent {
-		return prev + 1
-	}
-	// The loop refreshed coreNext for every core that ticked at prev;
-	// the rest are frozen, so their cached deadlines are still exact.
-	next := sched.None
-	for _, at := range s.coreNext {
-		if at < next {
-			next = at
-		}
-	}
-	if s.sanConservativeSkips() && next > prev+1 {
-		if lz := s.queue.NextWakeLazy(prev); lz < next {
-			next = lz
-		}
-	}
-	if next == sched.None {
-		next = prev + 1
-	}
+// nextCut returns the nearest cycle after the clock at which the loop
+// must stop the cores: a telemetry epoch edge or the pause point.
+func (s *System) nextCut() uint64 {
+	at := ^uint64(0)
 	if s.tel != nil && s.phase == phaseMeasure {
-		if edge := s.tel.NextSampleAt(); edge > prev && edge < next {
-			next = edge
-		}
+		at = s.tel.NextSampleAt()
 	}
-	s.engineStats.Advances++
-	if next > prev+1 {
-		s.engineStats.SkippedCycles += next - prev - 1
-		for _, c := range s.cores {
-			c.CatchUp(prev, next)
-		}
+	if s.pauseAt != 0 {
+		at = min(at, max(s.pauseAt, s.clock+1))
 	}
-	return next
+	return at
+}
+
+// cut moves the clock to cycle, which no core has ticked at yet, and
+// performs what is due there: the telemetry sample of an epoch edge and
+// the pause. It reports whether the run pauses. At a cut that only
+// bounds the phase's end neither is due.
+func (s *System) cut(cycle uint64) bool {
+	prev := s.clock
+	s.clock = cycle
+	s.sanAtAdvance(prev, cycle)
+	if s.tel != nil && s.phase == phaseMeasure && s.tel.ShouldSample(cycle) {
+		s.tel.Sample(cycle, s.telTotals())
+	}
+	return s.pauseAt != 0 && cycle >= s.pauseAt
 }

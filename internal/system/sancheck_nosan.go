@@ -9,6 +9,12 @@ type sanState struct{}
 
 func (s *System) sanAtAdvance(prev, next uint64) {}
 
-func (s *System) sanConservativeSkips() bool { return false }
+func (s *System) sanAtRunEntry() {}
+
+func (s *System) sanAtIssue(core int, cycle, bound uint64) {}
+
+func (s *System) sanAtCut(bound uint64) {}
+
+func (s *System) sanAtPhaseEnd(last, bound uint64) {}
 
 func (s *System) sanAtRunEnd() {}

@@ -5,21 +5,17 @@ package system
 import "bingo/internal/san"
 
 // sanState is the per-system checker state of the runtime invariant
-// sanitizer (build tag `san`).
-type sanState struct{}
+// sanitizer (build tag `san`): the last memory operation the event
+// engine issued, for the ordering audit.
+type sanState struct {
+	lastCycle uint64
+	lastCore  int
+}
 
-// sanConservativeSkips reports whether the event engine should take
-// maximally conservative skips (clamped to the passive wakers too, not
-// just the cores) so the skip audit below is a strict invariant. True
-// exactly when the sanitizer is enabled; the engines stay byte-identical
-// either way, which the san/non-san differential oracle re-proves.
-func (s *System) sanConservativeSkips() bool { return san.Enabled() }
-
-// sanAtAdvance verifies the simulation clock is strictly monotone, the
-// per-core prefetch queues respect their configured bound, and — under
-// the event engine — that no registered waker had a pending event inside
-// a skipped clock gap. Called on every clock advance of the simulation
-// loop.
+// sanAtAdvance verifies the simulation clock is strictly monotone and the
+// per-core prefetch queues respect their configured bound. Called on
+// every clock move of the simulation loop: each lockstep cycle, each
+// event-engine cut.
 func (s *System) sanAtAdvance(prev, next uint64) {
 	if !san.Enabled() {
 		return
@@ -35,17 +31,58 @@ func (s *System) sanAtAdvance(prev, next uint64) {
 				i, len(s.pfInflight[i]), s.cfg.PrefetchQueue)
 		}
 	}
-	if s.engine == EngineEvent && next > prev+1 && s.queue != nil {
-		// Skip audit (DESIGN.md §6b): the event engine claims nothing
-		// happens strictly inside (prev, next). Re-poll every waker and
-		// fail if any reports a pending event inside the gap the clock is
-		// about to jump over — that would mean a component transition was
-		// silently lost and the engines could diverge.
-		s.queue.Audit(prev, next, func(name string, at uint64) {
-			san.Failf("system", next, san.SysSkip,
-				"event engine skipping %d -> %d over a pending wakeup: %s at cycle %d",
-				prev, next, name, at)
-		})
+}
+
+// sanAtRunEntry starts the ordering audit of one event-engine run: the
+// run's first tick is at the clock, by every core.
+func (s *System) sanAtRunEntry() {
+	s.san.lastCycle, s.san.lastCore = s.clock, 0
+}
+
+// sanAtIssue is the ordering audit (DESIGN.md §6b): the event engine
+// issues memory operations in non-decreasing (cycle, core) order — the
+// lockstep loop's order — and only below the current cut.
+func (s *System) sanAtIssue(core int, cycle, bound uint64) {
+	if !san.Enabled() {
+		return
+	}
+	if cycle >= bound {
+		san.Failf("system", cycle, san.SysOrder,
+			"core %d issues a memory operation at cycle %d, at or past the cut at %d", core, cycle, bound)
+	}
+	if cycle < s.san.lastCycle || cycle == s.san.lastCycle && core < s.san.lastCore {
+		san.Failf("system", cycle, san.SysOrder,
+			"core %d issues at cycle %d after core %d issued at cycle %d",
+			core, cycle, s.san.lastCore, s.san.lastCycle)
+	}
+	s.san.lastCycle, s.san.lastCore = cycle, core
+}
+
+// sanAtCut verifies that at a cut every core's next tick lies at or past
+// it: the machine the telemetry sample or the checkpoint observes has
+// simulated every cycle below the cut and none from it on.
+func (s *System) sanAtCut(bound uint64) {
+	if !san.Enabled() {
+		return
+	}
+	for i, c := range s.cores {
+		if c.At() < bound {
+			san.Failf("system", bound, san.SysOrder,
+				"core %d still has a tick at cycle %d below the cut at %d", i, c.At(), bound)
+		}
+	}
+}
+
+// sanAtPhaseEnd verifies the bound a phase ended on was the one cycle
+// past its last core's reach: a higher bound would have let cores tick
+// past the end of the phase.
+func (s *System) sanAtPhaseEnd(last, bound uint64) {
+	if !san.Enabled() {
+		return
+	}
+	if last+1 != bound {
+		san.Failf("system", bound, san.SysOrder,
+			"phase ended at cycle %d but cores ran to the bound at %d", last, bound)
 	}
 }
 

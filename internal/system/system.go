@@ -8,7 +8,6 @@ import (
 	"bingo/internal/dram"
 	"bingo/internal/mem"
 	"bingo/internal/prefetch"
-	"bingo/internal/sched"
 	"bingo/internal/telemetry"
 	"bingo/internal/trace"
 	"bingo/internal/vm"
@@ -69,23 +68,14 @@ type System struct {
 	measureStart uint64
 	snaps        []coreSnapshot
 
-	// hook, when set, observes every clock advance; returning true pauses
-	// RunResumable at a checkpoint-safe boundary (no core has ticked at
-	// the new cycle yet). Under the event engine advances jump, so a
-	// hook watching for a threshold must compare with >=, not ==.
-	hook func(cycle uint64) bool
+	// pauseAt, when non-zero, is the cycle RunResumable pauses at (see
+	// SetPauseAt).
+	pauseAt uint64
 
-	// engine selects the clock-advance strategy (see engine.go); queue
-	// is the event engine's wakeup scheduler, built lazily at run entry,
-	// and engineStats counts its advances and skipped cycles. coreNext
-	// caches each core's exact next-event cycle: a core's deadline can
-	// only change when that core ticks, so the loop refreshes the entry
-	// at tick time and advanceClock just takes the min — the event
-	// engine's poll-on-state-change discipline.
+	// engine selects how the loop advances the machine (see engine.go),
+	// and engineStats counts the event engine's global-loop iterations.
 	engine      Engine
-	queue       *sched.Queue
 	engineStats EngineStats
-	coreNext    []uint64
 
 	san sanState // runtime invariant sanitizer (empty without -tags=san)
 }
@@ -313,18 +303,11 @@ func (s *System) Cores() []*cpu.Core { return s.cores }
 // Clock returns the current cycle.
 func (s *System) Clock() uint64 { return s.clock }
 
-// SetAdvanceHook installs f, called after every clock advance with the
-// new cycle value. Returning true pauses RunResumable at that boundary —
-// no core has ticked at the new cycle yet, which is the invariant that
-// makes a checkpoint taken here resume exactly. The hook must not mutate
-// simulation state (taking a checkpoint is read-only). Nil clears it.
-func (s *System) SetAdvanceHook(f func(cycle uint64) bool) { s.hook = f }
-
 // Run executes warm-up then measurement and returns the results. It may
 // be called once per System (or once on a system restored from a
 // checkpoint, which picks up in whatever phase the snapshot captured).
-// It panics if an advance hook pauses the run; use RunResumable for
-// pausable runs.
+// It panics if a pause point (SetPauseAt) pauses the run; use
+// RunResumable for pausable runs.
 //
 // Measurement follows the usual multi-programmed methodology: every core
 // keeps executing (so shared-resource contention stays realistic) until
@@ -333,7 +316,7 @@ func (s *System) SetAdvanceHook(f func(cycle uint64) bool) { s.hook = f }
 func (s *System) Run() Results {
 	res, paused := s.RunResumable()
 	if paused {
-		panic("system: run paused by advance hook; use RunResumable")
+		panic("system: run paused at its pause point; use RunResumable")
 	}
 	return res
 }
@@ -346,37 +329,29 @@ func (s *System) RunWarmup() {
 	if s.phase != phaseWarmup {
 		panic("system: RunWarmup after warm-up already completed")
 	}
-	s.ensureScheduler()
 	if s.cfg.WarmupInstr > 0 {
-		if paused := s.runUntil(func(i int) bool {
-			return s.cores[i].Stats().Instructions >= s.cfg.WarmupInstr
-		}); paused {
-			panic("system: warm-up paused by advance hook")
+		if paused := s.runUntil(s.cfg.WarmupInstr, func(int, uint64) {}); paused {
+			panic("system: warm-up paused at its pause point")
 		}
 	}
 	s.enterMeasure()
 }
 
-// RunResumable is Run for pausable simulations: when the advance hook
-// requests a pause it returns (zero Results, true), and the system can be
+// RunResumable is Run for pausable simulations: when the clock reaches
+// the pause point (SetPauseAt) it returns (zero Results, true), and the system can be
 // checkpointed and later resumed — calling RunResumable (or Run) again,
 // on this system or a restored copy, continues the identical simulation.
 func (s *System) RunResumable() (Results, bool) {
-	s.ensureScheduler()
 	if s.phase == phaseWarmup {
 		if s.cfg.WarmupInstr > 0 {
-			if paused := s.runUntil(func(i int) bool {
-				return s.cores[i].Stats().Instructions >= s.cfg.WarmupInstr
-			}); paused {
+			if paused := s.runUntil(s.cfg.WarmupInstr, func(int, uint64) {}); paused {
 				return Results{}, true
 			}
 		}
 		s.enterMeasure()
 	}
 	if s.phase == phaseMeasure {
-		paused := s.runUntilMark(func(i int) bool {
-			return s.cores[i].Stats().Instructions >= s.cfg.MeasureInstr
-		}, func(i int, cycle uint64) {
+		paused := s.runUntil(s.cfg.MeasureInstr, func(i int, cycle uint64) {
 			if !s.snaps[i].taken {
 				s.snaps[i] = coreSnapshot{taken: true, cycle: cycle, stats: s.cores[i].Stats(), l1: s.l1s[i].Stats()}
 			}
@@ -425,81 +400,6 @@ func (s *System) enterMeasure() {
 	s.phase = phaseMeasure
 	if s.tel != nil {
 		s.tel.Begin(s.clock)
-	}
-}
-
-// runUntil advances the clock until pred holds for every core or all
-// cores drain, reporting whether the advance hook paused it first.
-func (s *System) runUntil(pred func(core int) bool) bool {
-	return s.runUntilMark(pred, func(int, uint64) {})
-}
-
-// runUntilMark additionally reports, once per core, the first cycle at
-// which pred became true for it. Re-entry after a pause is exact: pred is
-// monotone (retired instructions only grow, Done is sticky), so the
-// per-core reached flags recompute to the same values they held when the
-// pause hit, and mark-once idempotence is the caller's taken guard.
-func (s *System) runUntilMark(pred func(core int) bool, mark func(core int, cycle uint64)) bool {
-	reached := make([]bool, len(s.cores))
-	event := s.engine == EngineEvent
-	if event {
-		// Every core is due at loop entry, mirroring the lockstep loop's
-		// unconditional tick on the first iteration (phase transitions and
-		// resumes re-enter here at the current clock).
-		for i := range s.coreNext {
-			s.coreNext[i] = s.clock
-		}
-	}
-	first := true
-	for {
-		allReached := true
-		allDone := true
-		for i, c := range s.cores {
-			ticked := first
-			if !c.Done() {
-				allDone = false
-				if event && s.coreNext[i] > s.clock {
-					// The core's next event is still ahead: a full Tick
-					// would be a no-op apart from the retire stage's
-					// memory-stall count, so apply just that.
-					c.IdleAt(s.clock)
-				} else {
-					c.Tick(s.clock)
-					ticked = true
-					if event {
-						at := c.NextEventAt(s.clock)
-						if at <= s.clock {
-							panic(fmt.Sprintf("system: core %d scheduled a wakeup at cycle %d, at or before the current cycle %d", i, at, s.clock))
-						}
-						s.coreNext[i] = at
-					}
-				}
-			}
-			if !reached[i] {
-				// pred depends only on state a Tick mutates (retired
-				// instructions, Done) — never on IdleAt's stall count — so
-				// between ticks its value is frozen and needs no re-check.
-				if ticked && (pred(i) || c.Done()) {
-					reached[i] = true
-					mark(i, s.clock)
-				} else {
-					allReached = false
-				}
-			}
-		}
-		first = false
-		if allReached || allDone {
-			return false
-		}
-		prev := s.clock
-		s.clock = s.advanceClock(prev)
-		s.sanAtAdvance(prev, s.clock)
-		if s.tel != nil && s.phase == phaseMeasure && s.tel.ShouldSample(s.clock) {
-			s.tel.Sample(s.clock, s.telTotals())
-		}
-		if s.hook != nil && s.hook(s.clock) {
-			return true
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"bingo/internal/cache"
@@ -110,6 +111,38 @@ func TestNewSystemDefaultsToEventEngine(t *testing.T) {
 	sys := MustNew(tinyConfig(), sources(seqTrace(2000, 1), seqTrace(2000, 1)), nil)
 	if got := sys.Engine(); got != EngineEvent {
 		t.Fatalf("New system engine = %d, want EngineEvent (%d)", got, EngineEvent)
+	}
+}
+
+// TestEnginesAgreeOnDrainingTraces runs finite traces of unequal
+// length: one core drains in warm-up, one reaches its measurement budget
+// early, and the last drains mid-measurement, long after. The event
+// engine must not run the early core past the cycle the draining core
+// finishes on, although that comes sooner than its instruction budget
+// alone allows.
+func TestEnginesAgreeOnDrainingTraces(t *testing.T) {
+	// run returns the results and every core's final counters, which
+	// would also count any tick past the end of the phase.
+	run := func(e Engine) (Results, []cpu.Stats) {
+		cfg := tinyConfig()
+		cfg.NumCores = 3
+		cfg.WarmupInstr, cfg.MeasureInstr = 200, 3000
+		sys := MustNew(cfg, sources(seqTrace(30, 7), seqTrace(40000, 0), seqTrace(700, 64)), nextLineFactory)
+		sys.SetEngine(e)
+		res := sys.Run()
+		var final []cpu.Stats
+		for _, c := range sys.Cores() {
+			final = append(final, c.Stats())
+		}
+		return res, final
+	}
+	lock, lockFinal := run(EngineLockstep)
+	ev, evFinal := run(EngineEvent)
+	if !reflect.DeepEqual(lock, ev) || !reflect.DeepEqual(lockFinal, evFinal) {
+		t.Fatalf("engines diverged on draining traces:\nlockstep %#v\n  %+v\nevent    %#v\n  %+v", lock, lockFinal, ev, evFinal)
+	}
+	if c := lock.PerCore; c[1].Cycles >= c[2].Cycles || c[2].Instructions >= 3000 {
+		t.Fatalf("want core 1 to reach its budget before core 2 drains: %+v", c)
 	}
 }
 

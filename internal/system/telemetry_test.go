@@ -197,14 +197,8 @@ func TestTelemetryCheckpointResume(t *testing.T) {
 	straight := straightSys.Run()
 
 	sys, _ := build()
-	paused := false
-	sys.SetAdvanceHook(func(cycle uint64) bool {
-		if !paused && sys.phase == phaseMeasure && cycle >= sys.measureStart+1200 {
-			paused = true
-			return true
-		}
-		return false
-	})
+	sys.RunWarmup()
+	sys.SetPauseAt(sys.measureStart + 1200)
 	if _, p := sys.RunResumable(); !p {
 		t.Fatal("run completed before the pause point")
 	}
@@ -287,13 +281,12 @@ func TestTelemetryCheckpointRestoresWithoutCollector(t *testing.T) {
 	}{
 		{"measure-boundary", func(sys *System) { sys.RunWarmup() }},
 		{"mid-measurement", func(sys *System) {
-			sys.SetAdvanceHook(func(cycle uint64) bool {
-				return sys.phase == phaseMeasure && cycle >= sys.measureStart+1200
-			})
+			sys.RunWarmup()
+			sys.SetPauseAt(sys.measureStart + 1200)
 			if _, p := sys.RunResumable(); !p {
 				t.Fatal("run completed before the pause point")
 			}
-			sys.SetAdvanceHook(nil)
+			sys.SetPauseAt(0)
 		}},
 	} {
 		saved := build()
