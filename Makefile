@@ -4,7 +4,7 @@ GO ?= go
 # exceeded so future PRs notice a regression.
 LINT_BUDGET_SECONDS ?= 60
 
-.PHONY: all build test short race race-harness vet lint simlint bench bench-runner bench-telemetry san-test san-suite fuzz
+.PHONY: all build test short race race-harness vet lint simlint bench san-test san-suite fuzz
 
 all: build lint test
 
@@ -17,7 +17,7 @@ test:
 short:
 	$(GO) test -short ./...
 
-# The parallel experiment engine, matrix singleflight, and workload
+# The experiment warm pool, matrix singleflight, and workload
 # generators all run concurrently under the race detector here.
 race:
 	$(GO) test -race ./...
@@ -92,14 +92,3 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Regenerates BENCH_runner.json: sequential vs parallel warm of the
-# fast-budget benchmark matrix subset on this machine.
-bench-runner:
-	BENCH_RUNNER_JSON=$(CURDIR)/BENCH_runner.json $(GO) test -run TestEmitRunnerBench -v ./internal/harness/
-
-# Regenerates BENCH_telemetry.json: wall time of the workload matrix
-# with telemetry export off vs on (budget: <3% overhead), verifying the
-# simulation results are identical either way.
-bench-telemetry:
-	BENCH_TELEMETRY_JSON=$(CURDIR)/BENCH_telemetry.json $(GO) test -run TestEmitTelemetryBench -v ./internal/harness/

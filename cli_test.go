@@ -62,6 +62,7 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"bingosim", "-cores", "1048576"}, "-cores"},
 		{[]string{"bingosim", "-trace", filepath.Join(dir, "any.trc"), "-workload", "Zeus"}, "-workload"},
 		{[]string{"experiments", "-j", "-3"}, "-j"},
+		{[]string{"experiments", "-exp", "table1", "-j", "65"}, "-j"},
 		{[]string{"experiments", "-epoch", "5000"}, "-epoch"},
 		{[]string{"experiments", "-exp", ""}, "-exp"},
 		{[]string{"experiments", "-exp", " , "}, "-exp"},

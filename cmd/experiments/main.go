@@ -12,9 +12,13 @@
 //	experiments -telemetry out/       # export per-cell epoch series
 //	experiments -debug-addr :6060     # pprof/expvar while running
 //
-// Artefact names: table1 table2 fig2 fig3 fig4 fig6 fig7 fig8 fig9 fig10
-// timeliness ablate-vote ablate-region ablate-sharing ablate-queue
-// ablate-bandwidth ablate-level ablate-tags extras seeds.
+// Artefact names (-h prints them too): table1 table2 fig2 fig3 fig4 fig6
+// fig7 fig8 fig9 fig10 timeliness ablate-vote ablate-region
+// ablate-sharing ablate-queue ablate-bandwidth ablate-level ablate-tags
+// scale-cores extras seeds.
+//
+// -j takes at most 64 workers: each one holds a live simulated system
+// (tens of MB) while its cell runs.
 //
 // The rendered tables on stdout are byte-identical for every -j value
 // (and across repeated runs); timings and the per-cell run report go to
@@ -34,13 +38,18 @@ import (
 	"bingo/internal/telemetry"
 )
 
+// maxJobs caps -j. Every warm worker holds one live System while its
+// cell runs (a Table I machine peaks near 28 MB, mostly the LLC's line
+// array), so the cap keeps the pool near 2 GB at Table I size.
+const maxJobs = 64
+
 func main() {
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment list or 'all'")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment list or 'all'; experiments: "+strings.Join(harness.ExperimentOrder(), " "))
 		fastFlag   = flag.Bool("fast", false, "use reduced instruction budgets")
 		seedFlag   = flag.Int64("seed", 1, "workload generator seed")
 		formatFlag = flag.String("format", "text", "output format: text, csv, or markdown")
-		jobsFlag   = flag.Int("j", 0, "simulation workers; 1 = sequential, 0 = GOMAXPROCS")
+		jobsFlag   = flag.Int("j", 0, fmt.Sprintf("simulation workers; 1 = sequential, 0 = GOMAXPROCS, at most %d", maxJobs))
 		quietFlag  = flag.Bool("quiet", false, "suppress the stderr run report")
 		sanFlag    = flag.Bool("san", san.Compiled, "runtime invariant checking (needs a -tags=san build)")
 		telFlag    = flag.String("telemetry", "", "export each cell's epoch time-series (JSON + Chrome trace) into this directory")
@@ -55,8 +64,8 @@ func main() {
 	}
 	san.SetEnabled(*sanFlag)
 
-	if *jobsFlag < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -j %d: worker count must not be negative (0 = GOMAXPROCS)\n", *jobsFlag)
+	if *jobsFlag < 0 || *jobsFlag > maxJobs {
+		fmt.Fprintf(os.Stderr, "experiments: -j %d: worker count must be 0 (GOMAXPROCS) to %d\n", *jobsFlag, maxJobs)
 		os.Exit(2)
 	}
 

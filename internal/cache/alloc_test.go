@@ -21,7 +21,8 @@ func (stubLevel) Access(now uint64, req Request) Result {
 // including the periodic deep sweep — works on preallocated state. A
 // regression here would show up as harness slowdown long before anything
 // crashes, which is why it is a test and not a benchmark eyeball.
-// (BENCH_runner.json tracks the wall-clock side of the same promise.)
+// (perfbench's sim_minstr_per_s tracks the wall-clock side of the same
+// promise.)
 func TestAccessHotPathDoesNotAllocate(t *testing.T) {
 	c := MustNew(Config{Name: "L1", SizeBytes: 64 * 1024, Assoc: 8, HitLatency: 4, Policy: LRU}, stubLevel{})
 

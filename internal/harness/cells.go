@@ -45,8 +45,8 @@ type CellStat struct {
 	// Instructions is the measured-window instruction total.
 	Instructions uint64
 	// AllocBytes is the heap allocated during the run. It is only
-	// attributable when runs execute one at a time; under a parallel
-	// engine it is recorded as -1 (unknown).
+	// attributable when runs execute one at a time; with more than one
+	// warm worker it is recorded as -1 (unknown).
 	AllocBytes int64
 }
 
@@ -115,10 +115,11 @@ func (m *Matrix) run(key CellKey, fn cellFunc) (system.Results, any, error) {
 // RunCell memoises an arbitrary simulation under key. build constructs a
 // fresh factory for this run (it must not return a shared instance that
 // another concurrent cell could also be mutating); probe, if non-nil,
-// extracts an instrumented payload from the finished system before it is
-// discarded. opts are the options for this cell — key.Variant must be
-// non-empty whenever opts differ from the Matrix's base options.
-func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Factory, error), probe func(*system.System) any) (system.Results, any, error) {
+// extracts an instrumented payload from the finished system's
+// prefetchers before they are discarded. opts are the options for this
+// cell — key.Variant must be non-empty whenever opts differ from the
+// Matrix's base options.
+func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Factory, error), probe func([]prefetch.Prefetcher) any) (system.Results, any, error) {
 	w, ok := workloads.ByName(key.Workload)
 	if !ok {
 		return system.Results{}, nil, fmt.Errorf("harness: unknown workload %q", key.Workload)
@@ -149,7 +150,7 @@ func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Fa
 		}
 		var aux any
 		if probe != nil {
-			aux = probe(sys)
+			aux = probe(sys.Prefetchers())
 		}
 		return res, aux, nil
 	})
@@ -203,7 +204,7 @@ func (m *Matrix) Runs() int {
 
 // SetAllocTracking enables per-cell allocation accounting (reading
 // runtime.MemStats around each run). Only meaningful when cells execute
-// one at a time; the engine enables it for -j 1 and disables it
+// one at a time; the suite enables it for -j 1 and disables it
 // otherwise, since concurrent runs would attribute each other's heap
 // traffic.
 func (m *Matrix) SetAllocTracking(on bool) {

@@ -13,8 +13,8 @@ import (
 // Job-granular cell execution: a CellKey plus a RunOptions value fully
 // determines one simulation. CellRunner reconstructs the prefetcher
 // factory (and any instrumentation probe) from the key's label alone, so
-// the identical cell can be executed by a local renderer or a parallel
-// warm worker, and the singleflight matrix has one notion of what a cell
+// the identical cell can be executed by a local renderer or a warm
+// worker, and the singleflight matrix has one notion of what a cell
 // *is*. Every experiment accessor routes through ExecuteCell, which
 // keeps the label grammar below the single source of truth for
 // custom-config variants: a label that parses differently from what a
@@ -42,9 +42,10 @@ type RedundancyCounters struct {
 }
 
 // CellRunner resolves a cell key's prefetcher label into the factory
-// builder (and optional instrumentation probe) that executes it. Plain
-// registry names resolve through FactoryByName; bracketed labels encode
-// custom configurations:
+// builder (and optional instrumentation probe) that executes it. A probe
+// reads the finished system's per-core prefetchers; given none, it
+// returns its payload type's zero value. Plain registry names resolve
+// through FactoryByName; bracketed labels encode custom configurations:
 //
 //	multievent1[event=PC+Offset]   single-event history table (Figure 2)
 //	multievent2[probe]             dual-table redundancy probe (Figure 4)
@@ -56,7 +57,7 @@ type RedundancyCounters struct {
 //
 // The returned build constructs a fresh factory per call (concurrent
 // cells must never share mutable prefetcher state).
-func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func(*system.System) any, err error) {
+func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func([]prefetch.Prefetcher) any, err error) {
 	name := key.Prefetcher
 	open := strings.IndexByte(name, '[')
 	if open < 0 {
@@ -84,8 +85,8 @@ func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func
 			cfg.Events = []prefetch.EventKind{kind}
 			return core.MultiEventFactory(cfg), nil
 		}
-		probe = func(sys *system.System) any {
-			p, l := multiEventLookups(sys)
+		probe = func(pfs []prefetch.Prefetcher) any {
+			p, l := multiEventLookups(pfs)
 			return EventCounters{Predicted: p, Lookups: l}
 		}
 		return build, probe, nil
@@ -98,9 +99,9 @@ func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func
 			cfg.ProbeRedundant = true
 			return core.MultiEventFactory(cfg), nil
 		}
-		probe = func(sys *system.System) any {
+		probe = func(pfs []prefetch.Prefetcher) any {
 			var c RedundancyCounters
-			for _, p := range sys.Prefetchers() {
+			for _, p := range pfs {
 				if me, ok := p.(*core.MultiEvent); ok {
 					c.BothHit += me.BothHit
 					c.Identical += me.Identical
@@ -186,13 +187,17 @@ func parseEventKind(s string) (prefetch.EventKind, error) {
 
 // ExecuteCell runs (or recalls) the cell identified by key under opts,
 // resolving the cell's configuration from the key itself. This is the
-// execution path shared by renderers and the parallel warm engine:
-// whoever holds (key, opts) can perform — and memoise — the identical
-// simulation.
+// execution path shared by renderers and the warm pool: whoever holds
+// (key, opts) can perform — and memoise — the identical simulation. On
+// a recording matrix (see PlanExperiments) it still resolves the label,
+// so a bad one fails, but records the cell instead of simulating it.
 func (m *Matrix) ExecuteCell(key CellKey, opts RunOptions) (system.Results, any, error) {
 	build, probe, err := CellRunner(key)
 	if err != nil {
 		return system.Results{}, nil, err
+	}
+	if m.plan != nil {
+		return m.record(key, opts, probe)
 	}
 	return m.RunCell(key, opts, build, probe)
 }

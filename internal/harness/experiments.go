@@ -21,11 +21,14 @@ import (
 // Matrix is safe for concurrent use: Get and the other accessors may be
 // called from any number of goroutines. Two callers requesting the same
 // cell share one in-flight simulation (singleflight) instead of racing
-// or duplicating work, which is what lets the parallel engine warm cells
+// or duplicating work, which is what lets the warm pool simulate cells
 // out of order while renderers still observe exactly one deterministic
 // result per cell.
 type Matrix struct {
 	opts RunOptions
+	// plan is non-nil only on the recording matrix PlanExperiments
+	// builds: ExecuteCell then records cells instead of simulating them.
+	plan *cellPlan
 
 	mu          sync.Mutex
 	cells       map[CellKey]*cellState
@@ -151,10 +154,10 @@ func Fig2(m *Matrix) (Table, error) {
 	return t, nil
 }
 
-// multiEventLookups sums prediction/lookup counters across the system's
+// multiEventLookups sums prediction/lookup counters across a system's
 // per-core MultiEvent instances.
-func multiEventLookups(sys *system.System) (predicted, lookups uint64) {
-	for _, p := range sys.Prefetchers() {
+func multiEventLookups(pfs []prefetch.Prefetcher) (predicted, lookups uint64) {
+	for _, p := range pfs {
 		if me, ok := p.(*core.MultiEvent); ok {
 			predicted += me.Predicted
 			lookups += me.Lookups
@@ -248,8 +251,8 @@ func Fig4(m *Matrix) (Table, error) {
 // Figure 6 — Bingo miss coverage vs history table capacity.
 
 // Fig6Sizes is the paper's sweep of history-table entry counts. It is
-// immutable after init: experiment builders on any number of engine
-// workers read it concurrently and must never mutate it.
+// immutable after init: planning and rendering both read it and must
+// see the same sweep.
 var Fig6Sizes = []int{1024, 2048, 4096, 8192, 16384, 32768, 65536}
 
 // fig6Cell runs (or recalls) Bingo with a resized history table on w.

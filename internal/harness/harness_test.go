@@ -72,22 +72,6 @@ func TestRunProducesConsistentResults(t *testing.T) {
 	}
 }
 
-func TestBaselineCacheMemoises(t *testing.T) {
-	cache := NewBaselineCache(tinyOptions())
-	w, _ := workloads.ByName("SATSolver")
-	a, err := cache.Get(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cache.Get(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalCycles != b.TotalCycles {
-		t.Fatal("cache should return the memoised result")
-	}
-}
-
 func TestMatrixMemoises(t *testing.T) {
 	m := NewMatrix(tinyOptions())
 	w, _ := workloads.ByName("SATSolver")

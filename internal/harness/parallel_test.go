@@ -2,15 +2,11 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"bingo/internal/benchenv"
 	"bingo/internal/workloads"
 )
 
@@ -120,49 +116,20 @@ func TestMatrixDoesNotMemoiseFailures(t *testing.T) {
 	}
 }
 
-// TestBaselineCacheConcurrent drives the baseline cache from many
-// goroutines; all callers must agree and -race must stay quiet.
-func TestBaselineCacheConcurrent(t *testing.T) {
-	cache := NewBaselineCache(microOptions())
-	w, _ := workloads.ByName("Streaming")
-
-	const callers = 8
-	var wg sync.WaitGroup
-	cycles := make([]uint64, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := cache.Get(w)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			cycles[i] = res.TotalCycles
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if cycles[i] != cycles[0] {
-			t.Fatalf("caller %d saw %d cycles, caller 0 saw %d", i, cycles[i], cycles[0])
-		}
-	}
-}
-
-// TestEngineWarmDedupes plans the same cell many times; the engine must
-// collapse the duplicates before occupying pool slots.
+// TestEngineWarmDedupes plans the same experiment twice; the plan must
+// list each cell once, so warming spends one pool slot and one
+// simulation per cell.
 func TestEngineWarmDedupes(t *testing.T) {
 	m := NewMatrix(microOptions())
-	w, _ := workloads.ByName("SATSolver")
-	var cells []PlannedCell
-	for i := 0; i < 12; i++ {
-		cells = append(cells, getCell(m, w, "none"))
+	cells := PlanExperiments([]string{"table2", "table2"}, m)
+	if got, want := len(cells), len(workloads.All()); got != want {
+		t.Fatalf("table2 planned twice gives %d cells, want %d", got, want)
 	}
-	if err := (Engine{Jobs: 4}).Warm(cells); err != nil {
+	if err := warm(m, cells, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Runs(); got != 1 {
-		t.Fatalf("12 planned duplicates ran %d simulations, want 1", got)
+	if got := m.Runs(); got != len(cells) {
+		t.Fatalf("%d planned cells ran %d simulations", len(cells), got)
 	}
 }
 
@@ -170,14 +137,12 @@ func TestEngineWarmDedupes(t *testing.T) {
 // the other cells still warm and the failure surfaces in the joined error.
 func TestEngineWarmCollectsErrors(t *testing.T) {
 	m := NewMatrix(microOptions())
-	w, _ := workloads.ByName("SATSolver")
 	cells := []PlannedCell{
-		getCell(m, w, "bogus"),
-		getCell(m, w, "none"),
+		{Key: CellKey{Workload: "SATSolver", Prefetcher: "bogus"}, opts: m.Options()},
+		{Key: CellKey{Workload: "SATSolver", Prefetcher: "none"}, opts: m.Options()},
 	}
-	err := (Engine{Jobs: 2}).Warm(cells)
-	if err == nil {
-		t.Fatal("Warm should report the failed cell")
+	if err := warm(m, cells, 2); err == nil {
+		t.Fatal("warm should report the failed cell")
 	}
 	if got := m.Runs(); got != 1 {
 		t.Fatalf("healthy cell did not warm alongside the failure: runs = %d", got)
@@ -186,15 +151,16 @@ func TestEngineWarmCollectsErrors(t *testing.T) {
 
 // TestPlanMatchesRender warms the planned cells of the determinism subset
 // and then renders it: rendering must not need a single additional
-// simulation, proving the planner enumerates exactly what the renderers
-// request.
+// simulation. The plan is recorded from the renderers on zero results,
+// so this pins that renderers pick their cells independently of the
+// results they read.
 func TestPlanMatchesRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a suite subset; skipped in -short")
 	}
 	m := NewMatrix(microOptions())
 	cells := PlanExperiments(determinismExperiments, m)
-	if err := (Engine{Jobs: 4}).Warm(cells); err != nil {
+	if err := warm(m, cells, 4); err != nil {
 		t.Fatal(err)
 	}
 	warmed := m.Runs()
@@ -211,18 +177,37 @@ func TestPlanMatchesRender(t *testing.T) {
 	}
 }
 
-// warmPlan warms the determinism subset on a fresh matrix, returning the
-// wall time and cell count (shared by the benchmark and BENCH_runner).
-func warmPlan(opts RunOptions, jobs int) (time.Duration, int, error) {
-	m := NewMatrix(opts)
-	m.SetAllocTracking(jobs == 1)
-	cells := PlanExperiments(determinismExperiments, m)
-	start := time.Now()
-	err := (Engine{Jobs: jobs}).Warm(cells)
-	return time.Since(start), len(cells), err
+// TestPlanTimelinessSkipsBaselines: Timeliness reads only the paper
+// prefetchers' cells, so its plan holds exactly those and no baseline.
+func TestPlanTimelinessSkipsBaselines(t *testing.T) {
+	paper := make(map[string]bool)
+	for _, pf := range PaperPrefetchers() {
+		paper[pf] = true
+	}
+	cells := PlanExperiments([]string{"timeliness"}, NewMatrix(microOptions()))
+	if got, want := len(cells), len(workloads.All())*len(paper); got != want {
+		t.Fatalf("timeliness plans %d cells, want %d", got, want)
+	}
+	for _, c := range cells {
+		if !paper[c.Key.Prefetcher] || c.Key.Variant != "" {
+			t.Errorf("timeliness plans %v, which it never renders", c.Key)
+		}
+	}
 }
 
-// BenchmarkMatrixParallel compares warming the fast-budget matrix subset
+// TestPlanSimulatesNothing plans the whole suite: recording must not run
+// a single simulation, and must leave the caller's matrix untouched.
+func TestPlanSimulatesNothing(t *testing.T) {
+	m := NewMatrix(FastRunOptions())
+	if cells := PlanExperiments(ExperimentOrder(), m); len(cells) == 0 {
+		t.Fatal("the suite planned no cells")
+	}
+	if got := m.Runs(); got != 0 {
+		t.Fatalf("planning the suite simulated %d cells", got)
+	}
+}
+
+// BenchmarkMatrixParallel compares warming the determinism subset
 // sequentially (-j 1) against the full worker pool (-j GOMAXPROCS). On a
 // single-core machine the two are expected to tie; the speedup scales
 // with cores up to the cell count.
@@ -230,69 +215,12 @@ func BenchmarkMatrixParallel(b *testing.B) {
 	for _, jobs := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := warmPlan(microOptions(), jobs); err != nil {
+				m := NewMatrix(microOptions())
+				m.SetAllocTracking(jobs == 1)
+				if err := warm(m, PlanExperiments(determinismExperiments, m), jobs); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-// runnerBench is the BENCH_runner.json document. The environment block
-// records the machine the numbers were taken on: the parallel speedup is
-// meaningless without knowing how many CPUs the worker pool had, and its
-// degraded flag tells consumers structurally when this host could not
-// have produced a >1x number (single CPU) — gate on it, don't parse the
-// prose note.
-type runnerBench struct {
-	benchenv.Env
-	Note        string  `json:"note,omitempty"`
-	Cells       int     `json:"cells"`
-	Experiments string  `json:"experiments"`
-	SeqSeconds  float64 `json:"seq_seconds"`
-	ParJobs     int     `json:"par_jobs"`
-	ParSeconds  float64 `json:"par_seconds"`
-	Speedup     float64 `json:"speedup"`
-}
-
-// TestEmitRunnerBench measures the sequential vs parallel warm of the
-// benchmark subset and writes BENCH_runner.json to the path in the
-// BENCH_RUNNER_JSON environment variable. It is a generator, not a test:
-// without the variable it skips. Run it via `make bench-runner`.
-func TestEmitRunnerBench(t *testing.T) {
-	path := os.Getenv("BENCH_RUNNER_JSON")
-	if path == "" {
-		t.Skip("set BENCH_RUNNER_JSON=<path> to emit the runner benchmark")
-	}
-	opts := FastRunOptions()
-	seq, cells, err := warmPlan(opts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := benchenv.Capture()
-	jobs := env.GOMAXPROCS
-	par, _, err := warmPlan(opts, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := runnerBench{
-		Env:         env,
-		Cells:       cells,
-		Experiments: fmt.Sprintf("%v", determinismExperiments),
-		SeqSeconds:  seq.Seconds(),
-		ParJobs:     jobs,
-		ParSeconds:  par.Seconds(),
-		Speedup:     seq.Seconds() / par.Seconds(),
-	}
-	if doc.Degraded {
-		doc.Note = "single-CPU host: the worker pool cannot beat sequential; re-record on a multi-core machine for a meaningful speedup"
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: seq=%s par=%s (jobs=%d, %.2fx)", path, seq, par, jobs, doc.Speedup)
 }

@@ -1,190 +1,91 @@
 package harness
 
 import (
-	"fmt"
+	"errors"
+	"sync"
 
 	"bingo/internal/prefetch"
-	"bingo/internal/workloads"
+	"bingo/internal/system"
 )
 
-// This file enumerates, per experiment, every matrix cell the renderer
-// will request, as PlannedCells for the parallel engine. Each planned
-// cell's thunk calls the identical memoised Matrix accessor the renderer
-// calls, so the enumeration can never produce a *different* simulation —
-// at worst an out-of-date enumerator warms too few cells (they then run
-// lazily, sequentially, at render time) or too many (wasted work), never
-// wrong output.
+// The suite runs in three steps: plan, warm, render. Planning runs the
+// renderers themselves against a recording Matrix: each cell a renderer
+// asks for is noted instead of simulated and answered with zero Results
+// (and its probe's zero payload). A renderer picks its cells by walking
+// fixed lists of workloads, prefetchers and sweep points, never by the
+// values it reads back, so the recorded plan is exactly the set of cells
+// the real render requests (TestPlanMatchesRender pins it). Warming then
+// simulates the plan on a worker pool, and rendering reads memoised
+// cells only.
 
-// planned builds the schedulable unit for one (key, options) cell.
-func (m *Matrix) planned(key CellKey, opts RunOptions) PlannedCell {
-	return PlannedCell{
-		Key: key,
-		run: func() error { _, _, err := m.ExecuteCell(key, opts); return err },
+// PlannedCell is one schedulable unit of the run matrix: a cell key and
+// the run options it simulates under.
+type PlannedCell struct {
+	Key  CellKey
+	opts RunOptions
+}
+
+// cellPlan collects the distinct cells a recording Matrix was asked
+// for, in first-request order.
+type cellPlan struct {
+	cells []PlannedCell
+	seen  map[CellKey]bool
+}
+
+// record notes one requested cell in a recording matrix's plan and
+// answers it without simulating: zero Results, plus the payload probe
+// derives from no prefetchers, which is its type's zero value.
+func (m *Matrix) record(key CellKey, opts RunOptions, probe func([]prefetch.Prefetcher) any) (system.Results, any, error) {
+	m.mu.Lock()
+	if !m.plan.seen[key] {
+		m.plan.seen[key] = true
+		m.plan.cells = append(m.plan.cells, PlannedCell{Key: key, opts: opts})
 	}
-}
-
-// getCell plans a registry (workload × prefetcher) run.
-func getCell(m *Matrix, w workloads.Spec, pf string) PlannedCell {
-	return m.planned(CellKey{Workload: w.Name, Prefetcher: pf}, m.opts)
-}
-
-// optsCell plans a run under modified options.
-func optsCell(m *Matrix, w workloads.Spec, pf, variant string, o RunOptions) PlannedCell {
-	return m.planned(CellKey{Workload: w.Name, Prefetcher: pf, Variant: variant}, o)
-}
-
-// baselineCells plans the no-prefetcher run of every workload.
-func baselineCells(m *Matrix) []PlannedCell {
-	var out []PlannedCell
-	for _, w := range workloads.All() {
-		out = append(out, getCell(m, w, "none"))
+	m.mu.Unlock()
+	var aux any
+	if probe != nil {
+		aux = probe(nil)
 	}
-	return out
+	return system.Results{}, aux, nil
 }
 
-// matrixCells plans baseline + the listed prefetchers for every workload.
-func matrixCells(m *Matrix, pfs []string) []PlannedCell {
-	out := baselineCells(m)
-	for _, w := range workloads.All() {
-		for _, pf := range pfs {
-			out = append(out, getCell(m, w, pf))
-		}
-	}
-	return out
-}
-
-// experimentCells enumerates the cells one experiment needs. Unknown
-// names plan nothing (the renderer reports them).
-func experimentCells(name string, m *Matrix) []PlannedCell {
-	var out []PlannedCell
-	switch name {
-	case "table1":
-		// Static: no simulation.
-	case "table2":
-		out = baselineCells(m)
-	case "fig2":
-		for _, kind := range prefetch.AllEvents() {
-			for _, w := range workloads.All() {
-				label := fmt.Sprintf("multievent1[event=%s]", kind)
-				out = append(out, m.planned(CellKey{Workload: w.Name, Prefetcher: label}, m.opts))
-			}
-		}
-	case "fig3":
-		pfs := make([]string, 0, 5)
-		for n := 1; n <= 5; n++ {
-			pfs = append(pfs, fmt.Sprintf("multievent%d", n))
-		}
-		out = matrixCells(m, pfs)
-	case "fig4":
-		for _, w := range workloads.All() {
-			out = append(out, m.planned(CellKey{Workload: w.Name, Prefetcher: "multievent2[probe]"}, m.opts))
-		}
-	case "fig6":
-		out = baselineCells(m)
-		for _, w := range workloads.All() {
-			for _, size := range Fig6Sizes {
-				label := fmt.Sprintf("bingo[hist=%d]", size)
-				out = append(out, m.planned(CellKey{Workload: w.Name, Prefetcher: label}, m.opts))
-			}
-		}
-	case "fig7", "fig8", "fig9", "timeliness":
-		// timeliness reads the same cells as the Figure 7–9 matrix; the
-		// lifecycle counters ride along in every cell's Results.
-		out = matrixCells(m, PaperPrefetchers())
-	case "fig10":
-		out = matrixCells(m, fig10Variants)
-	case "ablate-vote":
-		out = baselineCells(m)
-		for _, th := range voteThresholds {
-			out = append(out, variantCells(m, voteCellLabel(th))...)
-		}
-		out = append(out, variantCells(m, "bingo[recent]")...)
-	case "ablate-region":
-		out = baselineCells(m)
-		for _, size := range regionSizes {
-			out = append(out, variantCells(m, regionCellLabel(size))...)
-		}
-	case "ablate-sharing":
-		out = matrixCells(m, []string{"bingo", "bingo-shared"})
-	case "ablate-queue":
-		for _, depth := range queueDepths {
-			o, variant := queueOpts(m.Options(), depth)
-			for _, w := range workloads.All() {
-				out = append(out, optsCell(m, w, "none", variant, o))
-				out = append(out, optsCell(m, w, "bingo", variant, o))
-			}
-		}
-	case "ablate-bandwidth":
-		for _, scale := range bandwidthScales {
-			o, variant := bandwidthOpts(m.Options(), scale.mult)
-			for _, w := range workloads.All() {
-				out = append(out, optsCell(m, w, "none", variant, o))
-				for _, pf := range bandwidthPrefetchers {
-					out = append(out, optsCell(m, w, pf, variant, o))
-				}
-			}
-		}
-	case "ablate-level":
-		for _, level := range attachLevels {
-			o, variant := levelOpts(m.Options(), level)
-			for _, w := range workloads.All() {
-				out = append(out, optsCell(m, w, "none", variant, o))
-				out = append(out, optsCell(m, w, "bingo", variant, o))
-			}
-		}
-	case "ablate-tags":
-		out = matrixCells(m, []string{"bingo"})
-		for _, bits := range tagWidths {
-			out = append(out, variantCells(m, tagCellLabel(bits))...)
-		}
-	case "scale-cores":
-		specs, err := scaleWorkloads()
-		if err != nil {
-			break // BuildExperiment will surface the resolution error
-		}
-		for _, n := range scaleCoreCounts {
-			o, variant := coresOpts(m.Options(), n)
-			for _, w := range specs {
-				out = append(out, optsCell(m, w, "none", variant, o))
-				out = append(out, optsCell(m, w, "bingo", variant, o))
-			}
-		}
-	case "extras":
-		out = matrixCells(m, extrasPrefetchers)
-	case "seeds":
-		for _, seed := range defaultSeeds() {
-			o, variant := seedOpts(m.Options(), seed)
-			for _, w := range workloads.All() {
-				out = append(out, optsCell(m, w, "none", variant, o))
-				out = append(out, optsCell(m, w, "bingo", variant, o))
-			}
-		}
-	}
-	return out
-}
-
-// variantCells plans a labelled custom-config variant on every workload;
-// the label itself encodes the configuration (see CellRunner).
-func variantCells(m *Matrix, label string) []PlannedCell {
-	var out []PlannedCell
-	for _, w := range workloads.All() {
-		out = append(out, m.planned(CellKey{Workload: w.Name, Prefetcher: label}, m.opts))
-	}
-	return out
-}
-
-// PlanExperiments enumerates (in canonical experiment order, deduplicated
-// by key) every cell the named experiments will request.
+// PlanExperiments lists every cell the named experiments will request,
+// once each, in the order their renderers first request them. It records
+// the renderers against a matrix with m's base options, so m itself is
+// neither read nor changed. A name that fails to build (unknown, say)
+// contributes the cells requested before the failure; rendering reports
+// the error.
 func PlanExperiments(names []string, m *Matrix) []PlannedCell {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
+	rec := &Matrix{opts: m.opts, plan: &cellPlan{seen: make(map[CellKey]bool)}}
+	for _, name := range names {
+		// The render step rebuilds every name and reports its error.
+		_, _ = BuildExperiment(name, rec)
 	}
-	var out []PlannedCell
-	for _, exp := range ExperimentOrder() {
-		if want[exp] {
-			out = append(out, experimentCells(exp, m)...)
-		}
+	return rec.plan.cells
+}
+
+// warm simulates the planned cells into m on min(jobs, len(cells))
+// workers, which take cells in plan order. Every cell is attempted even
+// if some fail; the returned error joins the failures in plan order.
+// Results do not depend on jobs: a cell is a pure function of its key
+// and options, and the Matrix memoises each one once.
+func warm(m *Matrix, cells []PlannedCell, jobs int) error {
+	work := make(chan int)
+	errs := make([]error, len(cells))
+	var wg sync.WaitGroup
+	for range min(jobs, len(cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				_, _, errs[i] = m.ExecuteCell(cells[i].Key, cells[i].opts)
+			}
+		}()
 	}
-	return dedupeCells(out)
+	for i := range cells {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	return errors.Join(errs...)
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"bingo/internal/prefetch"
 	"bingo/internal/system"
@@ -65,54 +64,6 @@ func BuildSystem(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (*
 		return nil, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
 	}
 	return sys, nil
-}
-
-// BaselineCache memoises the no-prefetcher run of each workload, which
-// several experiments normalise against.
-//
-// BaselineCache is safe for concurrent use: Get may be called from any
-// number of goroutines, and two goroutines asking for the same workload
-// share one in-flight simulation (singleflight) rather than racing or
-// running it twice. A failed run is not cached; a later Get retries it.
-type BaselineCache struct {
-	opts     RunOptions
-	mu       sync.Mutex
-	inflight map[string]*baselineCall
-}
-
-// baselineCall is one singleflight slot of the cache.
-type baselineCall struct {
-	done chan struct{}
-	res  system.Results
-	err  error
-}
-
-// NewBaselineCache creates a cache bound to fixed run options.
-func NewBaselineCache(opts RunOptions) *BaselineCache {
-	return &BaselineCache{opts: opts, inflight: make(map[string]*baselineCall)}
-}
-
-// Get returns (running if necessary) the baseline results for w.
-func (b *BaselineCache) Get(w workloads.Spec) (system.Results, error) {
-	b.mu.Lock()
-	if c, ok := b.inflight[w.Name]; ok {
-		b.mu.Unlock()
-		<-c.done
-		return c.res, c.err
-	}
-	c := &baselineCall{done: make(chan struct{})}
-	b.inflight[w.Name] = c
-	b.mu.Unlock()
-
-	c.res, c.err = Run(w, nil, b.opts)
-	close(c.done)
-	if c.err != nil {
-		// Do not memoise failures: drop the slot so a retry can run.
-		b.mu.Lock()
-		delete(b.inflight, w.Name)
-		b.mu.Unlock()
-	}
-	return c.res, c.err
 }
 
 // SliceSourcesFromRecords is a convenience for tests: wraps pre-recorded

@@ -15,20 +15,46 @@ import (
 	"bingo/internal/telemetry"
 )
 
-// experimentOrder is the canonical rendering order of the suite: the
-// paper's artefact order, then the extra ablations. Output determinism
-// relies on rendering strictly in this order regardless of how many
-// workers warmed the matrix.
-var experimentOrder = []string{
-	"table1", "table2", "fig2", "fig3", "fig4", "fig6",
-	"fig7", "fig8", "fig9", "fig10", "timeliness", "ablate-vote", "ablate-region",
-	"ablate-sharing", "ablate-queue", "ablate-bandwidth", "ablate-level",
-	"ablate-tags", "scale-cores", "extras", "seeds",
+// experiments is the suite in canonical render order: the paper's
+// artefact order, then the extra ablations. It is the one list of
+// experiment names; ExperimentOrder, SuiteConfig.Selected and
+// BuildExperiment all read it. Output determinism relies on rendering
+// strictly in this order regardless of how many workers warmed the
+// matrix.
+var experiments = []struct {
+	name  string
+	build func(*Matrix) (Table, error)
+}{
+	{"table1", func(m *Matrix) (Table, error) { return Table1(m.Options()), nil }},
+	{"table2", Table2},
+	{"fig2", Fig2},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig6", func(m *Matrix) (Table, error) { return Fig6(m, nil) }},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", func(m *Matrix) (Table, error) { return Fig9(m, DefaultAreaModel()) }},
+	{"fig10", Fig10},
+	{"timeliness", Timeliness},
+	{"ablate-vote", AblateVote},
+	{"ablate-region", AblateRegion},
+	{"ablate-sharing", AblateSharing},
+	{"ablate-queue", AblateQueue},
+	{"ablate-bandwidth", AblateBandwidth},
+	{"ablate-level", AblateLevel},
+	{"ablate-tags", AblateTags},
+	{"scale-cores", ScaleCores},
+	{"extras", Extras},
+	{"seeds", func(m *Matrix) (Table, error) { return SeedSweep(m, "bingo", nil) }},
 }
 
 // ExperimentOrder returns the canonical experiment names in render order.
 func ExperimentOrder() []string {
-	return append([]string(nil), experimentOrder...)
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.name
+	}
+	return out
 }
 
 // UnknownExperimentError reports a requested experiment name that the
@@ -39,7 +65,7 @@ type UnknownExperimentError struct {
 
 // Error implements error.
 func (e UnknownExperimentError) Error() string {
-	return fmt.Sprintf("unknown experiment %q (have %v)", e.Name, experimentOrder)
+	return fmt.Sprintf("unknown experiment %q (have %v)", e.Name, ExperimentOrder())
 }
 
 // UnknownFormatError reports a SuiteConfig.Format the renderers do not
@@ -65,52 +91,12 @@ func checkFormat(format string) error {
 // BuildExperiment builds (running any simulations still missing from m)
 // the named experiment's table.
 func BuildExperiment(name string, m *Matrix) (Table, error) {
-	switch name {
-	case "table1":
-		return Table1(m.Options()), nil
-	case "table2":
-		return Table2(m)
-	case "fig2":
-		return Fig2(m)
-	case "fig3":
-		return Fig3(m)
-	case "fig4":
-		return Fig4(m)
-	case "fig6":
-		return Fig6(m, nil)
-	case "fig7":
-		return Fig7(m)
-	case "fig8":
-		return Fig8(m)
-	case "fig9":
-		return Fig9(m, DefaultAreaModel())
-	case "fig10":
-		return Fig10(m)
-	case "timeliness":
-		return Timeliness(m)
-	case "ablate-vote":
-		return AblateVote(m)
-	case "ablate-region":
-		return AblateRegion(m)
-	case "ablate-sharing":
-		return AblateSharing(m)
-	case "ablate-queue":
-		return AblateQueue(m)
-	case "ablate-bandwidth":
-		return AblateBandwidth(m)
-	case "ablate-level":
-		return AblateLevel(m)
-	case "ablate-tags":
-		return AblateTags(m)
-	case "scale-cores":
-		return ScaleCores(m)
-	case "extras":
-		return Extras(m)
-	case "seeds":
-		return SeedSweep(m, "bingo", nil)
-	default:
-		return Table{}, UnknownExperimentError{Name: name}
+	for _, e := range experiments {
+		if e.name == name {
+			return e.build(m)
+		}
 	}
+	return Table{}, UnknownExperimentError{Name: name}
 }
 
 // SuiteConfig configures one experiment-suite run.
@@ -120,8 +106,9 @@ type SuiteConfig struct {
 	Experiments []string
 	// Opts are the base run options of the matrix.
 	Opts RunOptions
-	// Jobs bounds the worker pool warming the matrix: 1 recovers the
-	// fully sequential lazy path; <= 0 selects runtime.GOMAXPROCS(0).
+	// Jobs bounds the worker pool warming the matrix: 1 simulates one
+	// cell at a time in render order; <= 0 selects runtime.GOMAXPROCS(0).
+	// The pool never starts more workers than there are cells.
 	Jobs int
 	// Format is "text" (or "", the default), "csv", or "markdown";
 	// NewSuiteMatrix rejects anything else with UnknownFormatError.
@@ -172,12 +159,12 @@ func (c SuiteConfig) Selected() ([]string, error) {
 		}
 		want[e] = true
 	}
-	known := make(map[string]bool, len(experimentOrder))
+	known := make(map[string]bool, len(experiments))
 	var out []string
-	for _, e := range experimentOrder {
-		known[e] = true
-		if all || want[e] {
-			out = append(out, e)
+	for _, e := range experiments {
+		known[e.name] = true
+		if all || want[e.name] {
+			out = append(out, e.name)
 		}
 	}
 	for e := range want {
@@ -191,14 +178,14 @@ func (c SuiteConfig) Selected() ([]string, error) {
 // RunSuite runs the selected experiments and renders their tables to out
 // in canonical order.
 //
-// With Jobs > 1 the matrix cells of every selected experiment are first
-// warmed concurrently on a bounded worker pool (deduplicated in flight by
-// the Matrix's singleflight), then the renderers walk the memoised matrix
-// strictly in order. Because each cell is simulated exactly once — by
-// whichever path reaches it first — and renderers consume cells by key,
-// the rendered bytes are identical for every Jobs value, including
-// repeated runs at the same value. Jobs == 1 skips the warm phase
-// entirely, recovering the historical lazy sequential path.
+// It plans, warms, then renders. Planning records the cells every
+// selected renderer will request (PlanExperiments); warming simulates
+// them on min(Jobs, cells) workers, deduplicated in flight by the
+// Matrix's singleflight; rendering then walks the memoised matrix
+// strictly in order. Because each cell is simulated exactly once and
+// renderers consume cells by key, the rendered bytes are identical for
+// every Jobs value, including repeated runs at the same value. With one
+// worker the cells run in the order the renderers first request them.
 func RunSuite(out io.Writer, cfg SuiteConfig) error {
 	m, names, err := NewSuiteMatrix(cfg)
 	if err != nil {
@@ -207,15 +194,12 @@ func RunSuite(out io.Writer, cfg SuiteConfig) error {
 	jobs := cfg.jobs()
 
 	wallStart := time.Now()
-	var warmWall time.Duration
-	if jobs > 1 {
-		cells := PlanExperiments(names, m)
-		reportf(cfg.Report, "warming %d matrix cells on %d workers\n", len(cells), jobs)
-		if err := (Engine{Jobs: jobs}).Warm(cells); err != nil {
-			return err
-		}
-		warmWall = time.Since(wallStart)
+	cells := PlanExperiments(names, m)
+	reportf(cfg.Report, "warming %d matrix cells on %d workers\n", len(cells), min(jobs, len(cells)))
+	if err := warm(m, cells, jobs); err != nil {
+		return err
 	}
+	warmWall := time.Since(wallStart)
 
 	if err := RenderTables(out, cfg, m, names); err != nil {
 		return err
@@ -257,8 +241,8 @@ func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, []string, error) {
 // RenderTables builds and renders the named experiments' tables to out,
 // strictly in the given order, in the configured format. Renderers pull
 // cells from the memoised matrix — any cell not already present (warmed
-// by the engine or injected by the caller) is simulated lazily here, so
-// the output never depends on how the matrix was populated.
+// by RunSuite or injected by the caller) is simulated here, so the
+// output never depends on how the matrix was populated.
 func RenderTables(out io.Writer, cfg SuiteConfig, m *Matrix, names []string) error {
 	for _, name := range names {
 		t0 := time.Now()
@@ -312,9 +296,7 @@ func writeRunReport(w io.Writer, m *Matrix, jobs int, warmWall, totalWall time.D
 		fmt.Fprintf(w, ", %.2fx effective", float64(simTotal)/float64(totalWall))
 	}
 	fmt.Fprintln(w, ")")
-	if warmWall > 0 {
-		fmt.Fprintf(w, "parallel warm phase: %s\n", warmWall.Round(time.Millisecond))
-	}
+	fmt.Fprintf(w, "warm phase: %s\n", warmWall.Round(time.Millisecond))
 	fmt.Fprintf(w, "instructions simulated: %d\n", instrTotal)
 	top := stats
 	if len(top) > 10 {

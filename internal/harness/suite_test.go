@@ -35,7 +35,7 @@ func TestInjectRendersIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events, redundancy int
-	for _, c := range dedupeCells(PlanExperiments(names, src)) {
+	for _, c := range PlanExperiments(names, src) {
 		if c.Key.Variant != "" {
 			t.Fatalf("cell %v runs under modified options; this test replays base-option cells only", c.Key)
 		}
