@@ -31,9 +31,9 @@ vet:
 	$(GO) vet ./...
 
 # simlint is the project-specific invariant suite (determinism,
-# address-unit safety, shared-state contracts, checkpoint completeness,
-# sanitizer gating, parameter hygiene, hot-path allocation discipline,
-# telemetry purity); see README.md "Static analysis & invariants".
+# address-unit safety, shared-state contracts, sanitizer gating,
+# parameter hygiene, hot-path allocation discipline, telemetry purity);
+# see README.md "Static analysis & invariants".
 # -unused-suppressions reports //lint: directives that no longer
 # suppress anything, so stale suppressions cannot accumulate.
 simlint:
@@ -86,7 +86,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGzipAutoReader -fuzztime $(FUZZ_TIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzAddrHelpers -fuzztime $(FUZZ_TIME) ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzRegionGeometry -fuzztime $(FUZZ_TIME) ./internal/mem/
-	$(GO) test -run '^$$' -fuzz FuzzCheckpointReader -fuzztime $(FUZZ_TIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzDirectiveParser -fuzztime $(FUZZ_TIME) ./internal/lint/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzCellRunner -fuzztime $(FUZZ_TIME) ./internal/harness/
 

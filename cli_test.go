@@ -12,9 +12,9 @@ import (
 )
 
 // TestCLIBadInputExitsTwo builds bingosim, experiments, tracegen and
-// traceinfo once and checks that each bad flag value is a usage error:
-// exit status 2 and a stderr message naming the flag, before any
-// simulation runs or output is written. One valid run per command
+// traceinfo once and checks that each bad flag value, unknown flag or
+// stray positional argument is a usage error: exit status 2 and a stderr
+// message naming it, before any simulation runs or output is written. One valid run per command
 // guards against a check that rejects everything.
 func TestCLIBadInputExitsTwo(t *testing.T) {
 	goTool, err := exec.LookPath("go")
@@ -72,6 +72,14 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "0"}, "-n 0"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "-5"}, "-n -5"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "1000", "-top", "-1"}, "-top -1"},
+		// Positional arguments are never read, so a stray one used to be
+		// ignored silently (bingosim Zeus simulated the default em3d).
+		{[]string{"bingosim", "Zeus"}, `unexpected argument "Zeus"`},
+		{[]string{"experiments", "-exp", "table1", "stray"}, `unexpected argument "stray"`},
+		{[]string{"tracegen", "-workload", "em3d", "-o", filepath.Join(dir, "bad.trc"), "extra.trc"}, `unexpected argument "extra.trc"`},
+		{[]string{"traceinfo", "run.trc"}, `unexpected argument "run.trc"`},
+		// Checkpoint/resume is gone: its flags are unknown.
+		{[]string{"bingosim", "-checkpoint-out", filepath.Join(dir, "run.ckpt")}, "-checkpoint-out"},
 	} {
 		code, stderr := run(tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.flag) {

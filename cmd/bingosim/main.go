@@ -9,12 +9,6 @@
 //	bingosim -trace run.trc -prefetcher sms   # replay a recorded trace
 //	bingosim -list                            # show workloads & prefetchers
 //
-// Checkpointing:
-//
-//	bingosim -workload em3d -checkpoint-out warm.ckpt     # save at end of warm-up
-//	bingosim -workload em3d -checkpoint-out run.ckpt -checkpoint-every 100000
-//	bingosim -workload em3d -resume run.ckpt              # continue from a checkpoint
-//
 // Telemetry (pure observers: the printed results are identical either way):
 //
 //	bingosim -workload em3d -telemetry-out run.json       # epoch series + lifecycle as JSON
@@ -28,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"bingo/internal/harness"
 	"bingo/internal/san"
@@ -49,9 +42,6 @@ func main() {
 		listFlag     = flag.Bool("list", false, "list workloads and prefetchers, then exit")
 		compareFlag  = flag.Bool("compare", false, "also run the no-prefetcher baseline and report speedup/coverage")
 		sanFlag      = flag.Bool("san", san.Compiled, "runtime invariant checking (needs a -tags=san build)")
-		ckptOutFlag  = flag.String("checkpoint-out", "", "save a checkpoint to this file: at end of warm-up, or periodically with -checkpoint-every")
-		ckptEvery    = flag.Uint64("checkpoint-every", 0, "with -checkpoint-out: overwrite the checkpoint every N cycles while running to completion")
-		resumeFlag   = flag.String("resume", "", "restore simulation state from a checkpoint file before running (same workload, prefetcher, and configuration required)")
 		telJSONFlag  = flag.String("telemetry-out", "", "write the epoch time-series and prefetch lifecycle as a JSON document to this file")
 		telCSVFlag   = flag.String("telemetry-csv", "", "write the epoch time-series as CSV to this file")
 		traceOutFlag = flag.String("trace-out", "", "write the epoch time-series as a Chrome trace_event file (chrome://tracing, Perfetto) to this file")
@@ -60,6 +50,10 @@ func main() {
 		coresFlag    = flag.Int("cores", 0, "override the core count: a power of two, 0 = Table I's 4; LLC capacity, DRAM channels, and memory scale with it")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "bingosim: unexpected argument %q (name the workload with -workload)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *sanFlag && !san.Compiled {
 		fmt.Fprintln(os.Stderr, "bingosim: -san requires a binary built with -tags=san")
@@ -89,10 +83,6 @@ func main() {
 		}
 		workloadSet = workloadSet || f.Name == "workload"
 	})
-	if *ckptEvery > 0 && *ckptOutFlag == "" {
-		fmt.Fprintln(os.Stderr, "bingosim: -checkpoint-every requires -checkpoint-out")
-		os.Exit(2)
-	}
 	if *epochFlag > 0 && *telJSONFlag == "" && *telCSVFlag == "" && *traceOutFlag == "" && *debugFlag == "" {
 		fmt.Fprintln(os.Stderr, "bingosim: -epoch requires -telemetry-out, -telemetry-csv, -trace-out or -debug-addr")
 		os.Exit(2)
@@ -101,12 +91,6 @@ func main() {
 		// -trace replays one file on every core; a workload named beside
 		// it would be silently ignored.
 		fmt.Fprintln(os.Stderr, "bingosim: -workload cannot be combined with -trace (the trace replaces the workload)")
-		os.Exit(2)
-	}
-	if *resumeFlag != "" && *ckptOutFlag != "" && *ckptEvery == 0 {
-		// An end-of-warm-up save needs the system still in its warm-up
-		// phase, which a resumed run may already have left.
-		fmt.Fprintln(os.Stderr, "bingosim: -resume with -checkpoint-out needs -checkpoint-every (the resumed state may be past warm-up)")
 		os.Exit(2)
 	}
 
@@ -159,9 +143,8 @@ func main() {
 	}
 
 	// Telemetry is a pure observer: the collector attaches before the
-	// simulation (and before any -resume restore, so checkpointed
-	// collector state reloads or resyncs correctly) and the printed
-	// results are byte-identical with or without it.
+	// simulation and the printed results are byte-identical with or
+	// without it.
 	var tel *telemetry.Collector
 	if *telJSONFlag != "" || *telCSVFlag != "" || *traceOutFlag != "" || *debugFlag != "" {
 		tel = telemetry.NewCollector(*epochFlag)
@@ -180,7 +163,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bingosim: debug server on http://%s/debug/\n", srv.Addr)
 	}
 
-	run := func(prefetcher string, checkpointed bool, tel *telemetry.Collector) (system.Results, error) {
+	run := func(prefetcher string, tel *telemetry.Collector) (system.Results, error) {
 		sys, cleanup, err := build(prefetcher)
 		if err != nil {
 			return system.Results{}, err
@@ -195,23 +178,19 @@ func main() {
 		if tel != nil {
 			sys.EnableTelemetry(tel)
 		}
-		if !checkpointed {
-			return sys.Run(), nil
-		}
-		return execute(sys, *resumeFlag, *ckptOutFlag, *ckptEvery)
+		return sys.Run(), nil
 	}
 
 	// With -compare the baseline runs first so its miss count can feed
 	// the main run's report (coverage and overprediction vs baseline).
-	// The baseline always runs cold and unobserved: a checkpoint records
-	// one exact machine, and the no-prefetcher baseline is a different
-	// one.
+	// The baseline runs unobserved: the telemetry outputs describe the
+	// main run.
 	var baseMisses uint64
 	var base system.Results
 	compare := *compareFlag && *pfFlag != "none"
 	if compare {
 		var err error
-		base, err = run("none", false, nil)
+		base, err = run("none", nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bingosim: baseline: %v\n", err)
 			os.Exit(1)
@@ -219,7 +198,7 @@ func main() {
 		baseMisses = base.LLC.Misses
 	}
 
-	res, err := run(*pfFlag, true, tel)
+	res, err := run(*pfFlag, tel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bingosim: %v\n", err)
 		os.Exit(1)
@@ -271,73 +250,6 @@ func writeTelemetry(tel *telemetry.Collector, jsonPath, csvPath, tracePath strin
 		return err
 	}
 	return write(tracePath, tel.WriteChromeTrace)
-}
-
-// execute runs sys to completion, applying the checkpoint flags: restore
-// from resume first, then either save once at the end of warm-up
-// (ckptOut alone) or overwrite ckptOut every `every` cycles while the
-// run completes. The printed results are identical with or without
-// checkpointing — saving is a pure observer at the cycle boundary.
-func execute(sys *system.System, resume, ckptOut string, every uint64) (system.Results, error) {
-	if resume != "" {
-		f, err := os.Open(resume)
-		if err != nil {
-			return system.Results{}, err
-		}
-		loadErr := sys.LoadCheckpoint(f)
-		closeErr := f.Close()
-		if loadErr != nil {
-			return system.Results{}, fmt.Errorf("resuming from %s: %w", resume, loadErr)
-		}
-		if closeErr != nil {
-			return system.Results{}, closeErr
-		}
-	}
-
-	switch {
-	case ckptOut != "" && every == 0:
-		sys.RunWarmup()
-		if err := saveCheckpointFile(sys, ckptOut); err != nil {
-			return system.Results{}, err
-		}
-		return sys.Run(), nil
-	case ckptOut != "":
-		for next := sys.Clock() + every; ; next += every {
-			sys.SetPauseAt(next)
-			res, paused := sys.RunResumable()
-			if !paused {
-				return res, nil
-			}
-			if err := saveCheckpointFile(sys, ckptOut); err != nil {
-				return system.Results{}, err
-			}
-		}
-	default:
-		return sys.Run(), nil
-	}
-}
-
-// saveCheckpointFile writes sys's checkpoint atomically: a temp file in
-// the target directory, renamed over path only once fully written, so an
-// interrupted save never leaves a truncated checkpoint behind.
-func saveCheckpointFile(sys *system.System, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	saveErr := sys.SaveCheckpoint(tmp)
-	closeErr := tmp.Close()
-	if saveErr == nil {
-		saveErr = closeErr
-	}
-	if saveErr == nil {
-		saveErr = os.Rename(tmp.Name(), path)
-	}
-	if saveErr != nil {
-		_ = os.Remove(tmp.Name()) // best-effort temp cleanup: the save error wins
-		return fmt.Errorf("saving checkpoint %s: %w", path, saveErr)
-	}
-	return nil
 }
 
 // buildTraceSystem constructs a system replaying the same recorded trace

@@ -57,6 +57,10 @@ func main() {
 		debugFlag  = flag.String("debug-addr", "", "serve net/http/pprof, expvar, and live progress counters on this address while running")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q (name experiments with -exp)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *sanFlag && !san.Compiled {
 		fmt.Fprintln(os.Stderr, "experiments: -san requires a binary built with -tags=san")

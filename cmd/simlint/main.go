@@ -1,10 +1,9 @@
 // Command simlint runs the simulator's invariant suite — detlint,
-// unitlint, paramlint, errlint, statelint, sharelint, sanlint, hotlint,
-// purelint — over the repository. It is the project-specific complement
-// to go vet: the analyzers encode contracts (determinism, address-unit
-// safety, shared-state documentation, checkpoint completeness, sanitizer
-// gating, hot-path allocation discipline, telemetry purity) that generic
-// tooling cannot know about.
+// unitlint, paramlint, errlint, sharelint, sanlint, hotlint, purelint —
+// over the repository. It is the project-specific complement to go vet:
+// the analyzers encode contracts (determinism, address-unit safety,
+// shared-state documentation, sanitizer gating, hot-path allocation
+// discipline, telemetry purity) that generic tooling cannot know about.
 //
 // Usage:
 //

@@ -29,6 +29,10 @@ func main() {
 		gzFlag       = flag.Bool("gz", false, "gzip-compress the output")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: unexpected argument %q (name the output with -o)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *coreFlag < 0 || *coreFlag >= system.MaxCores {
 		fmt.Fprintf(os.Stderr, "tracegen: -core %d: core index must be in [0, %d)\n", *coreFlag, system.MaxCores)

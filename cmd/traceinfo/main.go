@@ -29,6 +29,10 @@ func main() {
 		topFlag      = flag.Int("top", 10, "how many hot PCs to list (0 = none)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "traceinfo: unexpected argument %q (name a trace file with -trace)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *traceFlag == "" && *nFlag <= 0 {
 		// Generated streams are endless: the record budget is what ends them.

@@ -205,22 +205,16 @@ func (s Stats) HitRate() float64 {
 
 // Cache is one set-associative level of the hierarchy.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	setMask uint64
-	policy  Policy
-	//ckpt:skip wiring, re-established by New before restore
-	lower Level
-	//ckpt:skip wiring, re-established by system.New before restore
+	cfg      Config
+	sets     [][]line
+	setMask  uint64
+	policy   Policy
+	lower    Level
 	listener EvictionListener
-	//ckpt:skip wiring, re-established by system.New before restore
-	outcome OutcomeFunc
-	//ckpt:skip wiring, re-established by system.New before restore
-	probe PrefetchProbe
-	stats Stats
-	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
-	san sanState // runtime invariant sanitizer (empty without -tags=san)
+	outcome  OutcomeFunc
+	probe    PrefetchProbe
+	stats    Stats
+	san      sanState // runtime invariant sanitizer (empty without -tags=san)
 }
 
 // New builds a cache over the given lower level.

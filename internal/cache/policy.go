@@ -81,16 +81,11 @@ func (p *lruPolicy) Victim(set int) int {
 type randomPolicy struct {
 	assoc int
 	rng   *rand.Rand
-	// draws counts Victim calls. The RNG stream is deterministic from its
-	// fixed seed, so a checkpoint stores only this cursor and restore
-	// replays the stream to reposition it (see LoadState in checkpoint.go).
-	draws uint64
 }
 
 func (p *randomPolicy) Touch(int, int) {}
 
 func (p *randomPolicy) Victim(int) int {
-	p.draws++
 	return p.rng.Intn(p.assoc)
 }
 

@@ -13,5 +13,3 @@ func (c *Cache) sanAfterAccess(now, ready uint64, si int, res Result) {}
 func (c *Cache) sanAtInstall(now uint64, si int, ln line) {}
 
 func (c *Cache) sanCheckVictim(now uint64, si, w int) {}
-
-func (c *Cache) sanPostRestore() {}

@@ -115,21 +115,6 @@ func (c *Cache) sanCheckLRU(now uint64, si int, p *lruPolicy) {
 	}
 }
 
-// sanPostRestore runs the full invariant sweep — every set's structural
-// checks, event conservation, and the deep prefetch-accounting recount —
-// over freshly restored checkpoint state, so a corrupt-but-well-framed
-// snapshot fails at load time rather than cycles later.
-func (c *Cache) sanPostRestore() {
-	if !san.Enabled() {
-		return
-	}
-	for si := range c.sets {
-		c.sanCheckSet(0, si)
-	}
-	c.sanCheckEvents(0)
-	c.sanDeepCheck(0)
-}
-
 // sanCheckEvents verifies per-access event conservation on the counters.
 func (c *Cache) sanCheckEvents(now uint64) {
 	s := c.stats

@@ -54,19 +54,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports every configuration error New would, without
+// allocating the tracker or the history table.
 func (c Config) Validate() error {
-	if _, err := mem.NewRegionConfig(c.RegionBytes); err != nil {
+	rc, err := mem.NewRegionConfig(c.RegionBytes)
+	if err != nil {
 		return err
 	}
-	rc := mem.MustRegionConfig(c.RegionBytes)
 	if rc.Blocks() > 64 {
 		return fmt.Errorf("core: regions of %d blocks exceed the 64-block footprint limit", rc.Blocks())
 	}
-	if !(c.VoteThreshold > 0 && c.VoteThreshold <= 1) { // also rejects NaN
-		return fmt.Errorf("core: vote threshold %v out of (0,1]", c.VoteThreshold)
+	if err := prefetch.CheckTrackerGeometry(c.FilterEntries, c.AccumEntries, c.TrackerWays); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	return nil
+	_, err = historySets(c.HistoryEntries, c.HistoryWays, c.VoteThreshold)
+	return err
 }
 
 // Stats counts Bingo's high-level activity.
@@ -83,9 +85,7 @@ type Stats struct {
 // residency tracker feeding a single unified history table that is looked
 // up first with PC+Address and then with PC+Offset.
 type Bingo struct {
-	//ckpt:skip construction parameter, re-supplied by New before restore
-	cfg Config
-	//ckpt:skip derived from cfg.RegionBytes in New
+	cfg     Config
 	rc      mem.RegionConfig
 	tracker *prefetch.RegionTracker
 	history *HistoryTable
@@ -93,7 +93,6 @@ type Bingo struct {
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so the
 	// per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

@@ -53,6 +53,25 @@ func TestConfigValidation(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Error("bad vote threshold should fail")
 	}
+	// Table geometry: Validate must reject every size New rejects, so a
+	// caller can check a configuration without allocating its tables.
+	for _, bad := range []func(*Config){
+		func(c *Config) { c.HistoryEntries = 48 }, // 3 sets
+		func(c *Config) { c.HistoryEntries = 8 },  // fewer entries than ways
+		func(c *Config) { c.HistoryWays = 0 },
+		func(c *Config) { c.FilterEntries = 48 }, // 3 sets
+		func(c *Config) { c.AccumEntries = 8 },   // fewer entries than ways
+		func(c *Config) { c.TrackerWays = -1 },
+	} {
+		cfg = DefaultConfig()
+		bad(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted %+v", cfg)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %+v", cfg)
+		}
+	}
 }
 
 func TestTrainThenPrefetchSameRegion(t *testing.T) {

@@ -73,23 +73,16 @@ type historyEntry struct {
 // longest (PC+Address), so one physical structure serves both lookup
 // events and redundant storage is eliminated by construction.
 type HistoryTable struct {
-	//ckpt:skip construction parameter, re-supplied by NewHistoryTable; LoadState validates against it
-	rc mem.RegionConfig
-	//ckpt:skip derived geometry, recomputed by NewHistoryTable; LoadState validates against it
-	ways int
-	//ckpt:skip derived geometry, recomputed by NewHistoryTable; LoadState validates against it
-	setMask uint64
-	sets    []historyEntry
-	clock   uint64
-	//ckpt:skip tuning knob set at construction, not mutated by simulation
-	vote float64
-	//ckpt:skip tuning knob set at construction, not mutated by simulation
-	recent bool // use the most-recent short match instead of voting
-	//ckpt:skip tuning knob set at construction, not mutated by simulation
+	rc       mem.RegionConfig
+	ways     int
+	setMask  uint64
+	sets     []historyEntry
+	clock    uint64
+	vote     float64
+	recent   bool // use the most-recent short match instead of voting
 	longBits uint // 0 = full-width tags; else hardware-style truncation
 	stats    HistoryStats
-	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
-	san sanState // runtime invariant sanitizer (empty without -tags=san)
+	san      sanState // runtime invariant sanitizer (empty without -tags=san)
 }
 
 // SetTagTruncation folds stored tags down to the given widths, modelling
@@ -118,15 +111,9 @@ func (h *HistoryTable) SetMostRecentPolicy(on bool) { h.recent = on }
 // matches whose footprints must contain a block for it to be prefetched
 // (0.20 in the paper).
 func NewHistoryTable(rc mem.RegionConfig, numEntries, ways int, voteThreshold float64) (*HistoryTable, error) {
-	if ways <= 0 || numEntries <= 0 || numEntries%ways != 0 {
-		return nil, fmt.Errorf("core: history entries %d not divisible into %d ways", numEntries, ways)
-	}
-	sets := numEntries / ways
-	if !mem.IsPow2(sets) {
-		return nil, fmt.Errorf("core: history set count %d must be a power of two", sets)
-	}
-	if !(voteThreshold > 0 && voteThreshold <= 1) { // also rejects NaN
-		return nil, fmt.Errorf("core: vote threshold %v must be in (0,1]", voteThreshold)
+	sets, err := historySets(numEntries, ways, voteThreshold)
+	if err != nil {
+		return nil, err
 	}
 	return &HistoryTable{
 		rc:      rc,
@@ -135,6 +122,20 @@ func NewHistoryTable(rc mem.RegionConfig, numEntries, ways int, voteThreshold fl
 		sets:    make([]historyEntry, numEntries),
 		vote:    voteThreshold,
 	}, nil
+}
+
+// historySets returns the set count of a numEntries-entry, ways-way
+// history table and checks its vote threshold: the rules NewHistoryTable
+// and Config.Validate share.
+func historySets(numEntries, ways int, voteThreshold float64) (int, error) {
+	sets, err := prefetch.TableSets(numEntries, ways)
+	if err != nil {
+		return 0, fmt.Errorf("core: history: %w", err)
+	}
+	if !(voteThreshold > 0 && voteThreshold <= 1) { // also rejects NaN
+		return 0, fmt.Errorf("core: vote threshold %v must be in (0,1]", voteThreshold)
+	}
+	return sets, nil
 }
 
 // MustNewHistoryTable panics on configuration error.

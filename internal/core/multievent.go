@@ -15,18 +15,14 @@ import (
 // classic single-event PPH prefetchers of Figure 2; with two events and
 // redundancy probing enabled it produces Figure 4's measurements.
 type MultiEvent struct {
-	//ckpt:skip derived from the region size re-supplied at construction
-	rc mem.RegionConfig
-	//ckpt:skip construction parameter, re-supplied by NewMultiEvent; LoadState validates the table count
+	rc      mem.RegionConfig
 	events  []prefetch.EventKind // longest first
 	tables  []*prefetch.Table[patternEntry]
 	tracker *prefetch.RegionTracker
-	//ckpt:skip construction parameter, re-supplied by NewMultiEvent
-	maxDeg int
+	maxDeg  int
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so the
 	// per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 
 	// Per-kind lookup statistics (parallel to events).
@@ -35,7 +31,6 @@ type MultiEvent struct {
 
 	// Redundancy probing (Figure 4): for every prediction opportunity the
 	// two longest tables are checked independently.
-	//ckpt:skip measurement-mode flag set by the experiment cell, not simulation state
 	ProbeRedundancy bool
 	BothHit         uint64
 	Identical       uint64

@@ -10,5 +10,3 @@ type sanState struct{}
 func (h *HistoryTable) sanCheckTrigger(triggerOffset int) {}
 
 func (h *HistoryTable) sanAfterInsert(short uint64) {}
-
-func (h *HistoryTable) sanPostRestore() {}

@@ -72,16 +72,6 @@ func (h *HistoryTable) sanCheckEntry(e *historyEntry) {
 	}
 }
 
-// sanPostRestore sweeps the whole table right after a checkpoint load so
-// a structurally corrupt snapshot that slipped past decode validation
-// trips the sanitizer before any simulation runs on it.
-func (h *HistoryTable) sanPostRestore() {
-	if !san.Enabled() {
-		return
-	}
-	h.sanDeepCheck()
-}
-
 // sanDeepCheck sweeps every set: entry bounds plus set-wide long-tag
 // uniqueness, and that every resident short tag actually indexes the set
 // it lives in (residency placement).

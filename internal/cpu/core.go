@@ -79,15 +79,10 @@ type robEntry struct {
 // in global (cycle, core) order; ticking it on every cycle (the lockstep
 // reference) gives identical results.
 type Core struct {
-	//ckpt:skip construction parameter, re-supplied by New; LoadState validates the ROB size
-	cfg Config
-	//ckpt:skip identity, re-supplied by New before restore
-	id int
-	//ckpt:skip rebuilt fresh and fast-forwarded past the persisted cursor by LoadState
-	src trace.Source
-	//ckpt:skip wiring, re-established by system.New before restore
+	cfg  Config
+	id   int
+	src  trace.Source
 	xlat vm.Mapper
-	//ckpt:skip wiring, re-established by system.New before restore
 	port cache.Level
 
 	rob      []robEntry // ring buffer
@@ -106,31 +101,19 @@ type Core struct {
 	// Dep-marked accesses cannot issue before it (pointer chasing).
 	lastLoadDone uint64
 
-	// fetched counts records successfully pulled from src. Trace sources
-	// are deterministic from their construction, so a checkpoint stores
-	// only this cursor and restore fast-forwards a fresh source past the
-	// consumed prefix (see LoadState in checkpoint.go).
-	fetched uint64
-
 	stats Stats
 
 	// Run-ahead position (see RunAhead): next is the cycle of the core's
 	// next tick, idleFrom the first cycle whose MemStall is not yet
 	// accounted, and slot the dispatch slot of the tick in progress; mid
 	// reports a tick begun at next and suspended before a memory op.
-	// Every run entry resets them through Enter, so none is persisted.
-	//ckpt:skip run-ahead position, reset by Enter at every run entry
-	next uint64
-	//ckpt:skip run-ahead position, reset by Enter at every run entry
+	// Every run entry resets them through Enter.
+	next     uint64
 	idleFrom uint64
-	//ckpt:skip dispatch slot of a suspended tick; a checkpoint never holds one
-	slot int
-	//ckpt:skip a checkpoint is only taken between ticks
-	mid bool
+	slot     int
+	mid      bool
 
-	//ckpt:skip wiring, re-established by the harness before restore
 	tap DemandTap
-	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
 	san sanState // runtime invariant sanitizer (empty without -tags=san)
 }
 
@@ -294,7 +277,6 @@ func (c *Core) fetch() bool {
 		c.exhausted = true
 		return false
 	}
-	c.fetched++
 	c.cur = rec
 	c.curValid = true
 	c.nonMemLeft = rec.NonMem

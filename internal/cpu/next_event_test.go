@@ -48,7 +48,8 @@ func randomRecords(seed int64, n int) []trace.Record {
 // and the MemStall sampling counter.
 type progressSnapshot struct {
 	instructions uint64
-	fetched      uint64
+	cur          trace.Record
+	exhausted    bool
 	robCount     int
 	nonMemLeft   uint32
 	curValid     bool
@@ -58,7 +59,8 @@ type progressSnapshot struct {
 func snap(c *Core) progressSnapshot {
 	return progressSnapshot{
 		instructions: c.stats.Instructions,
-		fetched:      c.fetched,
+		cur:          c.cur,
+		exhausted:    c.exhausted,
 		robCount:     c.robCount,
 		nonMemLeft:   c.nonMemLeft,
 		curValid:     c.curValid,
@@ -233,13 +235,12 @@ type coreState struct {
 	nonMemLeft   uint32
 	exhausted    bool
 	lastLoadDone uint64
-	fetched      uint64
 }
 
 func stateOf(c *Core) coreState {
 	st := coreState{
 		stats: c.stats, cur: c.cur, curValid: c.curValid, nonMemLeft: c.nonMemLeft,
-		exhausted: c.exhausted, lastLoadDone: c.lastLoadDone, fetched: c.fetched,
+		exhausted: c.exhausted, lastLoadDone: c.lastLoadDone,
 		outstanding: append([]uint64(nil), c.outstanding...),
 	}
 	for i := 0; i < c.robCount; i++ {

@@ -102,19 +102,14 @@ type channel struct {
 // DRAM is the memory backstop. It implements cache.Backstop. Not safe for
 // concurrent use; the simulation loop is single-goroutine.
 type DRAM struct {
-	cfg   Config
-	chans []channel
-	//ckpt:skip derived geometry, recomputed from cfg in New
+	cfg       Config
+	chans     []channel
 	chanShift uint
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	chanMask uint64
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	bankMask uint64
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	rowShift uint
-	stats    Stats
-	//ckpt:skip checker scratch state, not simulation state; rebuilt as events replay
-	san sanState // runtime invariant sanitizer (empty without -tags=san)
+	chanMask  uint64
+	bankMask  uint64
+	rowShift  uint
+	stats     Stats
+	san       sanState // runtime invariant sanitizer (empty without -tags=san)
 }
 
 // New builds a DRAM model.

@@ -115,10 +115,10 @@ func CellRunner(key CellKey) (build func() (prefetch.Factory, error), probe func
 		if err != nil {
 			return nil, nil, err
 		}
-		// Build one instance up front: a label whose configuration core.New
-		// rejects must fail here with an error, not panic inside the
-		// factory when a warm worker builds the system.
-		if _, err := core.New(cfg); err != nil {
+		// A label whose configuration core.New rejects must fail here with
+		// an error, not panic inside the factory when a warm worker builds
+		// the system. Validate checks it without allocating the tables.
+		if err := cfg.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("harness: cell label %q: %w", name, err)
 		}
 		return func() (prefetch.Factory, error) { return core.Factory(cfg), nil }, nil, nil

@@ -5,7 +5,7 @@ import (
 )
 
 // TestCellRunnerRejectsBadLabels pins the label grammar's error paths. The
-// first five labels parse but describe a Bingo configuration core.New
+// first seven labels parse but describe a Bingo configuration core.New
 // rejects; CellRunner must report them instead of handing out a factory
 // that panics when a warm worker builds the system.
 func TestCellRunnerRejectsBadLabels(t *testing.T) {
@@ -15,6 +15,8 @@ func TestCellRunnerRejectsBadLabels(t *testing.T) {
 		"bingo[region=1048576]", // more than 64 blocks per region
 		"bingo[vote=5]",         // threshold outside (0,1]
 		"bingo[hist=3]",         // not divisible into the table's ways
+		"bingo[hist=48]",        // 3 sets: not a power of two
+		"bingo[hist=8]",         // fewer entries than the table's 16 ways
 		"bingo[vote=NaN]",
 		"bingo[hist=1073741824]", // past the history-size cap
 		"bingo[hist=0]",
@@ -46,7 +48,7 @@ func FuzzCellRunner(f *testing.F) {
 	}
 	for _, label := range []string{
 		"bingo[region=3000]", "bingo[region=1]", "bingo[region=1048576]",
-		"bingo[vote=5]", "bingo[hist=3]",
+		"bingo[vote=5]", "bingo[hist=3]", "bingo[hist=48]", "bingo[hist=8]",
 	} {
 		f.Add(label)
 	}

@@ -201,100 +201,67 @@ func TestDefaultRunIsEventDriven(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialTelemetry requires the epoch series — the most
-// skip-sensitive artifact, since a jump across an epoch edge would merge
-// epochs — to match exactly between engines.
-func TestEngineDifferentialTelemetry(t *testing.T) {
-	w, ok := workloads.ByName("em3d")
-	if !ok {
-		t.Fatal("workload em3d not registered")
-	}
-	opts := oracleRunOptions()
-	series := func(engine system.Engine) ([]telemetry.EpochSample, system.Results) {
-		factory, err := FactoryByName("bingo")
-		if err != nil {
-			t.Fatalf("resolving bingo: %v", err)
-		}
-		sys, err := BuildSystem(w, factory, opts)
-		if err != nil {
-			t.Fatalf("building system: %v", err)
-		}
-		sys.SetEngine(engine)
-		col := telemetry.NewCollector(0)
-		sys.EnableTelemetry(col)
-		res := sys.Run()
-		return col.Series(), res
-	}
-	lockSeries, lockRes := series(system.EngineLockstep)
-	evSeries, evRes := series(system.EngineEvent)
-	requireIdentical(t, "em3d/bingo+telemetry", lockRes, evRes)
-	if !reflect.DeepEqual(lockSeries, evSeries) {
-		t.Fatalf("epoch series diverged: lockstep %d epochs, event %d epochs",
-			len(lockSeries), len(evSeries))
-	}
-	if len(lockSeries) < 2 {
-		t.Fatalf("want >= 2 epochs for a meaningful comparison, got %d", len(lockSeries))
-	}
-}
-
-// runWithPause runs one cell under eng with telemetry epoch epoch (0:
-// no collector), pausing at each cycle in pauses (absolute) and resuming
-// in place; it returns the results and the epoch series.
-func runWithPause(t *testing.T, w workloads.Spec, prefetcher string, eng system.Engine, opts RunOptions, epoch uint64, pauses ...uint64) (system.Results, []telemetry.EpochSample) {
+// runWithTelemetry runs one bingo cell under eng with a telemetry
+// collector of the given epoch and returns its results, its epoch series
+// and the cycle its warm-up ended on. With stopAtWarmup the run first
+// stops at the warm-up→measurement boundary (RunWarmup) and then
+// finishes from there; otherwise it runs straight through.
+func runWithTelemetry(t *testing.T, w workloads.Spec, eng system.Engine, opts RunOptions, epoch uint64, stopAtWarmup bool) (system.Results, []telemetry.EpochSample, uint64) {
 	t.Helper()
-	factory, err := FactoryByName(prefetcher)
+	factory, err := FactoryByName("bingo")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("resolving bingo: %v", err)
 	}
 	sys, err := BuildSystem(w, factory, opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("building system: %v", err)
 	}
 	sys.SetEngine(eng)
-	var col *telemetry.Collector
-	if epoch > 0 {
-		col = telemetry.NewCollector(epoch)
-		sys.EnableTelemetry(col)
+	col := telemetry.NewCollector(epoch)
+	sys.EnableTelemetry(col)
+	var warmEnd uint64
+	if stopAtWarmup {
+		sys.RunWarmup()
+		warmEnd = sys.Clock()
 	}
-	for _, at := range pauses {
-		sys.SetPauseAt(at)
-		if _, paused := sys.RunResumable(); !paused {
-			t.Fatalf("%s/%s: run completed before the pause at cycle %d", w.Name, prefetcher, at)
-		}
-		if sys.Clock() != at {
-			t.Fatalf("%s/%s: paused at cycle %d, want %d", w.Name, prefetcher, sys.Clock(), at)
-		}
-	}
-	sys.SetPauseAt(0)
 	res := sys.Run()
-	if col == nil {
-		return res, nil
-	}
-	return res, col.Series()
+	return res, col.Series(), warmEnd
 }
 
-// warmupEnd returns the cycle a cell's warm-up ends on: the cycle every
-// core ticks at twice, once to finish warm-up and once to start
-// measuring.
-func warmupEnd(t *testing.T, w workloads.Spec, prefetcher string, opts RunOptions) uint64 {
-	t.Helper()
-	factory, err := FactoryByName(prefetcher)
-	if err != nil {
-		t.Fatal(err)
+// TestEngineDifferentialTelemetry requires the epoch series — the most
+// skip-sensitive artifact, since a jump across an epoch edge would merge
+// epochs — to match exactly between engines. A short epoch puts many
+// cuts in each run, on a regular workload (em3d) and a pointer chase
+// (Zeus), and every run crosses the warm-up→measurement cycle, where
+// every core ticks twice.
+func TestEngineDifferentialTelemetry(t *testing.T) {
+	defer san.SetEnabled(san.Compiled)
+	san.SetEnabled(san.Compiled)
+	opts := oracleRunOptions()
+	const epoch = 20_000
+	for _, wname := range []string{"em3d", "Zeus"} {
+		w, ok := workloads.ByName(wname)
+		if !ok {
+			t.Fatalf("workload %q not registered", wname)
+		}
+		lockRes, lockSeries, _ := runWithTelemetry(t, w, system.EngineLockstep, opts, epoch, false)
+		evRes, evSeries, _ := runWithTelemetry(t, w, system.EngineEvent, opts, epoch, false)
+		requireIdentical(t, wname+"/bingo+telemetry", lockRes, evRes)
+		if !reflect.DeepEqual(lockSeries, evSeries) {
+			t.Errorf("%s: epoch series diverged: lockstep %d epochs, event %d epochs",
+				wname, len(lockSeries), len(evSeries))
+		}
+		if len(lockSeries) < 3 {
+			t.Errorf("%s: want >= 3 epochs for a meaningful comparison, got %d", wname, len(lockSeries))
+		}
 	}
-	sys, err := BuildSystem(w, factory, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.RunWarmup()
-	return sys.Clock()
 }
 
-// TestEngineDifferentialCutPoints pauses runs exactly on the event
-// engine's cuts — the warm-up→measurement cycle (where every core ticks
-// twice) and the cycle after it, and a telemetry epoch edge — and
-// requires both engines, paused and resumed in place, to reproduce the
-// uninterrupted lockstep run's results and epoch series.
+// TestEngineDifferentialCutPoints stops runs exactly on the event
+// engine's warm-up→measurement cut (RunWarmup), where every core ticks
+// twice, and requires both engines to stop on the same cycle and, when
+// finished from there, to reproduce the uninterrupted lockstep run's
+// results and epoch series.
 func TestEngineDifferentialCutPoints(t *testing.T) {
 	defer san.SetEnabled(san.Compiled)
 	san.SetEnabled(san.Compiled)
@@ -305,26 +272,22 @@ func TestEngineDifferentialCutPoints(t *testing.T) {
 		if !ok {
 			t.Fatalf("workload %q not registered", wname)
 		}
-		end := warmupEnd(t, w, "bingo", opts)
-		ref, refSeries := runWithPause(t, w, "bingo", system.EngineLockstep, opts, epoch)
-		if len(refSeries) < 3 {
-			t.Fatalf("%s: want >= 3 epochs, got %d", wname, len(refSeries))
-		}
-		for _, tc := range []struct {
-			name   string
-			pauses []uint64
-		}{
-			{"warm-up end", []uint64{end}},
-			{"warm-up end and next cycle", []uint64{end, end + 1}},
-			{"epoch edge", []uint64{end + 2*epoch}},
-		} {
-			for _, eng := range []system.Engine{system.EngineLockstep, system.EngineEvent} {
-				res, series := runWithPause(t, w, "bingo", eng, opts, epoch, tc.pauses...)
-				label := fmt.Sprintf("%s/bingo engine=%d paused at %s", wname, eng, tc.name)
-				requireIdentical(t, label, ref, res)
-				if !reflect.DeepEqual(refSeries, series) {
-					t.Errorf("%s: epoch series diverged (%d vs %d epochs)", label, len(series), len(refSeries))
-				}
+		ref, refSeries, _ := runWithTelemetry(t, w, system.EngineLockstep, opts, epoch, false)
+		var lockEnd uint64
+		for _, eng := range []system.Engine{system.EngineLockstep, system.EngineEvent} {
+			res, series, end := runWithTelemetry(t, w, eng, opts, epoch, true)
+			label := fmt.Sprintf("%s/bingo engine=%d stopped at warm-up end", wname, eng)
+			if end == 0 {
+				t.Fatalf("%s: warm-up ended on cycle 0", label)
+			}
+			if eng == system.EngineLockstep {
+				lockEnd = end
+			} else if end != lockEnd {
+				t.Errorf("%s: warm-up ended on cycle %d, lockstep on %d", label, end, lockEnd)
+			}
+			requireIdentical(t, label, ref, res)
+			if !reflect.DeepEqual(refSeries, series) {
+				t.Errorf("%s: epoch series diverged (%d vs %d epochs)", label, len(series), len(refSeries))
 			}
 		}
 	}

@@ -292,20 +292,6 @@ func TestSeedStats(t *testing.T) {
 	}
 }
 
-func TestSpeedupOverSeedsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipped in -short")
-	}
-	w, _ := workloads.ByName("Streaming")
-	st, err := SpeedupOverSeeds(w, "bingo", tinyOptions(), []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.N != 2 || st.Mean <= 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestAblateLevelSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")

@@ -5,7 +5,6 @@ import (
 
 	"bingo/internal/prefetch"
 	"bingo/internal/system"
-	"bingo/internal/trace"
 	"bingo/internal/workloads"
 )
 
@@ -64,14 +63,4 @@ func BuildSystem(w workloads.Spec, factory prefetch.Factory, opts RunOptions) (*
 		return nil, fmt.Errorf("harness: building system for %s: %w", w.Name, err)
 	}
 	return sys, nil
-}
-
-// SliceSourcesFromRecords is a convenience for tests: wraps pre-recorded
-// traces as per-core sources.
-func SliceSourcesFromRecords(perCore [][]trace.Record) []trace.Source {
-	out := make([]trace.Source, len(perCore))
-	for i, recs := range perCore {
-		out[i] = trace.NewSliceSource(recs)
-	}
-	return out
 }

@@ -54,31 +54,6 @@ func seedOpts(base RunOptions, seed int64) (RunOptions, string) {
 	return o, fmt.Sprintf("seed=%d", seed)
 }
 
-// SpeedupOverSeeds runs a (workload, prefetcher) comparison under several
-// workload seeds and returns the speedup distribution — the statistical
-// robustness check behind the single-seed figures (the paper's SimFlex
-// methodology reports 95% confidence over checkpoint samples; seeds play
-// the role of checkpoints here).
-func SpeedupOverSeeds(w workloads.Spec, prefetcher string, opts RunOptions, seeds []int64) (SeedStats, error) {
-	if len(seeds) == 0 {
-		seeds = defaultSeeds()
-	}
-	samples := make([]float64, 0, len(seeds))
-	for _, seed := range seeds {
-		o, _ := seedOpts(opts, seed)
-		base, err := Run(w, nil, o)
-		if err != nil {
-			return SeedStats{}, err
-		}
-		res, err := RunNamed(w, prefetcher, o)
-		if err != nil {
-			return SeedStats{}, err
-		}
-		samples = append(samples, res.Throughput()/base.Throughput())
-	}
-	return newSeedStats(samples), nil
-}
-
 // seedSample returns the memoised speedup of prefetcher over the baseline
 // on w under one seed.
 func (m *Matrix) seedSample(w workloads.Spec, prefetcher string, seed int64) (float64, error) {
@@ -95,7 +70,10 @@ func (m *Matrix) seedSample(w workloads.Spec, prefetcher string, seed int64) (fl
 }
 
 // SeedSweep renders the multi-seed robustness table for one prefetcher,
-// memoising each seeded run in m.
+// memoising each seeded run in m: the speedup distribution over workload
+// seeds behind the single-seed figures (the paper's SimFlex methodology
+// reports 95% confidence over checkpoint samples; seeds play the role of
+// checkpoints here).
 func SeedSweep(m *Matrix, prefetcher string, seeds []int64) (Table, error) {
 	if len(seeds) == 0 {
 		seeds = defaultSeeds()

@@ -17,6 +17,17 @@ import (
 // window the harness tests simulate.
 const telemetryTestEpoch = 10_000
 
+// telemetryTestWorkload is the workload the telemetry tests simulate:
+// dependence-heavy enough that mid-stream ROB/LSQ state matters.
+func telemetryTestWorkload(t *testing.T) workloads.Spec {
+	t.Helper()
+	w, ok := workloads.ByName("DataServing")
+	if !ok {
+		t.Fatal("workload DataServing not registered")
+	}
+	return w
+}
+
 // readTelemetryDoc loads and decodes one exported cell document.
 func readTelemetryDoc(t *testing.T, dir string, key CellKey) telemetry.Document {
 	t.Helper()
@@ -37,7 +48,7 @@ func readTelemetryDoc(t *testing.T, dir string, key CellKey) telemetry.Document 
 // Results, and both export files must appear for every cell (including
 // the lifecycle-free baseline).
 func TestMatrixTelemetryIsPureObserver(t *testing.T) {
-	w := checkpointOracleWorkload(t)
+	w := telemetryTestWorkload(t)
 	opts := tinyOptions()
 
 	plain := NewMatrix(opts)
@@ -74,7 +85,7 @@ func TestMatrixTelemetryIsPureObserver(t *testing.T) {
 // end-of-run metric totals, and the lifecycle counters conserve and
 // agree with the cell's Results.
 func TestTelemetryExportProperties(t *testing.T) {
-	w := checkpointOracleWorkload(t)
+	w := telemetryTestWorkload(t)
 	m := NewMatrix(tinyOptions())
 	dir := t.TempDir()
 	if err := m.SetTelemetry(dir, telemetryTestEpoch); err != nil {

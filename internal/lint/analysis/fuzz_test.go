@@ -7,7 +7,7 @@ import (
 
 // FuzzDirectiveParser drives the single tokenizer behind every
 // annotation vocabulary (//lint:ignore, //hot:alloc, //obs:write,
-// //ckpt:skip, ...) plus the suppression grammar layered on it. The
+// //conc:immutable, ...) plus the suppression grammar layered on it. The
 // parsers gate real enforcement — a crash or a grammar hole here is a
 // linter that either dies on a hostile comment or silently accepts a
 // malformed waiver — so the properties checked are the ones the
@@ -15,12 +15,12 @@ import (
 func FuzzDirectiveParser(f *testing.F) {
 	for _, seed := range []string{
 		"//lint:ignore detlint map iteration is sorted first",
-		"//lint:file-ignore statelint,sharelint generated file",
+		"//lint:file-ignore detlint,sharelint generated file",
 		"//lint:ignore locklint",
 		"//hot:alloc reused buffer grows to steady-state capacity",
 		"//hot:path prefetch issue path",
-		"//obs:write checkpoint restore",
-		"//ckpt:skip derived cache",
+		"//obs:write sampling epoch reset",
+		"//vet:skip domain no analyzer owns",
 		"//conc:immutable after construction",
 		"//go:build san",
 		"// ordinary prose with a colon: not a directive",

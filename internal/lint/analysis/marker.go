@@ -6,8 +6,8 @@ import "strings"
 //
 //	//domain:verb [argument...]
 //
-// — //lint:ignore, //ckpt:skip, //conc:immutable, //hot:alloc, //obs:write
-// and friends. ParseMarker is the single tokenizer behind every one of
+// — //lint:ignore, //conc:immutable, //hot:alloc, //obs:write and
+// friends. ParseMarker is the single tokenizer behind every one of
 // those vocabularies: each analyzer validates its own domain's verbs and
 // argument grammar on top, but the "does this comment address the suite
 // at all, and how does it split" question is answered in exactly one
@@ -17,8 +17,8 @@ import "strings"
 // owning analyzer decides whether the verb is known and the argument
 // well-formed.
 type Marker struct {
-	// Domain is the namespace before the colon ("lint", "ckpt", "conc",
-	// "hot", "obs").
+	// Domain is the namespace before the colon ("lint", "conc", "hot",
+	// "obs").
 	Domain string
 	// Verb is the word after the colon, up to the first space.
 	Verb string

@@ -65,15 +65,7 @@ type Event struct {
 	// matching sanity) and EvDynFunc/EvSpawn-of-a-value (flow-insensitive
 	// resolution against escaping function references).
 	Sig string
-	// Pos is the module-relative "file:line" of the event.
-	Pos string
-
-	localPos token.Pos // live-only; gob drops it (see package doc)
 }
-
-// LocalPos returns the event's position in the producing pass's FileSet,
-// or token.NoPos for a summary that crossed a package boundary.
-func (e *Event) LocalPos() token.Pos { return e.localPos }
 
 // AllocSite is one place a function may allocate on the heap.
 type AllocSite struct {

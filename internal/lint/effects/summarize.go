@@ -135,8 +135,7 @@ func (s *summarizer) summarizeFunc(key string, fn *types.Func, fd *ast.FuncDecl,
 				fe.HotPath = m.Arg
 			case m.Domain == "obs" && m.Verb == "write":
 				// A doc-comment //obs:write waives every write in the body,
-				// function literals included (checkpoint-restore functions
-				// assign through closures).
+				// function literals included.
 				obsBody = m.Arg
 			}
 		}
@@ -212,10 +211,6 @@ func (w *walker) write(lhs ast.Expr, pos token.Pos) {
 		Waived:   waived,
 		localPos: pos,
 	})
-}
-
-func (w *walker) event(kind EventKind, pos token.Pos, key string) Event {
-	return Event{Kind: kind, Key: key, Pos: relPos(w.pass(), pos), localPos: pos}
 }
 
 // lit summarizes a function literal under a synthetic key derived from
@@ -591,15 +586,13 @@ func (w *walker) callParts(call *ast.CallExpr) (evs []Event, own int) {
 		if lit, ok := fun.(*ast.FuncLit); ok {
 			key := w.lit(lit) // immediately-invoked literal: a plain call edge
 			evs = w.callArgs(call, nil)
-			evs = append(evs, w.event(EvCall, call.Pos(), key))
+			evs = append(evs, Event{Kind: EvCall, Key: key})
 			return evs, len(evs) - 1
 		}
 		evs = w.expr(call.Fun)
 		evs = append(evs, w.callArgs(call, nil)...)
 		if sig, ok := pass.TypeOf(call.Fun).(*types.Signature); ok {
-			ev := w.event(EvDynFunc, call.Pos(), "")
-			ev.Sig = sigString(sig)
-			evs = append(evs, ev)
+			evs = append(evs, Event{Kind: EvDynFunc, Sig: sigString(sig)})
 			return evs, len(evs) - 1
 		}
 		return evs, -1
@@ -622,10 +615,12 @@ func (w *walker) callParts(call *ast.CallExpr) (evs []Event, own int) {
 			if named == nil || named.Obj().Pkg() == nil {
 				return evs, -1 // anonymous or universe interface: unresolvable
 			}
-			ev := w.event(EvDynCall, call.Pos(), named.Obj().Pkg().Path()+"."+named.Obj().Name())
-			ev.Method = fn.Name()
-			ev.Sig = sigString(sig)
-			evs = append(evs, ev)
+			evs = append(evs, Event{
+				Kind:   EvDynCall,
+				Key:    named.Obj().Pkg().Path() + "." + named.Obj().Name(),
+				Method: fn.Name(),
+				Sig:    sigString(sig),
+			})
 			return evs, len(evs) - 1
 		}
 	}
@@ -640,7 +635,7 @@ func (w *walker) callParts(call *ast.CallExpr) (evs []Event, own int) {
 		if !ok {
 			return evs, -1
 		}
-		evs = append(evs, w.event(EvCall, call.Pos(), key))
+		evs = append(evs, Event{Kind: EvCall, Key: key})
 		return evs, len(evs) - 1
 	}
 

@@ -1,8 +1,8 @@
 // Package lint assembles simlint, the simulator's invariant suite:
 // project-specific analyzers on the cross-package mini go/analysis
 // framework in internal/lint/analysis. See the package docs of detlint,
-// errlint, hotlint, paramlint, purelint, sanlint, sharelint, statelint,
-// and unitlint for the invariant each one guards, DESIGN.md §10 for the
+// errlint, hotlint, paramlint, purelint, sanlint, sharelint and
+// unitlint for the invariant each one guards, DESIGN.md §10 for the
 // catalog, and README.md ("Static analysis & invariants") for the
 // suppression directives.
 package lint
@@ -21,7 +21,6 @@ import (
 	"bingo/internal/lint/purelint"
 	"bingo/internal/lint/sanlint"
 	"bingo/internal/lint/sharelint"
-	"bingo/internal/lint/statelint"
 	"bingo/internal/lint/unitlint"
 )
 
@@ -37,7 +36,6 @@ func Suite() []*analysis.Analyzer {
 		purelint.Analyzer,
 		sanlint.Analyzer,
 		sharelint.Analyzer,
-		statelint.Analyzer,
 		unitlint.Analyzer,
 	}
 }

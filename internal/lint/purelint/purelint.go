@@ -19,13 +19,10 @@
 // for interface calls, signature matching for function values; see
 // internal/lint/effects for the soundness caveats. Writes whose
 // type-based owner is itself a telemetry package are allowed (the layer
-// may maintain its own counters), and so are writes to the checkpoint
-// codec's own state (bingo/internal/checkpoint's Writer cursor, Reader
-// offset, schema accumulator): telemetry participates in save/restore,
-// and mutating the serializer is what serializing is. Everything else
-// module-local is a finding. Local sites are reported where they stand;
-// sites reached in dependency packages are reported at the root's
-// declaration with the remote position in the message.
+// may maintain its own counters). Everything else module-local is a
+// finding. Local sites are reported where they stand; sites reached in
+// dependency packages are reported at the root's declaration with the
+// remote position in the message.
 package purelint
 
 import (
@@ -47,13 +44,6 @@ var Analyzer = &analysis.Analyzer{
 
 func telemetryPkg(path string) bool {
 	return strings.Contains(path, "telemetry")
-}
-
-// allowedOwner reports whether state owned by pkg may be written from
-// telemetry code: the telemetry layer's own state, and the checkpoint
-// codec's cursor/schema bookkeeping (see the package doc).
-func allowedOwner(pkg string) bool {
-	return telemetryPkg(pkg) || pkg == "bingo/internal/checkpoint"
 }
 
 func run(pass *analysis.Pass) error {
@@ -92,7 +82,7 @@ func walkRoot(pass *analysis.Pass, w *effects.World, root *effects.FuncEffects, 
 		}
 		for i := range fe.Writes {
 			site := &fe.Writes[i]
-			if site.Waived != "" || allowedOwner(site.Pkg) {
+			if site.Waived != "" || telemetryPkg(site.Pkg) {
 				continue
 			}
 			if fe.Pkg == here && site.LocalPos().IsValid() {

@@ -26,16 +26,28 @@ type tableEntry[V any] struct {
 	value V
 }
 
-// NewTable creates a table with the given total entry count and
-// associativity. numEntries must be a multiple of ways and the implied set
-// count a power of two.
-func NewTable[V any](numEntries, ways int) (*Table[V], error) {
+// TableSets returns the set count of a numEntries-entry, ways-way table.
+// It is the one geometry rule of every set-associative prefetcher table:
+// numEntries must be a positive multiple of ways and the set count a
+// power of two. Configuration validators call it to check a size without
+// allocating the table.
+func TableSets(numEntries, ways int) (int, error) {
 	if ways <= 0 || numEntries <= 0 || numEntries%ways != 0 {
-		return nil, fmt.Errorf("prefetch: table entries %d not divisible into %d ways", numEntries, ways)
+		return 0, fmt.Errorf("prefetch: table entries %d not divisible into %d ways", numEntries, ways)
 	}
 	sets := numEntries / ways
 	if !mem.IsPow2(sets) {
-		return nil, fmt.Errorf("prefetch: table set count %d must be a power of two", sets)
+		return 0, fmt.Errorf("prefetch: table set count %d must be a power of two", sets)
+	}
+	return sets, nil
+}
+
+// NewTable creates a table with the given total entry count and
+// associativity (see TableSets).
+func NewTable[V any](numEntries, ways int) (*Table[V], error) {
+	sets, err := TableSets(numEntries, ways)
+	if err != nil {
+		return nil, err
 	}
 	return &Table[V]{
 		ways:    ways,

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"fmt"
+
 	"bingo/internal/mem"
 )
 
@@ -33,11 +35,9 @@ type Trigger struct {
 // residency. Regions that never saw a second distinct block are dropped
 // without training, which keeps one-shot regions from polluting history.
 type RegionTracker struct {
-	//ckpt:skip derived from the region size re-supplied at construction
-	rc     mem.RegionConfig
-	filter *Table[ActiveRegion]
-	accum  *Table[ActiveRegion]
-	//ckpt:skip wiring, re-registered by the owning prefetcher's constructor
+	rc         mem.RegionConfig
+	filter     *Table[ActiveRegion]
+	accum      *Table[ActiveRegion]
 	onComplete func(ActiveRegion)
 
 	// CompletedResidencies counts footprints handed back via OnEviction.
@@ -51,7 +51,6 @@ type RegionTracker struct {
 	// trig is the scratch result Observe returns a pointer into, so the
 	// per-access hot path stays allocation-free. It is overwritten by the
 	// next Observe call.
-	//ckpt:skip scratch result, dead between Observe calls
 	trig Trigger
 }
 
@@ -71,18 +70,29 @@ func (rt *RegionTracker) complete(ar ActiveRegion) {
 	}
 }
 
+// CheckTrackerGeometry reports whether NewRegionTracker accepts these
+// table sizes, without allocating the tables.
+func CheckTrackerGeometry(filterEntries, accumEntries, ways int) error {
+	if _, err := TableSets(filterEntries, ways); err != nil {
+		return fmt.Errorf("filter table: %w", err)
+	}
+	if _, err := TableSets(accumEntries, ways); err != nil {
+		return fmt.Errorf("accumulation table: %w", err)
+	}
+	return nil
+}
+
 // NewRegionTracker builds a tracker with the given filter/accumulation
 // capacities (entries are fully counted by StorageBits).
 func NewRegionTracker(rc mem.RegionConfig, filterEntries, accumEntries, ways int) (*RegionTracker, error) {
-	ft, err := NewTable[ActiveRegion](filterEntries, ways)
-	if err != nil {
+	if err := CheckTrackerGeometry(filterEntries, accumEntries, ways); err != nil {
 		return nil, err
 	}
-	at, err := NewTable[ActiveRegion](accumEntries, ways)
-	if err != nil {
-		return nil, err
-	}
-	return &RegionTracker{rc: rc, filter: ft, accum: at}, nil
+	return &RegionTracker{
+		rc:     rc,
+		filter: MustNewTable[ActiveRegion](filterEntries, ways),
+		accum:  MustNewTable[ActiveRegion](accumEntries, ways),
+	}, nil
 }
 
 // MustNewRegionTracker panics on configuration error.

@@ -39,15 +39,12 @@ type zoneMap struct {
 
 // AMPM is the access-map prefetcher.
 type AMPM struct {
-	//ckpt:skip construction parameter, re-supplied by New before restore
-	cfg Config
-	//ckpt:skip derived from cfg.ZoneBytes in New
+	cfg   Config
 	rc    mem.RegionConfig
 	zones *prefetch.Table[zoneMap]
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

@@ -65,23 +65,18 @@ func offsetList() []int {
 
 // BOP is the best-offset prefetcher.
 type BOP struct {
-	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
-	cfg Config
-	//ckpt:skip derived from cfg.RegionBytes in New
-	rc mem.RegionConfig
-	//ckpt:skip candidate list, recomputed from cfg in New; LoadState validates its length
+	cfg     Config
+	rc      mem.RegionConfig
 	offsets []int
 	scores  []int
 	testIdx int
 	round   int
 	best    int // currently selected offset; 0 disables prefetching
 	rr      []uint64
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	rrMask uint64
+	rrMask  uint64
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

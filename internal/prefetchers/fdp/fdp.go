@@ -64,7 +64,6 @@ type Stats struct {
 // FDP wraps an inner prefetcher with accuracy-feedback throttling. It
 // implements both prefetch.Prefetcher and the cache outcome observer.
 type FDP struct {
-	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
 	cfg    Config
 	inner  prefetch.Prefetcher
 	degree int

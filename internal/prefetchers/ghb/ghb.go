@@ -33,7 +33,6 @@ type ghbEntry struct {
 
 // GHB is the PC/DC prefetcher.
 type GHB struct {
-	//ckpt:skip construction parameter, re-supplied by New; LoadState validates the buffer size
 	cfg   Config
 	buf   []ghbEntry
 	head  int64                  // total entries ever pushed; buf index = head % len
@@ -41,12 +40,9 @@ type GHB struct {
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 	// chainBuf and deltaBuf are reusable scratch for the delta search.
-	//ckpt:skip scratch buffer, contents dead between calls
 	chainBuf []uint64
-	//ckpt:skip scratch buffer, contents dead between calls
 	deltaBuf []int64
 }
 

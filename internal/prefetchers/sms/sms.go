@@ -39,9 +39,7 @@ type patternEntry struct {
 
 // SMS is the PC+Offset-indexed spatial prefetcher.
 type SMS struct {
-	//ckpt:skip construction parameter, re-supplied by New before restore
-	cfg Config
-	//ckpt:skip derived from cfg.RegionBytes in New
+	cfg     Config
 	rc      mem.RegionConfig
 	tracker *prefetch.RegionTracker
 	history *prefetch.Table[patternEntry]
@@ -52,7 +50,6 @@ type SMS struct {
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so the
 	// per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

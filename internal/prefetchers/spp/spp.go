@@ -70,21 +70,16 @@ type ptEntry struct {
 
 // SPP is the signature-path prefetcher.
 type SPP struct {
-	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
-	cfg Config
-	//ckpt:skip derived from cfg.PageBytes in New; LoadState validates against it
+	cfg     Config
 	rc      mem.RegionConfig
 	sigs    *prefetch.Table[stEntry]
 	pattern []ptEntry
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	ptMask uint32
-	filter []uint64
-	//ckpt:skip derived geometry, recomputed from cfg in New
-	fMask uint64
+	ptMask  uint32
+	filter  []uint64
+	fMask   uint64
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

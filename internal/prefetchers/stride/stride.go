@@ -31,13 +31,11 @@ type rptEntry struct {
 
 // Stride is the per-PC stride prefetcher.
 type Stride struct {
-	//ckpt:skip construction parameter, re-supplied by New; LoadState validates against it
 	cfg Config
 	rpt *prefetch.Table[rptEntry]
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 
@@ -115,12 +113,10 @@ var _ prefetch.Prefetcher = (*Stride)(nil)
 
 // NextLine prefetches the next n sequential blocks on every access.
 type NextLine struct {
-	//ckpt:skip configuration constant set at construction; NextLine itself is stateless
 	N int
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

@@ -57,9 +57,7 @@ type dptEntry struct {
 
 // VLDP is the variable-length delta prefetcher.
 type VLDP struct {
-	//ckpt:skip construction parameter, re-supplied by New before restore
-	cfg Config
-	//ckpt:skip derived from cfg.PageBytes in New; LoadState validates against it
+	cfg  Config
 	rc   mem.RegionConfig
 	dhb  *prefetch.Table[dhbEntry]
 	dpts [3]*prefetch.Table[dptEntry] // index i keyed by history length i+1
@@ -67,7 +65,6 @@ type VLDP struct {
 
 	// addrBuf backs the slice OnAccess returns; reused across calls so
 	// the per-access hot path stays allocation-free.
-	//ckpt:skip scratch buffer, contents dead between calls
 	addrBuf []mem.Addr
 }
 

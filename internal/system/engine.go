@@ -37,9 +37,7 @@ type EngineStats struct {
 // SetEngine selects the engine. A freshly built System already runs the
 // event engine; SetEngine(EngineLockstep) exists only so the
 // engine-differential oracles can run the lockstep reference. Call it
-// before Run (or between a checkpoint restore and the resuming Run — the
-// engine is not part of a checkpoint, and either engine resumes any
-// checkpoint to the same results).
+// before Run.
 func (s *System) SetEngine(e Engine) { s.engine = e }
 
 // Engine returns the selected engine.
@@ -48,30 +46,24 @@ func (s *System) Engine() Engine { return s.engine }
 // EngineStats returns the global-loop accounting of the run so far.
 func (s *System) EngineStats() EngineStats { return s.engineStats }
 
-// SetPauseAt makes RunResumable pause when the clock first reaches cycle
-// at, before any core ticks there — the invariant that makes a
-// checkpoint taken at the pause resume exactly. A cycle the run has
-// already reached pauses at the next one. Zero clears the pause point.
-func (s *System) SetPauseAt(at uint64) { s.pauseAt = at }
-
 // runUntil simulates until every core has retired target instructions
 // (or drained), reporting once per core through mark the cycle of the
 // tick that got it there, and leaves the clock on the last such cycle.
-// It returns true when a pause point stopped it first. Re-entry after a
-// pause is exact: every live core ticks at the entry cycle, as the
-// lockstep loop does, and a tick a core has no work for changes nothing
-// but the MemStall count the uninterrupted run would add there anyway.
-// mark-once idempotence across re-entry is the caller's guard.
-func (s *System) runUntil(target uint64, mark func(core int, cycle uint64)) bool {
+// Entering the measurement phase after warm-up is exact: every live core
+// ticks at the entry cycle, as the lockstep loop does, and a tick a core
+// has no work for changes nothing but the MemStall count the
+// uninterrupted run would add there anyway.
+func (s *System) runUntil(target uint64, mark func(core int, cycle uint64)) {
 	if s.engine == EngineLockstep {
-		return s.runLockstep(target, mark)
+		s.runLockstep(target, mark)
+		return
 	}
-	return s.run(target, mark)
+	s.run(target, mark)
 }
 
 // runLockstep is the reference loop: every live core ticks on every
 // cycle, in core order.
-func (s *System) runLockstep(target uint64, mark func(core int, cycle uint64)) bool {
+func (s *System) runLockstep(target uint64, mark func(core int, cycle uint64)) {
 	reached := make([]bool, len(s.cores))
 	for first := true; ; first = false {
 		all := true
@@ -91,11 +83,9 @@ func (s *System) runLockstep(target uint64, mark func(core int, cycle uint64)) b
 			}
 		}
 		if all {
-			return false
+			return
 		}
-		if s.cut(s.clock + 1) {
-			return true
-		}
+		s.cut(s.clock + 1)
 	}
 }
 
@@ -104,12 +94,12 @@ func (s *System) runLockstep(target uint64, mark func(core int, cycle uint64)) b
 // and stops just before its next memory operation; the loop issues the
 // suspended operations in (cycle, core) order, which is exactly the
 // order the lockstep loop issues them in. Cores run ahead only up to a
-// bound, the nearest cut: the next telemetry epoch edge, the pause
-// point, or the earliest cycle the phase can end. No core ticks at or
-// past a cut until every core has finished every cycle below it, so the
-// machine is whole there, as a lockstep run is between two cycles.
-// DESIGN.md §9 gives the argument.
-func (s *System) run(target uint64, mark func(core int, cycle uint64)) bool {
+// bound, the nearest cut: the next telemetry epoch edge or the earliest
+// cycle the phase can end. No core ticks at or past a cut until every
+// core has finished every cycle below it, so the machine is whole there,
+// as a lockstep run is between two cycles. DESIGN.md §9 gives the
+// argument.
+func (s *System) run(target uint64, mark func(core int, cycle uint64)) {
 	n := len(s.cores)
 	// reachAt[i] is the cycle core i reached target, and pending[i] the
 	// cycle of the memory operation it is suspended at; ^0 for neither.
@@ -206,38 +196,30 @@ func (s *System) run(target uint64, mark func(core int, cycle uint64)) bool {
 			}
 			s.sanAtPhaseEnd(last, bound)
 			s.clock = last
-			return false
+			return
 		}
 		s.sanAtCut(bound)
-		if s.cut(bound) {
-			return true
-		}
+		s.cut(bound)
 	}
 }
 
 // nextCut returns the nearest cycle after the clock at which the loop
-// must stop the cores: a telemetry epoch edge or the pause point.
+// must stop the cores: the next telemetry epoch edge.
 func (s *System) nextCut() uint64 {
-	at := ^uint64(0)
 	if s.tel != nil && s.phase == phaseMeasure {
-		at = s.tel.NextSampleAt()
+		return s.tel.NextSampleAt()
 	}
-	if s.pauseAt != 0 {
-		at = min(at, max(s.pauseAt, s.clock+1))
-	}
-	return at
+	return ^uint64(0)
 }
 
 // cut moves the clock to cycle, which no core has ticked at yet, and
-// performs what is due there: the telemetry sample of an epoch edge and
-// the pause. It reports whether the run pauses. At a cut that only
-// bounds the phase's end neither is due.
-func (s *System) cut(cycle uint64) bool {
+// takes the telemetry sample when an epoch edge is due there. At a cut
+// that only bounds the phase's end nothing is due.
+func (s *System) cut(cycle uint64) {
 	prev := s.clock
 	s.clock = cycle
 	s.sanAtAdvance(prev, cycle)
 	if s.tel != nil && s.phase == phaseMeasure && s.tel.ShouldSample(cycle) {
 		s.tel.Sample(cycle, s.telTotals())
 	}
-	return s.pauseAt != 0 && cycle >= s.pauseAt
 }

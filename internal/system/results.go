@@ -70,9 +70,9 @@ func (s *System) collect(start uint64, snaps []coreSnapshot) Results {
 	}
 	for i := range s.cores {
 		st := snaps[i].stats
-		// A snapshot can predate the measurement start when a resumed run
-		// paused exactly at the measurement boundary and a core's trace was
-		// already exhausted; guard the unsigned subtraction.
+		// A core whose trace drained during warm-up takes its snapshot at
+		// the measurement start itself; clamp its zero-width interval to
+		// one cycle so its IPC is 0, not 0/0.
 		cycles := uint64(1)
 		if snaps[i].cycle > start {
 			cycles = snaps[i].cycle - start

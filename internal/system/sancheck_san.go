@@ -59,7 +59,7 @@ func (s *System) sanAtIssue(core int, cycle, bound uint64) {
 }
 
 // sanAtCut verifies that at a cut every core's next tick lies at or past
-// it: the machine the telemetry sample or the checkpoint observes has
+// it: the machine the telemetry sample observes has
 // simulated every cycle below the cut and none from it on.
 func (s *System) sanAtCut(bound uint64) {
 	if !san.Enabled() {

@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"slices"
 
 	"bingo/internal/cache"
 	"bingo/internal/cpu"
@@ -60,17 +61,13 @@ type System struct {
 	evictPFs []prefetch.Prefetcher
 
 	// Run-progress state. Keeping it on the System (rather than local to
-	// Run) is what makes a run pausable at any clock advance and
-	// checkpointable mid-stream: phase records which budget the loop is
-	// working toward, measureStart the cycle measurement began, and snaps
-	// the per-core freeze frames taken as each core reaches its budget.
+	// Run) is what lets RunWarmup stop at the measurement boundary and Run
+	// continue from there: phase records which budget the loop is working
+	// toward, measureStart the cycle measurement began, and snaps the
+	// per-core freeze frames taken as each core reaches its budget.
 	phase        uint8
 	measureStart uint64
 	snaps        []coreSnapshot
-
-	// pauseAt, when non-zero, is the cycle RunResumable pauses at (see
-	// SetPauseAt).
-	pauseAt uint64
 
 	// engine selects how the loop advances the machine (see engine.go),
 	// and engineStats counts the event engine's global-loop iterations.
@@ -127,7 +124,7 @@ func New(cfg Config, sources []trace.Source, factory prefetch.Factory) (*System,
 		// factory hands every core the same instance, and scanning for
 		// duplicates per eviction is O(cores²) at 64 cores.
 		for i, p := range s.pfs {
-			if s.sharedPFIndex(i) < 0 {
+			if !slices.Contains(s.pfs[:i], p) {
 				s.evictPFs = append(s.evictPFs, p)
 			}
 		}
@@ -304,61 +301,23 @@ func (s *System) Cores() []*cpu.Core { return s.cores }
 func (s *System) Clock() uint64 { return s.clock }
 
 // Run executes warm-up then measurement and returns the results. It may
-// be called once per System (or once on a system restored from a
-// checkpoint, which picks up in whatever phase the snapshot captured).
-// It panics if a pause point (SetPauseAt) pauses the run; use
-// RunResumable for pausable runs.
+// be called once per System, or once after RunWarmup, in which case it
+// runs just the measurement phase.
 //
 // Measurement follows the usual multi-programmed methodology: every core
 // keeps executing (so shared-resource contention stays realistic) until
 // all cores have retired their budget, but each core's instruction count
 // and cycle interval are snapshotted the moment it reaches its own budget.
 func (s *System) Run() Results {
-	res, paused := s.RunResumable()
-	if paused {
-		panic("system: run paused at its pause point; use RunResumable")
-	}
-	return res
-}
-
-// RunWarmup advances through the warm-up phase only, leaving the system
-// at the measurement boundary (stats reset, measurement clock marked).
-// A checkpoint taken here holds the warmed machine: restoring it and
-// calling Run executes just the measurement phase.
-func (s *System) RunWarmup() {
-	if s.phase != phaseWarmup {
-		panic("system: RunWarmup after warm-up already completed")
-	}
-	if s.cfg.WarmupInstr > 0 {
-		if paused := s.runUntil(s.cfg.WarmupInstr, func(int, uint64) {}); paused {
-			panic("system: warm-up paused at its pause point")
-		}
-	}
-	s.enterMeasure()
-}
-
-// RunResumable is Run for pausable simulations: when the clock reaches
-// the pause point (SetPauseAt) it returns (zero Results, true), and the system can be
-// checkpointed and later resumed — calling RunResumable (or Run) again,
-// on this system or a restored copy, continues the identical simulation.
-func (s *System) RunResumable() (Results, bool) {
 	if s.phase == phaseWarmup {
-		if s.cfg.WarmupInstr > 0 {
-			if paused := s.runUntil(s.cfg.WarmupInstr, func(int, uint64) {}); paused {
-				return Results{}, true
-			}
-		}
-		s.enterMeasure()
+		s.RunWarmup()
 	}
 	if s.phase == phaseMeasure {
-		paused := s.runUntil(s.cfg.MeasureInstr, func(i int, cycle uint64) {
+		s.runUntil(s.cfg.MeasureInstr, func(i int, cycle uint64) {
 			if !s.snaps[i].taken {
 				s.snaps[i] = coreSnapshot{taken: true, cycle: cycle, stats: s.cores[i].Stats(), l1: s.l1s[i].Stats()}
 			}
 		})
-		if paused {
-			return Results{}, true
-		}
 		for i := range s.snaps {
 			if !s.snaps[i].taken { // trace exhausted before reaching budget
 				s.snaps[i] = coreSnapshot{taken: true, cycle: s.clock, stats: s.cores[i].Stats(), l1: s.l1s[i].Stats()}
@@ -370,7 +329,27 @@ func (s *System) RunResumable() (Results, bool) {
 		}
 		s.phase = phaseDone
 	}
-	return s.collect(s.measureStart, s.snaps), false
+	return s.collect(s.measureStart, s.snaps)
+}
+
+// RunWarmup advances through the warm-up phase only, leaving the system
+// at the measurement boundary (stats reset, measurement clock marked),
+// so the phases can be timed apart; Run then executes just the
+// measurement phase.
+func (s *System) RunWarmup() {
+	if s.phase != phaseWarmup {
+		panic("system: RunWarmup after warm-up already completed")
+	}
+	if s.cfg.WarmupInstr > 0 {
+		s.runUntil(s.cfg.WarmupInstr, func(int, uint64) {})
+	}
+	s.enterMeasure()
+}
+
+// RunResumable is Run under its older two-result signature. A run never
+// pauses, so the second result is always false.
+func (s *System) RunResumable() (Results, bool) {
+	return s.Run(), false
 }
 
 // enterMeasure performs the warm-up → measurement transition: reset every
@@ -406,10 +385,9 @@ func (s *System) enterMeasure() {
 // EnableTelemetry attaches an epoch collector. The collector observes
 // the same counters collect reads and never feeds back into simulation,
 // so enabling it cannot change Results (the telemetry oracle tests pin
-// this). Attach before Run for a full series; attaching after a restore
-// that landed mid-measurement resynchronises the epoch grid to the
-// measurement start, so a warm-started run reports the same series as a
-// cold one. Panics if a different collector is already attached.
+// this). Attach before Run or RunWarmup: the collector begins sampling
+// at the measurement boundary. Panics if a different collector is
+// already attached, or if the run is past warm-up.
 func (s *System) EnableTelemetry(c *telemetry.Collector) {
 	if c == nil {
 		s.tel = nil
@@ -418,14 +396,13 @@ func (s *System) EnableTelemetry(c *telemetry.Collector) {
 	if s.tel != nil && s.tel != c {
 		panic("system: telemetry collector already attached")
 	}
-	c.BindCores(len(s.cores))
+	if s.phase != phaseWarmup {
+		panic("system: EnableTelemetry after warm-up; attach the collector before the run starts")
+	}
 	if s.lc != nil {
 		c.BindLifecycle(s.lc)
 	}
 	s.tel = c
-	if s.phase >= phaseMeasure {
-		c.Resync(s.measureStart, s.clock)
-	}
 }
 
 // Telemetry returns the attached collector (nil when telemetry is off).

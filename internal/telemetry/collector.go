@@ -13,21 +13,15 @@ package telemetry
 // concurrent readers (the debug HTTP server).
 type Collector struct {
 	epochCycles uint64
-	cores       int
 
 	// Workload and Prefetcher label exported artifacts; they never
 	// influence collection.
-	//ckpt:skip export label, re-set by the harness; never influences collection
-	Workload string
-	//ckpt:skip export label, re-set by the harness; never influences collection
+	Workload   string
 	Prefetcher string
 
-	reg *Registry
-	//ckpt:skip wiring, re-attached by Begin before restore
-	lc *Lifecycle
-	//ckpt:skip distribution sketch, observational only; Results never read it back
-	margins *Histogram
-	//ckpt:skip distribution sketch, observational only; Results never read it back
+	reg      *Registry
+	lc       *Lifecycle
+	margins  *Histogram
 	lateness *Histogram
 
 	begun      bool
@@ -65,10 +59,6 @@ func (c *Collector) Registry() *Registry { return c.reg }
 // run with no prefetcher).
 func (c *Collector) Lifecycle() *Lifecycle { return c.lc }
 
-// BindCores tells the collector the machine's core count (used to
-// validate checkpointed state).
-func (c *Collector) BindCores(n int) { c.cores = n }
-
 // BindLifecycle points the collector at the system's lifecycle tracker
 // and wires the margin/lateness distributions into it.
 func (c *Collector) BindLifecycle(lc *Lifecycle) {
@@ -98,26 +88,9 @@ func (c *Collector) Begin(cycle uint64) {
 	c.cum = Totals{}
 	// The lifecycle probes fire in every phase, so any warm-up
 	// prefetch-use observations are discarded here: the distributions
-	// cover exactly the measurement window, like the series and counters
-	// (and like a collector attached only after a checkpoint restore).
+	// cover exactly the measurement window, like the series and counters.
 	c.margins.reset()
 	c.lateness.reset()
-}
-
-// Resync starts sampling on a system already inside its measurement
-// window (a run restored from a checkpoint that carried no collector
-// state). Epoch edges stay on the measurement-start grid, so the series
-// lines up with a cold run's from the next edge onward; the interval
-// [start, clock) that was simulated before the restore lands in the
-// first emitted epoch.
-func (c *Collector) Resync(start, clock uint64) {
-	if c.begun {
-		return
-	}
-	c.Begin(start)
-	for c.nextAt <= clock {
-		c.nextAt += c.epochCycles
-	}
 }
 
 // ShouldSample reports whether the clock has crossed the next epoch

@@ -1,13 +1,10 @@
 package telemetry
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bingo/internal/cache"
-	"bingo/internal/checkpoint"
 	"bingo/internal/cpu"
 	"bingo/internal/dram"
 )
@@ -27,7 +24,6 @@ func totalsAt(n uint64, cores int) Totals {
 
 func TestCollectorSeriesSumsToTotals(t *testing.T) {
 	c := NewCollector(100)
-	c.BindCores(2)
 	c.Begin(1000)
 	if !c.Begun() || c.Finished() {
 		t.Fatal("Begin state wrong")
@@ -88,174 +84,9 @@ func TestCollectorSeriesSumsToTotals(t *testing.T) {
 	}
 }
 
-func TestCollectorResync(t *testing.T) {
-	c := NewCollector(100)
-	c.BindCores(1)
-	c.Resync(1000, 1350)
-	if !c.Begun() {
-		t.Fatal("Resync did not begin sampling")
-	}
-	// Next edge stays on the measurement-start grid: 1400, not 1450.
-	if c.ShouldSample(1399) {
-		t.Fatal("edge before 1400")
-	}
-	if !c.ShouldSample(1400) {
-		t.Fatal("no edge at 1400")
-	}
-	c.Sample(1400, totalsAt(40, 1))
-	s := c.Series()
-	if len(s) != 1 || s[0].StartCycle != 1000 || s[0].EndCycle != 1400 {
-		t.Fatalf("first resynced epoch = %+v, want [1000,1400)", s[0])
-	}
-	// Resync on a collector that already began is a no-op.
-	c.Resync(0, 0)
-	if c.Series()[0].StartCycle != 1000 {
-		t.Fatal("second Resync rewound the collector")
-	}
-}
-
 func TestCollectorDefaultEpoch(t *testing.T) {
 	c := NewCollector(0)
 	if c.EpochCycles() != DefaultEpochCycles {
 		t.Fatalf("default epoch = %d, want %d", c.EpochCycles(), DefaultEpochCycles)
-	}
-}
-
-// roundTrip saves c into a checkpoint container and restores it into a
-// fresh collector configured by mk.
-func roundTrip(t *testing.T, c *Collector, mk func() *Collector) (*Collector, error) {
-	t.Helper()
-	fw := checkpoint.NewFileWriter()
-	if err := fw.Add("telemetry", c.SaveState); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := fw.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := checkpoint.NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := fr.Section("telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := mk()
-	if err := c2.LoadState(r); err != nil {
-		return nil, err
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return c2, nil
-}
-
-func TestCollectorStateRoundTrip(t *testing.T) {
-	lc := NewLifecycle(2)
-	c := NewCollector(100)
-	c.BindCores(2)
-	c.BindLifecycle(lc)
-	c.Begin(500)
-	lc.Predicted(0, 3)
-	lc.PrefetchFill(0)
-	lc.PrefetchFill(0)
-	lc.PrefetchRedundant(0)
-	lc.PrefetchUse(0, false, 42)
-	lc.PrefetchUse(1, true, 9) // core 1 use without fill: clamped, still recorded
-	c.Sample(600, totalsAt(10, 2))
-	c.Sample(705, totalsAt(30, 2))
-
-	c2, err := roundTrip(t, c, func() *Collector {
-		c2 := NewCollector(100)
-		c2.BindCores(2)
-		c2.BindLifecycle(NewLifecycle(2))
-		return c2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c2.Series(), c.Series()) {
-		t.Fatalf("restored series differs:\n%+v\n%+v", c2.Series(), c.Series())
-	}
-	if c2.startCycle != 500 || c2.lastEnd != 705 || c2.nextAt != c.nextAt || !c2.begun || c2.finished {
-		t.Fatalf("restored scalars differ: %+v vs %+v", c2, c)
-	}
-	// The margin histogram (held by the restored collector's lifecycle)
-	// carries the observation.
-	if c2.margins.Count() != 1 || c2.margins.Sum() != 42 {
-		t.Fatalf("restored margins = %d/%d, want 1/42", c2.margins.Count(), c2.margins.Sum())
-	}
-	if c2.lateness.Count() != 1 || c2.lateness.Sum() != 9 {
-		t.Fatalf("restored lateness = %d/%d, want 1/9", c2.lateness.Count(), c2.lateness.Sum())
-	}
-
-	// Both continue identically.
-	final := totalsAt(44, 2)
-	c.Finish(790, final)
-	c2.Finish(790, final)
-	if !reflect.DeepEqual(c2.Series(), c.Series()) {
-		t.Fatal("post-restore continuation diverges")
-	}
-}
-
-func TestCollectorStateMismatchErrors(t *testing.T) {
-	c := NewCollector(100)
-	c.BindCores(2)
-	c.Begin(0)
-	c.Sample(150, totalsAt(5, 2))
-
-	if _, err := roundTrip(t, c, func() *Collector {
-		c2 := NewCollector(999) // wrong epoch length
-		c2.BindCores(2)
-		return c2
-	}); err == nil || !strings.Contains(err.Error(), "epoch length") {
-		t.Fatalf("epoch mismatch error = %v", err)
-	}
-	if _, err := roundTrip(t, c, func() *Collector {
-		c2 := NewCollector(100)
-		c2.BindCores(3) // wrong core count
-		return c2
-	}); err == nil || !strings.Contains(err.Error(), "cores") {
-		t.Fatalf("core mismatch error = %v", err)
-	}
-	if _, err := roundTrip(t, c, func() *Collector {
-		c2 := NewCollector(100)
-		c2.BindCores(2)
-		c2.Begin(7) // already sampling
-		return c2
-	}); err == nil || !strings.Contains(err.Error(), "already began") {
-		t.Fatalf("already-begun error = %v", err)
-	}
-}
-
-func TestDiscardState(t *testing.T) {
-	c := NewCollector(100)
-	c.BindCores(2)
-	c.Begin(0)
-	c.Sample(120, totalsAt(3, 2))
-
-	fw := checkpoint.NewFileWriter()
-	if err := fw.Add("telemetry", c.SaveState); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := fw.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := checkpoint.NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := fr.Section("telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := DiscardState(r); err != nil {
-		t.Fatal(err)
-	}
-	// DiscardState must consume the section exactly.
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

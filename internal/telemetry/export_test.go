@@ -12,7 +12,6 @@ func collected(t *testing.T) *Collector {
 	t.Helper()
 	lc := NewLifecycle(2)
 	c := NewCollector(100)
-	c.BindCores(2)
 	c.BindLifecycle(lc)
 	c.Workload = "em3d"
 	c.Prefetcher = "bingo"

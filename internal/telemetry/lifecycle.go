@@ -115,14 +115,6 @@ func (l *Lifecycle) Reset() {
 	}
 }
 
-// SetCore overwrites core i's counters. Checkpoint restore only;
-// out-of-range indices are dropped like every other event.
-func (l *Lifecycle) SetCore(i int, s LifecycleStats) {
-	if l.ok(i) {
-		l.cores[i] = s
-	}
-}
-
 // NumCores returns the tracked core count.
 func (l *Lifecycle) NumCores() int { return len(l.cores) }
 

@@ -49,8 +49,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Store overwrites the value. It exists for mirroring totals computed
-// elsewhere into the registry (and for checkpoint restore) — ordinary
-// instrumentation should only ever Add.
+// elsewhere into the registry — ordinary instrumentation should only
+// ever Add.
 func (c *Counter) Store(n uint64) { c.v.Store(n) }
 
 // Value returns the current count.
@@ -73,9 +73,8 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // HistogramBuckets is the fixed bucket count of every Histogram:
 // bucket i holds observations v with bits.Len64(v) == i, i.e. bucket 0
 // is exactly v=0 and bucket i>0 spans [2^(i-1), 2^i). Power-of-two
-// buckets cover the full uint64 range with bounded, schema-stable
-// state, which keeps histograms cheap to update and trivial to
-// checkpoint.
+// buckets cover the full uint64 range with bounded state, which keeps
+// histograms cheap to update.
 const HistogramBuckets = 65
 
 // Histogram accumulates a distribution of uint64 observations in
@@ -91,6 +90,15 @@ func (h *Histogram) Observe(v uint64) {
 	h.counts[bits.Len64(v)].Add(1)
 	h.sum.Add(v)
 	h.n.Add(1)
+}
+
+// reset zeroes the histogram (the measurement-start boundary).
+func (h *Histogram) reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sum.Store(0)
+	h.n.Store(0)
 }
 
 // Count returns the number of observations.

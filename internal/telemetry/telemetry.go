@@ -8,9 +8,7 @@
 // Telemetry is strictly an observer. Attaching a Collector to a system
 // never changes simulated state: results and stdout are byte-identical
 // with telemetry on or off (the harness pins this with a differential
-// oracle). The Collector is checkpoint-aware — its state rides in the
-// system checkpoint, so a paused-and-resumed run reports the identical
-// epoch series a straight-through run would.
+// oracle).
 //
 // Threading: the Lifecycle and the Collector's series belong to the
 // simulation goroutine, like every other simulator component. Registry

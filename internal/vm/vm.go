@@ -21,23 +21,13 @@ const DefaultPageSize = 4096
 // owns it, so the RNG draw order — and therefore every frame assignment —
 // follows the simulated access order exactly.
 type Translator struct {
-	//ckpt:skip derived from the page size re-supplied to NewTranslator
 	pageShift uint
-	//ckpt:skip derived from the page size re-supplied to NewTranslator
-	pageMask uint64
-	mapping  map[uint64]uint64 // virtual page -> physical frame
-	//ckpt:skip rebuilt by replaying the persisted refill count against the seeded RNG
-	freeList []uint64 // shuffled physical frame numbers
-	nextFree int
-	//ckpt:skip repositioned by replaying refills from the constructor seed
-	rng *rand.Rand
-	//ckpt:skip construction parameter, re-supplied to NewTranslator
-	frames uint64
-	// refills counts refillFreeList calls. The RNG stream is deterministic
-	// from the constructor seed, so a checkpoint stores only this cursor
-	// and restore replays the refills to rebuild the identical free list
-	// (see LoadState in checkpoint.go).
-	refills int
+	pageMask  uint64
+	mapping   map[uint64]uint64 // virtual page -> physical frame
+	freeList  []uint64          // shuffled physical frame numbers
+	nextFree  int
+	rng       *rand.Rand
+	frames    uint64
 }
 
 // NewTranslator creates a translator over a physical memory of memBytes
@@ -104,7 +94,6 @@ const freeListChunk = 1 << 16
 
 //hot:alloc lazy free-list refill, amortized over 64Ki translations
 func (t *Translator) refillFreeList() {
-	t.refills++
 	base := uint64(len(t.freeList))
 	n := uint64(freeListChunk)
 	if base < t.frames && base+n > t.frames {
