@@ -11,18 +11,19 @@ import (
 	"time"
 )
 
-// TestCLIBadInputExitsTwo builds bingosim, experiments, tracegen and
-// traceinfo once and checks that each bad flag value, unknown flag or
-// stray positional argument is a usage error: exit status 2 and a stderr
-// message naming it, before any simulation runs or output is written. One valid run per command
-// guards against a check that rejects everything.
+// TestCLIBadInputExitsTwo builds bingosim, experiments, tracegen,
+// traceinfo and simlint once and checks that each bad flag value,
+// unknown flag, conflicting flag pair or stray positional argument is a
+// usage error: exit status 2 and a stderr message naming it, before any
+// simulation or analysis runs or output is written. One valid run per
+// command guards against a check that rejects everything.
 func TestCLIBadInputExitsTwo(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
 	dir := t.TempDir()
-	for _, cmd := range []string{"bingosim", "experiments", "tracegen", "traceinfo"} {
+	for _, cmd := range []string{"bingosim", "experiments", "tracegen", "traceinfo", "simlint"} {
 		out, err := exec.Command(goTool, "build", "-o", filepath.Join(dir, cmd), "./cmd/"+cmd).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go build ./cmd/%s: %v\n%s", cmd, err, out)
@@ -80,6 +81,10 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"traceinfo", "run.trc"}, `unexpected argument "run.trc"`},
 		// Checkpoint/resume is gone: its flags are unknown.
 		{[]string{"bingosim", "-checkpoint-out", filepath.Join(dir, "run.ckpt")}, "-checkpoint-out"},
+		{[]string{"simlint", "-only", "nosuch"}, "-only"},
+		{[]string{"simlint", "-only", ","}, "-only"},
+		// -sarif used to win silently, dropping the JSON report.
+		{[]string{"simlint", "-json", "-sarif"}, "-json and -sarif"},
 	} {
 		code, stderr := run(tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.flag) {
@@ -92,6 +97,7 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{"bingosim", "-workload", "em3d", "-prefetcher", "none", "-warmup", "1000", "-measure", "2000", "-epoch", "5000", "-telemetry-out", filepath.Join(dir, "ok.json")},
 		{"tracegen", "-workload", "em3d", "-n", "1000", "-o", filepath.Join(dir, "ok.trc")},
 		{"traceinfo", "-workload", "Zeus", "-n", "1000"},
+		{"simlint", "-only", "unitlint", "./internal/mem"},
 	} {
 		if code, stderr := run(valid...); code != 0 {
 			t.Errorf("%v: exit %d, stderr %q; want exit 0", valid, code, stderr)

@@ -14,7 +14,8 @@
 // the `san` build tag (-san) so the sanitizer's gated files are covered;
 // disable either for a faster partial run. -json emits a structured
 // report that includes suppressed findings; -sarif emits a SARIF 2.1.0
-// log for code-scanning upload; -unused-suppressions reports stale
+// log for code-scanning upload (the two are mutually exclusive);
+// -unused-suppressions reports stale
 // //lint: directives — including any that name an analyzer the suite
 // does not have — as findings. Exit status is 0 when no
 // actionable findings are reported, 1 on findings, 2 on usage or load
@@ -53,6 +54,10 @@ func main() {
 	}
 	flag.Parse()
 
+	if *jsonOut && *sarifOut {
+		fmt.Fprintln(os.Stderr, "simlint: -json and -sarif are mutually exclusive; pick one output format")
+		os.Exit(2)
+	}
 	suite := lint.Suite()
 	if *list {
 		for _, a := range suite {
@@ -69,7 +74,7 @@ func main() {
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "simlint: unknown analyzer %q\n", name)
+				fmt.Fprintf(os.Stderr, "simlint: -only: unknown analyzer %q\n", name)
 				os.Exit(2)
 			}
 			suite = append(suite, a)

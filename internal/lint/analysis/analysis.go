@@ -2,22 +2,26 @@
 // of the core of golang.org/x/tools/go/analysis, sized for this repository.
 // The repo deliberately carries no module dependencies (go.mod has no
 // require block), so the invariant suite in internal/lint is built on this
-// mini framework instead of x/tools: the Analyzer / Pass / Diagnostic /
-// Fact surface mirrors the upstream API closely enough that an analyzer
-// written here ports to a real multichecker by changing one import.
+// mini framework instead of x/tools: the Analyzer / Pass / Diagnostic
+// surface mirrors the upstream API closely enough that a single-package
+// analyzer written here ports to a real multichecker by changing one
+// import.
 //
 // The framework loads packages with the standard library only: go/parser
 // for syntax, go/types for type checking, and go/importer's source
 // importer for standard-library dependencies. Module-local imports
 // (bingo/...) are resolved by the Loader itself so that fixtures and the
-// repository's own packages share one type-checked world.
+// repository's own packages share one FileSet and one type-checked world.
 //
-// Since PR 7 the framework is cross-package: analyzers may declare
-// prerequisite analyzers (Requires — scheduled topologically, cycles are
-// errors) and attach Facts to packages that downstream packages
-// consume through a serialized store. The Runner analyzes
-// packages in module dependency order so facts always exist before they
-// are imported; see runner.go and facts.go.
+// There are no package facts and no analyzer prerequisites. An analyzer
+// that needs another package's code reads it from that world: every
+// module-local package a unit imports is already in its Loader's cache,
+// type-checked against the same FileSet, and Loader.Memo derives data
+// from it once per loader rather than once per pass. The effects
+// summaries behind hotlint and purelint work this way (see
+// internal/lint/effects), and so does sharelint's walk of another
+// package's types. The Runner therefore analyzes only the units it is
+// asked for, in the order it is asked.
 package analysis
 
 import (
@@ -38,15 +42,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant the analyzer
 	// guards, shown by `simlint -help`.
 	Doc string
-	// Requires lists analyzers that must run on each package before this
-	// one (typically fact producers). The runner schedules the closure
-	// topologically and rejects cycles.
-	Requires []*Analyzer
-	// FactTypes declares the concrete fact types this analyzer exports,
-	// as pointers to zero values (e.g. new(FooFact)). Required for gob
-	// registration; an analyzer that exports an undeclared fact type
-	// fails at serialization time.
-	FactTypes []Fact
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
@@ -72,17 +67,15 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// ModuleRoot is the directory holding go.mod — for the rare analyzer
+	// Loader produced the unit. Every module-local package the unit
+	// imports is in its cache, type-checked against Fset, so an analyzer
+	// can read another package's syntax directly (and memoize what it
+	// derives with Loader.Memo). Its ModuleRoot serves the rare analyzer
 	// that checks source against a non-Go artifact (sanlint vs the
 	// DESIGN.md invariant catalog).
-	ModuleRoot string
+	Loader *Loader
 
 	diags *[]Diagnostic
-
-	// Fact plumbing, wired by the runner.
-	facts     factSet              // facts exported by this pass
-	db        *factDB              // serialized facts of other packages
-	liveFacts func(string) factSet // uncommitted facts of this package's run
 }
 
 // InTestFile reports whether pos lies in a _test.go file. Analyzers that
@@ -109,21 +102,14 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 // definitions, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Info.ObjectOf(id) }
 
-// Run applies the analyzers (plus their Requires closure, scheduled
-// topologically) to one already-loaded package and returns its
-// unsuppressed diagnostics. Dependency packages are analyzed first so
-// imported facts exist; their diagnostics are not returned. It is the
-// single-package convenience entry; drivers that report on many packages
-// use a Runner directly.
+// Run applies the analyzers to one already-loaded package and returns
+// its unsuppressed diagnostics. It is the single-package convenience
+// entry; drivers that report on many packages use a Runner directly.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if pkg.loader == nil {
 		return nil, fmt.Errorf("%s was not loaded by a Loader", pkg.ImportPath)
 	}
-	r, err := NewRunner(pkg.loader, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	diags, err := r.Package(pkg.ImportPath)
+	diags, err := NewRunner(pkg.loader, analyzers).Package(pkg.ImportPath)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	loader *Loader // for dependency-order re-analysis (see analysis.Run)
+	loader *Loader // the loader that produced it (see analysis.Run)
 }
 
 // Loader parses and type-checks packages of the enclosing module.
@@ -50,6 +50,7 @@ type Loader struct {
 	pkgs      map[string]*Package
 	overrides map[string]string // import path → directory, for fixtures
 	loading   map[string]bool   // import cycle guard
+	memo      map[any]any       // Memo's values
 }
 
 // NewLoader builds a Loader for the module rooted at moduleRoot (the
@@ -68,6 +69,7 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 		pkgs:       map[string]*Package{},
 		overrides:  map[string]string{},
 		loading:    map[string]bool{},
+		memo:       map[any]any{},
 	}, nil
 }
 
@@ -139,6 +141,20 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	}
 	l.pkgs[importPath] = pkg
 	return pkg, nil
+}
+
+// Memo returns the value fill computes for key, calling fill at most
+// once per key for this loader. It lets an analyzer derive data from a
+// loaded package once per type-checked world instead of once per pass,
+// without a package-level cache outliving the loader. Keys must be
+// comparable; use an unexported key type so analyzers cannot collide.
+func (l *Loader) Memo(key any, fill func() any) any {
+	if v, ok := l.memo[key]; ok {
+		return v
+	}
+	v := fill()
+	l.memo[key] = v
+	return v
 }
 
 // TestUnits loads the test code of an already-loadable package as up to

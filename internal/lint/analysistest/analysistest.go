@@ -38,9 +38,10 @@ type Config struct {
 	// comments in files excluded by the configuration are not collected.
 	Tags []string
 	// Deps maps additional fixture packages — synthetic import path to
-	// directory — that the package under test imports. Their analysis
-	// happens first (facts committed, serialized, and re-imported), so a
-	// fixture with a Deps entry exercises the cross-package fact path.
+	// directory — that the package under test imports. They are loaded
+	// into the same world but not analyzed themselves, so a fixture with a
+	// Deps entry exercises the cross-package read (hotlint and purelint
+	// summarize them through the loader).
 	Deps map[string]string
 }
 
@@ -65,15 +66,11 @@ func RunConfig(t *testing.T, moduleRoot, dir, importPath string, a *analysis.Ana
 	for depPath, depDir := range cfg.Deps {
 		loader.Override(depPath, depDir)
 	}
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
-	diags, err := runner.Package(importPath)
+	diags, err := analysis.NewRunner(loader, []*analysis.Analyzer{a}).Package(importPath)
 	if err != nil {
 		t.Fatalf("run %s on %s (%s): %v", a.Name, importPath, dir, err)
 	}
-	pkg, err := loader.Load(importPath) // memoized: same unit the runner analyzed
+	pkg, err := loader.Load(importPath) // cached: same unit the runner analyzed
 	if err != nil {
 		t.Fatalf("load %s (%s): %v", importPath, dir, err)
 	}

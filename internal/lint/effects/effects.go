@@ -1,14 +1,14 @@
 // Package effects is the interprocedural layer of the invariant suite:
-// one pass over every package distills each function body into a compact,
-// serializable effect summary — the allocation sites it contains, the
-// package-level or receiver state it writes, and the calls (static,
-// interface-dispatched, function-valued, and spawned) it makes. The
-// summaries travel across package boundaries as one gob-encoded package
-// fact (PkgEffects), exported by the Facts analyzer; consumers assemble
-// them into a module-wide CHA-style call graph with the World helper in
-// world.go and answer reachability questions no single-package analyzer
-// can: "can the per-cycle hot path allocate?" (hotlint), "can a
-// telemetry probe mutate simulator state?" (purelint).
+// it distills each function body into a compact effect summary — the
+// allocation sites it contains, the package-level or receiver state it
+// writes, and the calls (static, interface-dispatched, function-valued,
+// and spawned) it makes. NewWorld (world.go) summarizes the unit under
+// analysis and every module-local package it imports straight from the
+// loader's one type-checked world, once per package per loader, and
+// assembles the summaries into a module-wide CHA-style call graph that
+// answers reachability questions no single-package analyzer can: "can
+// the per-cycle hot path allocate?" (hotlint), "can a telemetry probe
+// mutate simulator state?" (purelint).
 //
 // Call-graph construction is class-hierarchy analysis, deliberately
 // unsound in the classic, documented ways:
@@ -27,20 +27,14 @@
 //     recorded as allocation sites, and everything else is assumed
 //     effect-free.
 //
-// Positions cross package boundaries as module-relative "file:line"
-// strings: token.Pos values are only meaningful against the FileSet that
-// produced them, so each site keeps a live token.Pos in an unexported
-// field that gob deliberately drops. A consumer analyzing the package
-// that produced a summary sees real positions (the facts arrive live, in
-// memory); a consumer in a downstream package reports remote sites at
-// its own root declaration and names the remote position in the message.
+// Every position is a live token.Pos against the loader's shared
+// FileSet, whichever package it lies in. A consumer reports a site of
+// its own package where it stands, and a site in another package at its
+// own root declaration, naming the remote "file:line" (World.Where) in
+// the message.
 package effects
 
-import (
-	"go/token"
-
-	"bingo/internal/lint/analysis"
-)
+import "go/token"
 
 // EventKind discriminates the entries of a function's effect trace.
 type EventKind uint8
@@ -75,18 +69,12 @@ type AllocSite struct {
 	// "string concatenation", "string conversion", "go statement", or
 	// "call to <pkg>.<fn>" for the known-allocating stdlib table.
 	What string
-	// Pos is the module-relative "file:line" of the site.
-	Pos string
+	Pos  token.Pos
 	// Waived carries the reason of a //hot:alloc annotation covering the
 	// site (same line or the line above), or the function-level waiver
 	// from the declaration's doc comment; empty means not waived.
 	Waived string
-
-	localPos token.Pos
 }
-
-// LocalPos returns the site's live position, or token.NoPos remotely.
-func (a *AllocSite) LocalPos() token.Pos { return a.localPos }
 
 // WriteSite is one store to state that outlives the function: a
 // package-level variable, or a field reached through a pointer, slice,
@@ -101,17 +89,11 @@ type WriteSite struct {
 	// Target is "pkgpath.Var" or "pkgpath.Type.Field" (or "pkgpath.Type"
 	// for a whole-value store through a pointer).
 	Target string
-	// Pos is the module-relative "file:line" of the store.
-	Pos string
+	Pos    token.Pos
 	// Waived carries the reason of an //obs:write annotation covering
 	// the site; empty means not waived.
 	Waived string
-
-	localPos token.Pos
 }
-
-// LocalPos returns the site's live position, or token.NoPos remotely.
-func (w *WriteSite) LocalPos() token.Pos { return w.localPos }
 
 // FuncRef records a function or closure whose reference escapes — it is
 // assigned, passed, stored, or returned as a value — making it a
@@ -132,8 +114,9 @@ type FuncEffects struct {
 	Pkg string
 	// Name is the bare declared name, for messages.
 	Name string
-	// Decl is the module-relative "file:line" of the declaration.
-	Decl string
+	// Decl is the position of the declared name (of the func keyword,
+	// for a literal).
+	Decl token.Pos
 	// Sig is the receiverless canonical signature.
 	Sig string
 	// Test marks functions declared in _test.go files.
@@ -158,36 +141,11 @@ type FuncEffects struct {
 	// Trace lists the body's call edges, deferred and spawned calls
 	// included.
 	Trace []Event
-
-	localDecl token.Pos
 }
 
-// LocalDecl returns the declaration's live position, or token.NoPos for
-// a summary that crossed a package boundary.
-func (fe *FuncEffects) LocalDecl() token.Pos { return fe.localDecl }
-
-// PkgEffects is the package fact carrying every function summary and
-// escaping function reference of one package.
+// PkgEffects carries every function summary and escaping function
+// reference of one package.
 type PkgEffects struct {
 	Funcs   map[string]*FuncEffects
 	Escapes []FuncRef
-}
-
-// AFact marks PkgEffects as a fact type.
-func (*PkgEffects) AFact() {}
-
-// Facts is the effect-summary producer: it emits no diagnostics, only
-// one PkgEffects fact per package. The reachability analyzers (hotlint,
-// purelint) list it in Requires and assemble the module-wide
-// view with NewWorld.
-var Facts = &analysis.Analyzer{
-	Name:      "effectfacts",
-	Doc:       "summarize every function's allocations, state writes, and call edges as a cross-package fact",
-	FactTypes: []analysis.Fact{new(PkgEffects)},
-	Run:       runFacts,
-}
-
-func runFacts(pass *analysis.Pass) error {
-	pass.ExportPackageFact(summarizePackage(pass))
-	return nil
 }

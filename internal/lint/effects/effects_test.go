@@ -1,9 +1,8 @@
 package effects_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bingo/internal/lint/analysis"
@@ -12,49 +11,46 @@ import (
 
 const fixturePath = "bingo/internal/effectsfix"
 
-// summarizeFixture runs the effects producer over the fixture package
-// and returns its live PkgEffects fact.
-func summarizeFixture(t *testing.T) *effects.PkgEffects {
+// fixtureWorld analyzes the fixture package with a probe analyzer and
+// returns the World it built, plus the loader, for further runs in the
+// same type-checked world.
+func fixtureWorld(t *testing.T) (*effects.World, *analysis.Loader) {
 	t.Helper()
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
-	}
-	var pe effects.PkgEffects
-	got := false
-	probe := &analysis.Analyzer{
-		Name:     "effectsprobe",
-		Doc:      "stash the fixture's PkgEffects fact for assertions",
-		Requires: []*analysis.Analyzer{effects.Facts},
-		Run: func(pass *analysis.Pass) error {
-			got = pass.ImportPackageFact(pass.Pkg, &pe)
-			return nil
-		},
 	}
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	loader.Override(fixturePath, filepath.Join(root, "internal/lint/testdata/src/effects"))
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{probe})
-	if err != nil {
+	return worldOf(t, loader), loader
+}
+
+func worldOf(t *testing.T, loader *analysis.Loader) *effects.World {
+	t.Helper()
+	var w *effects.World
+	probe := &analysis.Analyzer{
+		Name: "effectsprobe",
+		Doc:  "stash the fixture's World for assertions",
+		Run: func(pass *analysis.Pass) error {
+			w = effects.NewWorld(pass)
+			return nil
+		},
+	}
+	if _, err := analysis.NewRunner(loader, []*analysis.Analyzer{probe}).Package(fixturePath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runner.Package(fixturePath); err != nil {
-		t.Fatal(err)
-	}
-	if !got {
-		t.Fatal("no PkgEffects fact exported for the fixture package")
-	}
-	return &pe
+	return w
 }
 
 func TestSummaryShape(t *testing.T) {
-	pe := summarizeFixture(t)
+	w, _ := fixtureWorld(t)
 
-	onAccess := pe.Funcs[fixturePath+".T.OnAccess"]
+	onAccess := w.Funcs[fixturePath+".T.OnAccess"]
 	if onAccess == nil {
-		t.Fatalf("no summary for T.OnAccess; have %d summaries", len(pe.Funcs))
+		t.Fatalf("no summary for T.OnAccess; have %d summaries", len(w.Funcs))
 	}
 	if !onAccess.HotRoot {
 		t.Errorf("T.OnAccess not shape-matched as a hot root")
@@ -63,7 +59,7 @@ func TestSummaryShape(t *testing.T) {
 		t.Errorf("T.OnAccess missing write to T.n: %+v", onAccess.Writes)
 	}
 
-	fill := pe.Funcs[fixturePath+".T.Fill"]
+	fill := w.Funcs[fixturePath+".T.Fill"]
 	if fill == nil {
 		t.Fatal("no summary for T.Fill")
 	}
@@ -74,7 +70,7 @@ func TestSummaryShape(t *testing.T) {
 		t.Errorf("T.Fill missing append-growth alloc: %+v", fill.Allocs)
 	}
 
-	setGlobal := pe.Funcs[fixturePath+".SetGlobal"]
+	setGlobal := w.Funcs[fixturePath+".SetGlobal"]
 	if setGlobal == nil {
 		t.Fatal("no summary for SetGlobal")
 	}
@@ -83,52 +79,39 @@ func TestSummaryShape(t *testing.T) {
 			setGlobal.Writes)
 	}
 
-	if !hasEscape(pe, fixturePath+".helperRef") {
-		t.Errorf("helperRef's escaping reference not recorded: %+v", pe.Escapes)
+	escaping := w.DynTargets(&effects.Event{Kind: effects.EvDynFunc, Sig: "func()"})
+	if !slices.Contains(escaping, fixturePath+".helperRef") {
+		t.Errorf("helperRef's escaping reference not recorded: func() resolves to %v", escaping)
 	}
 
-	caller := pe.Funcs[fixturePath+".Caller"]
+	caller := w.Funcs[fixturePath+".Caller"]
 	if caller == nil || !hasCall(caller, fixturePath+".SetGlobal") {
 		t.Errorf("Caller missing static call edge to SetGlobal")
 	}
 }
 
-// TestGobRoundTrip pins the fact serialization contract: exported
-// fields survive, live positions are deliberately dropped (they are
-// only meaningful against the producing FileSet).
-func TestGobRoundTrip(t *testing.T) {
-	pe := summarizeFixture(t)
+// TestSummaryPositionsAreLive pins that summaries carry live positions
+// against the loader's FileSet, rendered module-relative on demand, and
+// that a package is summarized once per loader: a second pass over the
+// same world reuses the summary, another loader builds its own.
+func TestSummaryPositionsAreLive(t *testing.T) {
+	w, loader := fixtureWorld(t)
 
-	fill := pe.Funcs[fixturePath+".T.Fill"]
-	if !fill.LocalDecl().IsValid() {
-		t.Fatal("live summary lost its local declaration position")
+	fill := w.Funcs[fixturePath+".T.Fill"]
+	const file = "internal/lint/testdata/src/effects/effectsfix.go"
+	if got := w.Where(fill.Decl); got != file+":25" {
+		t.Errorf("T.Fill declared at %q, want %s:25", got, file)
 	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pe); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var back effects.PkgEffects
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("decode: %v", err)
+	if len(fill.Allocs) != 1 || w.Where(fill.Allocs[0].Pos) != file+":27" {
+		t.Errorf("T.Fill allocs = %+v, want one site at %s:27", fill.Allocs, file)
 	}
 
-	fill2 := back.Funcs[fixturePath+".T.Fill"]
-	if fill2 == nil {
-		t.Fatal("T.Fill summary lost in round trip")
+	if again := worldOf(t, loader).Funcs[fixturePath+".T.Fill"]; again != fill {
+		t.Error("a second pass on the same loader summarized the package again")
 	}
-	if fill2.LocalDecl().IsValid() {
-		t.Errorf("local position survived serialization; remote consumers must see NoPos")
-	}
-	if fill2.Decl == "" || fill2.Decl != fill.Decl {
-		t.Errorf("module-relative position lost: %q vs %q", fill2.Decl, fill.Decl)
-	}
-	if len(fill2.Allocs) != len(fill.Allocs) || len(fill2.Trace) != len(fill.Trace) {
-		t.Errorf("summary content changed in round trip: %d/%d allocs, %d/%d events",
-			len(fill2.Allocs), len(fill.Allocs), len(fill2.Trace), len(fill.Trace))
-	}
-	if len(fill2.Allocs) > 0 && fill2.Allocs[0].LocalPos().IsValid() {
-		t.Errorf("alloc site's local position survived serialization")
+	_, other := fixtureWorld(t)
+	if fresh := worldOf(t, other).Funcs[fixturePath+".T.Fill"]; fresh == fill {
+		t.Error("a summary leaked from one loader into another")
 	}
 }
 
@@ -144,15 +127,6 @@ func hasWrite(fe *effects.FuncEffects, target string) bool {
 func hasAlloc(fe *effects.FuncEffects, what string) bool {
 	for _, a := range fe.Allocs {
 		if a.What == what {
-			return true
-		}
-	}
-	return false
-}
-
-func hasEscape(pe *effects.PkgEffects, key string) bool {
-	for _, ref := range pe.Escapes {
-		if ref.Key == key {
 			return true
 		}
 	}

@@ -2,7 +2,6 @@ package effects
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -59,7 +58,7 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // pkgScopedNamed reports whether named's type name is declared at its
-// package's scope (facts and keys only cover those).
+// package's scope (keys only cover those).
 func pkgScopedNamed(named *types.Named) bool {
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Scope().Lookup(obj.Name()) == obj
@@ -77,42 +76,6 @@ func sigString(sig *types.Signature) string {
 		sig = types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
 	}
 	return types.TypeString(sig, fullQualifier)
-}
-
-// relPos renders pos module-relative as "file:line", the cross-package
-// position format of every fact field.
-func relPos(pass *analysis.Pass, pos token.Pos) string {
-	p := pass.Fset.Position(pos)
-	name := p.Filename
-	root := pass.ModuleRoot
-	if len(name) > len(root)+1 && name[:len(root)] == root && name[len(root)] == '/' {
-		name = name[len(root)+1:]
-	}
-	return name + ":" + itoa(p.Line)
-}
-
-// itoa avoids pulling strconv (an allocation-table package) into the
-// analyzer's own hot loop for two-to-four digit line numbers.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 func pkgLevelVar(v *types.Var) bool {

@@ -20,9 +20,9 @@ var allocPkgs = map[string]bool{
 	"sort": true, "bytes": true, "log": true, "regexp": true,
 }
 
-// summarizePackage builds the PkgEffects fact for the package under
-// analysis: one FuncEffects per declared function, method, and function
-// literal, plus the escaping function references.
+// summarizePackage builds the PkgEffects of the unit pass covers: one
+// FuncEffects per declared function, method, and function literal, plus
+// the escaping function references.
 func summarizePackage(pass *analysis.Pass) *PkgEffects {
 	s := &summarizer{
 		pass:     pass,
@@ -111,14 +111,13 @@ func (s *summarizer) waiver(idx map[string]map[int]string, pos token.Pos) string
 func (s *summarizer) summarizeFunc(key string, fn *types.Func, fd *ast.FuncDecl, tagged bool) {
 	sig := fn.Type().(*types.Signature)
 	fe := &FuncEffects{
-		Key:       key,
-		Pkg:       s.pass.Pkg.Path(),
-		Name:      fd.Name.Name,
-		Decl:      relPos(s.pass, fd.Name.Pos()),
-		Sig:       sigString(sig),
-		Test:      s.pass.InTestFile(fd.Pos()),
-		Tagged:    tagged,
-		localDecl: fd.Name.Pos(),
+		Key:    key,
+		Pkg:    s.pass.Pkg.Path(),
+		Name:   fd.Name.Name,
+		Decl:   fd.Name.Pos(),
+		Sig:    sigString(sig),
+		Test:   s.pass.InTestFile(fd.Pos()),
+		Tagged: tagged,
 	}
 	fe.HotRoot = fd.Recv != nil && hotRootShape(fd.Name.Name, sig)
 	obsBody := ""
@@ -181,12 +180,7 @@ func (w *walker) alloc(pos token.Pos, what string) {
 	if waived == "" {
 		waived = w.hotBody
 	}
-	w.fe.Allocs = append(w.fe.Allocs, AllocSite{
-		What:     what,
-		Pos:      relPos(w.pass(), pos),
-		Waived:   waived,
-		localPos: pos,
-	})
+	w.fe.Allocs = append(w.fe.Allocs, AllocSite{What: what, Pos: pos, Waived: waived})
 }
 
 func (w *walker) write(lhs ast.Expr, pos token.Pos) {
@@ -204,13 +198,7 @@ func (w *walker) write(lhs ast.Expr, pos token.Pos) {
 	if waived == "" {
 		waived = w.obsBody
 	}
-	w.fe.Writes = append(w.fe.Writes, WriteSite{
-		Pkg:      pkg,
-		Target:   target,
-		Pos:      relPos(w.pass(), pos),
-		Waived:   waived,
-		localPos: pos,
-	})
+	w.fe.Writes = append(w.fe.Writes, WriteSite{Pkg: pkg, Target: target, Pos: pos, Waived: waived})
 }
 
 // lit summarizes a function literal under a synthetic key derived from
@@ -220,13 +208,12 @@ func (w *walker) lit(fl *ast.FuncLit) string {
 	key := fmt.Sprintf("%s$%d", w.fe.Key, w.lits)
 	sig, _ := w.pass().TypeOf(fl).(*types.Signature)
 	fe := &FuncEffects{
-		Key:       key,
-		Pkg:       w.fe.Pkg,
-		Name:      w.fe.Name + " (func literal)",
-		Decl:      relPos(w.pass(), fl.Pos()),
-		Test:      w.fe.Test,
-		Tagged:    w.fe.Tagged,
-		localDecl: fl.Pos(),
+		Key:    key,
+		Pkg:    w.fe.Pkg,
+		Name:   w.fe.Name + " (func literal)",
+		Decl:   fl.Pos(),
+		Test:   w.fe.Test,
+		Tagged: w.fe.Tagged,
 	}
 	if sig != nil {
 		fe.Sig = sigString(sig)

@@ -1,8 +1,10 @@
 package effects
 
 import (
+	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 
 	"bingo/internal/lint/analysis"
@@ -10,8 +12,9 @@ import (
 
 // World assembles the effect summaries of the package under analysis and
 // its whole module-local import closure into one queryable call graph.
-// Construction is cheap relative to analysis (map merges over facts the
-// runner already decoded), so each consuming analyzer builds its own.
+// Each package is summarized at most once per loader (see summaryOf), so
+// construction is map merges over summaries already built, and each
+// consuming analyzer builds its own.
 type World struct {
 	pass    *analysis.Pass
 	Funcs   map[string]*FuncEffects
@@ -22,9 +25,8 @@ type World struct {
 	chaMemo map[string][]string
 }
 
-// NewWorld gathers the PkgEffects facts visible to pass (its own live
-// fact plus every module-local dependency's serialized one) into a
-// World. The consuming analyzer must list Facts in Requires.
+// NewWorld gathers the summaries of pass's unit and of every module-local
+// package in its import closure into a World.
 func NewWorld(pass *analysis.Pass) *World {
 	w := &World{
 		pass:    pass,
@@ -43,8 +45,7 @@ func NewWorld(pass *analysis.Pass) *World {
 		w.typePkg[p.Path()] = p
 		if moduleLocal(p.Path()) {
 			w.module = append(w.module, p)
-			var pe PkgEffects
-			if pass.ImportPackageFact(p, &pe) {
+			if pe := summaryOf(pass, p); pe != nil {
 				for key, fe := range pe.Funcs {
 					w.Funcs[key] = fe
 				}
@@ -65,6 +66,41 @@ func NewWorld(pass *analysis.Pass) *World {
 		w.escapes[sig] = dedupeSorted(keys)
 	}
 	return w
+}
+
+// summaryKey keys a package's summary in the loader's memo. The key is
+// the type-checked package itself, not its path: an in-package test unit
+// shares its path with the shipping package but is a different unit.
+type summaryKey struct{ pkg *types.Package }
+
+// summaryOf returns the effect summary of p, built at most once per
+// loader. The unit under analysis supplies its own summary, so a test
+// unit sees its _test.go functions; every other package is summarized
+// from the loader's cached copy, which is the very package p was
+// imported as.
+func summaryOf(pass *analysis.Pass, p *types.Package) *PkgEffects {
+	return pass.Loader.Memo(summaryKey{p}, func() any {
+		if p == pass.Pkg {
+			return summarizePackage(pass)
+		}
+		pkg, err := pass.Loader.Load(p.Path())
+		if err != nil || pkg.Types != p {
+			return (*PkgEffects)(nil)
+		}
+		return summarizePackage(&analysis.Pass{
+			Fset:  pkg.Fset,
+			Files: pkg.Files,
+			Pkg:   pkg.Types,
+			Info:  pkg.Info,
+		})
+	}).(*PkgEffects)
+}
+
+// Where renders pos module-relative as "file:line", the form a message
+// uses to name a site in another package.
+func (w *World) Where(pos token.Pos) string {
+	p := w.pass.Fset.Position(pos)
+	return strings.TrimPrefix(p.Filename, w.pass.Loader.ModuleRoot+"/") + ":" + strconv.Itoa(p.Line)
 }
 
 func dedupeSorted(keys []string) []string {

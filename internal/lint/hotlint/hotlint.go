@@ -47,8 +47,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "hotlint",
 	Doc: "require every function reachable from OnAccess/OnEviction/Tick to be allocation-free " +
 		"or carry //hot:alloc <reason>",
-	Requires: []*analysis.Analyzer{effects.Facts},
-	Run:      run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -103,21 +102,22 @@ func walkRoot(pass *analysis.Pass, w *effects.World, root *effects.FuncEffects, 
 				if site.Waived != "" {
 					continue
 				}
-				if fe.Pkg == here && site.LocalPos().IsValid() {
-					k := site.Pos + "\x00" + site.What
+				where := w.Where(site.Pos)
+				if fe.Pkg == here {
+					k := where + "\x00" + site.What
 					if !local[k] {
 						local[k] = true
-						pass.Reportf(site.LocalPos(),
+						pass.Reportf(site.Pos,
 							"%s on the hot path from %s; remove it or annotate //hot:alloc <reason>",
 							site.What, root.Key)
 					}
 				} else {
-					k := root.Key + "\x00" + site.Pos + "\x00" + site.What
+					k := root.Key + "\x00" + where + "\x00" + site.What
 					if !remote[k] {
 						remote[k] = true
-						pass.Reportf(root.LocalDecl(),
+						pass.Reportf(root.Decl,
 							"hot path from %s reaches %s in %s (%s); remove it or annotate //hot:alloc <reason> there",
-							root.Key, site.What, fe.Key, site.Pos)
+							root.Key, site.What, fe.Key, where)
 					}
 				}
 			}

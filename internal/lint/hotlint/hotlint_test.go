@@ -62,10 +62,7 @@ func TestHotlintCatchesDroppedWaiver(t *testing.T) {
 	}
 	loader.Override("bingo/internal/hotfix", tmp)
 	loader.Override("bingo/internal/hotfix/dep", filepath.Join(dir, "dep"))
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{hotlint.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := analysis.NewRunner(loader, []*analysis.Analyzer{hotlint.Analyzer})
 	diags, err := runner.Package("bingo/internal/hotfix")
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +96,7 @@ func B() {}
 		t.Fatal(err)
 	}
 	loader.Override("bingo/internal/badmarks", tmp)
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{hotlint.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := analysis.NewRunner(loader, []*analysis.Analyzer{hotlint.Analyzer})
 	diags, err := runner.Package("bingo/internal/badmarks")
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package lint assembles simlint, the simulator's invariant suite:
-// project-specific analyzers on the cross-package mini go/analysis
-// framework in internal/lint/analysis. See the package docs of detlint,
+// project-specific analyzers on the mini go/analysis framework in
+// internal/lint/analysis. See the package docs of detlint,
 // errlint, hotlint, paramlint, purelint, sanlint, sharelint and
 // unitlint for the invariant each one guards, DESIGN.md §10 for the
 // catalog, and README.md ("Static analysis & invariants") for the
@@ -25,8 +25,6 @@ import (
 )
 
 // Suite returns the full analyzer suite in stable (alphabetical) order.
-// The fact-producing prerequisite (the effects summaries) is not listed —
-// the scheduler pulls it in through Requires.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detlint.Analyzer,
@@ -152,10 +150,7 @@ func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis
 		return nil, nil, err
 	}
 	loader.Tags = tags
-	runner, err := analysis.NewRunner(loader, analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
+	runner := analysis.NewRunner(loader, analyzers)
 	paths, err := loader.Expand(patterns)
 	if err != nil {
 		return nil, nil, err

@@ -38,8 +38,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "purelint",
 	Doc: "forbid functions reachable from telemetry from writing non-telemetry simulator state " +
 		"without //obs:write <reason>",
-	Requires: []*analysis.Analyzer{effects.Facts},
-	Run:      run,
+	Run: run,
 }
 
 func telemetryPkg(path string) bool {
@@ -85,21 +84,22 @@ func walkRoot(pass *analysis.Pass, w *effects.World, root *effects.FuncEffects, 
 			if site.Waived != "" || telemetryPkg(site.Pkg) {
 				continue
 			}
-			if fe.Pkg == here && site.LocalPos().IsValid() {
-				k := site.Pos + "\x00" + site.Target
+			where := w.Where(site.Pos)
+			if fe.Pkg == here {
+				k := where + "\x00" + site.Target
 				if !local[k] {
 					local[k] = true
-					pass.Reportf(site.LocalPos(),
+					pass.Reportf(site.Pos,
 						"telemetry code writes simulator state %s; observation must be passive — annotate //obs:write <reason> if deliberate",
 						site.Target)
 				}
 			} else {
-				k := root.Key + "\x00" + site.Pos + "\x00" + site.Target
+				k := root.Key + "\x00" + where + "\x00" + site.Target
 				if !remote[k] {
 					remote[k] = true
-					pass.Reportf(root.LocalDecl(),
+					pass.Reportf(root.Decl,
 						"telemetry root %s reaches a write to simulator state %s in %s (%s); observation must be passive — annotate //obs:write <reason> there if deliberate",
-						root.Key, site.Target, fe.Key, site.Pos)
+						root.Key, site.Target, fe.Key, where)
 				}
 			}
 		}

@@ -61,10 +61,7 @@ func TestPurelintCatchesDroppedWaiver(t *testing.T) {
 	}
 	loader.Override("bingo/internal/telemetryfix", tmp)
 	loader.Override("bingo/internal/simfix", filepath.Join(dir, "dep"))
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{purelint.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := analysis.NewRunner(loader, []*analysis.Analyzer{purelint.Analyzer})
 	diags, err := runner.Package("bingo/internal/telemetryfix")
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +96,7 @@ func B() {}
 		t.Fatal(err)
 	}
 	loader.Override("bingo/internal/badobs", tmp)
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{purelint.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := analysis.NewRunner(loader, []*analysis.Analyzer{purelint.Analyzer})
 	diags, err := runner.Package("bingo/internal/badobs")
 	if err != nil {
 		t.Fatal(err)

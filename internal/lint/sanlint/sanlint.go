@@ -69,7 +69,7 @@ func run(pass *analysis.Pass) error {
 	if sanName == nil {
 		return nil
 	}
-	catalog, err := loadCatalog(pass.ModuleRoot)
+	catalog, err := loadCatalog(pass.Loader.ModuleRoot)
 	if err != nil {
 		return err
 	}
@@ -213,7 +213,7 @@ func isIDType(t types.Type) bool {
 // checkCatalogDecls runs inside internal/san itself: the declared ID
 // constants and DESIGN.md §6b must list exactly the same invariants.
 func checkCatalogDecls(pass *analysis.Pass) error {
-	catalog, err := loadCatalog(pass.ModuleRoot)
+	catalog, err := loadCatalog(pass.Loader.ModuleRoot)
 	if err != nil {
 		return err
 	}

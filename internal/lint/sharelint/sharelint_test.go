@@ -41,10 +41,7 @@ func TestScopeIsFrontendOnly(t *testing.T) {
 	}
 	loader.Override("bingo/internal/elsewherefixture", dir)
 	loader.Override("bingo/internal/cachefixture/dep", filepath.Join(dir, "dep"))
-	runner, err := analysis.NewRunner(loader, []*analysis.Analyzer{sharelint.Analyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runner := analysis.NewRunner(loader, []*analysis.Analyzer{sharelint.Analyzer})
 	diags, err := runner.Package("bingo/internal/elsewherefixture")
 	if err != nil {
 		t.Fatal(err)

@@ -132,6 +132,7 @@ func (c *Collector) emit(cycle uint64, cum Totals) {
 	})
 	c.cum = cum
 	c.lastEnd = cycle
+	c.mirror()
 }
 
 // Finish flushes the final (usually partial) epoch and mirrors the
@@ -165,9 +166,10 @@ func (c *Collector) SummedTotals() Totals {
 	return sum
 }
 
-// mirror copies the end-of-run totals and lifecycle counters into the
-// registry, so the exported metric snapshot and the expvar view agree
-// with the series.
+// mirror copies the cumulative totals and lifecycle counters into the
+// registry. It runs at every epoch close, so a concurrent observer (the
+// debug server) sees live counters, and once more at Finish, so the
+// exported metric snapshot agrees with the series.
 func (c *Collector) mirror() {
 	r := c.reg
 	r.Counter("sim.epochs").Store(uint64(len(c.series)))

@@ -84,6 +84,23 @@ func TestCollectorSeriesSumsToTotals(t *testing.T) {
 	}
 }
 
+// TestCollectorMirrorsAtEpochClose pins that the registry is live during
+// the run: the debug server reads it between epochs, long before Finish.
+func TestCollectorMirrorsAtEpochClose(t *testing.T) {
+	c := NewCollector(100)
+	c.Begin(1000)
+	c.Sample(1100, totalsAt(10, 2))
+	c.Sample(1200, totalsAt(25, 2))
+	snap := c.Registry().Snapshot()
+	want := c.SummedTotals().LLC.Accesses
+	if got := snap["llc.accesses"]; got != int64(want) || want == 0 {
+		t.Errorf("llc.accesses before Finish = %d, want the summed series' %d", got, want)
+	}
+	if snap["sim.epochs"] != 2 {
+		t.Errorf("sim.epochs before Finish = %d, want 2", snap["sim.epochs"])
+	}
+}
+
 func TestCollectorDefaultEpoch(t *testing.T) {
 	c := NewCollector(0)
 	if c.EpochCycles() != DefaultEpochCycles {
