@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -83,7 +84,8 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"bingosim", "-checkpoint-out", filepath.Join(dir, "run.ckpt")}, "-checkpoint-out"},
 		{[]string{"simlint", "-only", "nosuch"}, "-only"},
 		{[]string{"simlint", "-only", ","}, "-only"},
-		// -sarif used to win silently, dropping the JSON report.
+		// -sarif used to win silently, dropping the JSON report; a
+		// bare -sarif and -json both want stdout.
 		{[]string{"simlint", "-json", "-sarif"}, "-json and -sarif"},
 	} {
 		code, stderr := run(tc.args...)
@@ -98,9 +100,15 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{"tracegen", "-workload", "em3d", "-n", "1000", "-o", filepath.Join(dir, "ok.trc")},
 		{"traceinfo", "-workload", "Zeus", "-n", "1000"},
 		{"simlint", "-only", "unitlint", "./internal/mem"},
+		{"simlint", "-json", "-sarif=" + filepath.Join(dir, "ok.sarif"), "-only", "unitlint", "./internal/mem"},
 	} {
 		if code, stderr := run(valid...); code != 0 {
 			t.Errorf("%v: exit %d, stderr %q; want exit 0", valid, code, stderr)
 		}
+	}
+	// One simlint run gives the JSON report on stdout and the SARIF log
+	// in the file -sarif names.
+	if sarif, err := os.ReadFile(filepath.Join(dir, "ok.sarif")); err != nil || !bytes.Contains(sarif, []byte(`"version": "2.1.0"`)) {
+		t.Errorf("simlint -json -sarif=file wrote no SARIF log (err %v): %q", err, sarif)
 	}
 }

@@ -7,14 +7,16 @@
 //
 // Usage:
 //
-//	simlint [-only name,name] [-json] [-sarif] [-tests] [-san] [-unused-suppressions] [-list] [packages]
+//	simlint [-only name,name] [-json] [-sarif[=file]] [-tests] [-san] [-unused-suppressions] [-list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. By default
 // the suite analyzes test files too (-tests) and runs a second pass under
 // the `san` build tag (-san) so the sanitizer's gated files are covered;
 // disable either for a faster partial run. -json emits a structured
 // report that includes suppressed findings; -sarif emits a SARIF 2.1.0
-// log for code-scanning upload (the two are mutually exclusive);
+// log for code-scanning upload in place of the report, and -sarif=file
+// writes it to file beside the report, so one run can give both (-json
+// and a bare -sarif both want stdout and exit 2);
 // -unused-suppressions reports stale
 // //lint: directives — including any that name an analyzer the suite
 // does not have — as findings. Exit status is 0 when no
@@ -30,7 +32,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"bingo/internal/lint"
@@ -41,12 +45,13 @@ func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON (includes suppressed findings, marked)")
-	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 for code-scanning upload")
+	var sarifOut sarifFlag
+	flag.Var(&sarifOut, "sarif", "emit findings as SARIF 2.1.0 for code-scanning upload; `=file` writes them to file beside the report")
 	tests := flag.Bool("tests", true, "also analyze _test.go compilation units")
 	san := flag.Bool("san", true, "also analyze the -tags=san build configuration")
 	unused := flag.Bool("unused-suppressions", false, "report //lint: directives that no longer suppress anything")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-only name,name] [-json] [-sarif] [-tests] [-san] [-unused-suppressions] [-list] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: simlint [-only name,name] [-json] [-sarif[=file]] [-tests] [-san] [-unused-suppressions] [-list] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Suite() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-13s %s\n", a.Name, a.Doc)
 		}
@@ -54,8 +59,8 @@ func main() {
 	}
 	flag.Parse()
 
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "simlint: -json and -sarif are mutually exclusive; pick one output format")
+	if *jsonOut && sarifOut.on && sarifOut.file == "" {
+		fmt.Fprintln(os.Stderr, "simlint: -json and -sarif both write to stdout; use -sarif=file for the SARIF log")
 		os.Exit(2)
 	}
 	suite := lint.Suite()
@@ -95,14 +100,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)
 	}
-	n, err := lint.Check(os.Stdout, root, patterns, lint.Options{
+	var report, sarif io.Writer = os.Stdout, nil
+	var sarifFile *os.File
+	if sarifOut.on {
+		if sarifOut.file == "" {
+			report, sarif = io.Discard, os.Stdout
+		} else {
+			if sarifFile, err = os.Create(sarifOut.file); err != nil {
+				fmt.Fprintln(os.Stderr, "simlint:", err)
+				os.Exit(2)
+			}
+			sarif = sarifFile
+		}
+	}
+	n, err := lint.Check(report, root, patterns, lint.Options{
 		Analyzers:          suite,
 		Tests:              *tests,
 		San:                *san,
 		JSON:               *jsonOut,
-		SARIF:              *sarifOut,
+		SARIF:              sarif,
 		UnusedSuppressions: *unused,
 	})
+	if sarifFile != nil {
+		if cerr := sarifFile.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simlint:", err)
 		os.Exit(2)
@@ -111,4 +134,26 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simlint: %d finding(s)\n", n)
 		os.Exit(1)
 	}
+}
+
+// sarifFlag is -sarif: a boolean when bare (the SARIF log replaces the
+// report on stdout), or -sarif=file to write the log to file.
+type sarifFlag struct {
+	on   bool
+	file string
+}
+
+func (f *sarifFlag) String() string { return f.file }
+
+// IsBoolFlag lets -sarif stand alone, so a bare -sarif never swallows
+// the package pattern after it.
+func (f *sarifFlag) IsBoolFlag() bool { return true }
+
+func (f *sarifFlag) Set(v string) error {
+	if b, err := strconv.ParseBool(v); err == nil {
+		f.on, f.file = b, ""
+		return nil
+	}
+	f.on, f.file = true, v
+	return nil
 }

@@ -6,6 +6,14 @@
 // parallelism therefore emerges naturally — independent misses overlap up
 // to the LSQ size — while a long-latency miss at the ROB head stalls
 // retirement exactly as in the paper's 4-wide, 256-entry-ROB cores.
+//
+// Only memory operations can hold up retirement: everything else (and
+// every store) completes the cycle after it dispatches, and a tick
+// retires before it dispatches. So the ROB keeps memory operations as
+// entries and non-memory work as run lengths between them, and the core
+// retires and dispatches whole runs at once. Between memory operations
+// RunAhead applies stretches of identical ticks in one step (DESIGN.md
+// §9); Tick, the lockstep reference, never does.
 package cpu
 
 import (
@@ -67,17 +75,21 @@ func (s Stats) Delta(prev Stats) Stats {
 	}
 }
 
-// robEntry is one in-flight instruction.
+// robEntry is one in-flight memory operation and the run of non-memory
+// instructions dispatched just before it. Non-memory instructions carry
+// no completion cycle: they complete the cycle after dispatch, and a
+// retire reaches them no earlier than that.
 type robEntry struct {
-	completeAt uint64
-	isMem      bool
+	completeAt uint64 // for a store, the cycle after dispatch
+	nonMem     uint32 // non-memory instructions ahead of the operation
 }
 
 // Core simulates one hardware context. The system loop drives it with
-// RunAhead, which ticks the core at the cycles its NextEventAt names and
-// suspends it before each memory operation so the system can issue those
-// in global (cycle, core) order; ticking it on every cycle (the lockstep
-// reference) gives identical results.
+// RunAhead, which ticks the core at the cycles its NextEventAt names,
+// applies runs of identical ticks between memory operations in one step,
+// and suspends it before each memory operation so the system can issue
+// those in global (cycle, core) order; ticking it on every cycle (the
+// lockstep reference) gives identical results.
 type Core struct {
 	cfg  Config
 	id   int
@@ -85,8 +97,13 @@ type Core struct {
 	xlat vm.Mapper
 	port cache.Level
 
-	rob      []robEntry // ring buffer
-	robHead  int
+	// The ROB: a ring of in-flight memory operations, each with the
+	// non-memory run ahead of it, and robTail, the run after the
+	// youngest. robCount is the occupancy in instructions.
+	rob      []robEntry
+	robHead  int // ring index of the oldest memory operation
+	robMem   int // memory operations in the ring
+	robTail  uint32
 	robCount int
 
 	outstanding []uint64 // completion times of in-flight memory ops
@@ -184,26 +201,54 @@ func (c *Core) Tick(now uint64) {
 	}
 }
 
+// retire retires up to Width instructions from the ROB head, a
+// non-memory run at a time; only a memory operation still in flight
+// stops it early.
 func (c *Core) retire(now uint64) {
-	for retired := 0; retired < c.cfg.Width && c.robCount > 0; retired++ {
-		head := &c.rob[c.robHead]
-		if head.completeAt > now {
-			if head.isMem {
-				c.stats.MemStall++
-			}
+	for budget := uint32(c.cfg.Width); budget > 0 && c.robCount > 0; {
+		op := c.headOp()
+		if op == nil {
+			run := c.headRun()
+			k := min(budget, *run)
+			*run -= k
+			budget -= k
+			c.robCount -= int(k)
+			c.stats.Instructions += uint64(k)
+			continue
+		}
+		if op.completeAt > now {
+			c.stats.MemStall++
 			return
 		}
-		c.sanAtRetire(now, head.completeAt)
+		c.sanAtRetire(now, op.completeAt)
 		c.stats.Instructions++
-		if head.isMem {
-			c.stats.MemOps++
-		}
+		c.stats.MemOps++
 		c.robHead++
 		if c.robHead == c.cfg.ROBSize {
 			c.robHead = 0
 		}
+		c.robMem--
 		c.robCount--
+		budget--
 	}
+}
+
+// headOp returns the memory operation at the ROB head, or nil when the
+// head is non-memory work or the ROB is empty.
+func (c *Core) headOp() *robEntry {
+	if c.robMem == 0 || c.rob[c.robHead].nonMem > 0 {
+		return nil
+	}
+	return &c.rob[c.robHead]
+}
+
+// headRun returns the non-memory run at the ROB head: the one ahead of
+// the oldest memory operation, or the tail when there is none.
+func (c *Core) headRun() *uint32 {
+	if c.robMem > 0 {
+		return &c.rob[c.robHead].nonMem
+	}
+	return &c.robTail
 }
 
 // dispatch fills the cycle's dispatch slots from c.slot on. It returns
@@ -212,7 +257,7 @@ func (c *Core) retire(now uint64) {
 // with issue and calls dispatch again for the rest of the cycle. Nothing
 // before that point touches state outside the core.
 func (c *Core) dispatch(now uint64) bool {
-	for ; c.slot < c.cfg.Width; c.slot++ {
+	for c.slot < c.cfg.Width {
 		if c.robCount == c.cfg.ROBSize {
 			return false
 		}
@@ -222,8 +267,11 @@ func (c *Core) dispatch(now uint64) bool {
 			}
 		}
 		if c.nonMemLeft > 0 {
-			c.nonMemLeft--
-			c.push(robEntry{completeAt: now + 1})
+			k := min(c.nonMemLeft, uint32(c.cfg.Width-c.slot), uint32(c.cfg.ROBSize-c.robCount))
+			c.nonMemLeft -= k
+			c.robTail += k
+			c.robCount += int(k)
+			c.slot += int(k)
 			continue
 		}
 		// Memory operation of the current record.
@@ -262,7 +310,14 @@ func (c *Core) issue(now uint64) {
 		c.lastLoadDone = res.CompleteAt
 	}
 	c.outstanding = append(c.outstanding, res.CompleteAt) //hot:alloc outstanding grows to LSQSize, then reuses
-	c.push(robEntry{completeAt: complete, isMem: true})
+	tail := c.robHead + c.robMem
+	if tail >= c.cfg.ROBSize {
+		tail -= c.cfg.ROBSize
+	}
+	c.rob[tail] = robEntry{completeAt: complete, nonMem: c.robTail}
+	c.robTail = 0
+	c.robMem++
+	c.robCount++
 	c.curValid = false
 	c.slot++
 }
@@ -299,15 +354,6 @@ func (c *Core) lsqReserve(now uint64) bool {
 	return len(c.outstanding) < c.cfg.LSQSize
 }
 
-func (c *Core) push(e robEntry) {
-	tail := c.robHead + c.robCount
-	if tail >= c.cfg.ROBSize {
-		tail -= c.cfg.ROBSize
-	}
-	c.rob[tail] = e
-	c.robCount++
-}
-
 // NextEventAt returns the earliest cycle strictly after now at which this
 // core can retire or dispatch anything, given its state after Tick(now).
 // RunAhead ticks the core only at these cycles, which is sound because
@@ -317,8 +363,9 @@ func (c *Core) push(e robEntry) {
 // function of the post-tick state, and the value returned here is that
 // exact cycle, not a conservative bound:
 //
-//   - Retirement resumes when the ROB head completes (or next cycle, if
-//     the head is already complete and only the retire width stopped it).
+//   - Retirement resumes when the memory operation at the ROB head
+//     completes, or next cycle if the head is non-memory work or already
+//     complete and only the retire width stopped it.
 //   - Dispatch, when the ROB has room, resumes next cycle for non-memory
 //     work or a fetchable record; a memory op additionally waits out its
 //     address dependence (lastLoadDone) and, when the LSQ is full with no
@@ -333,9 +380,9 @@ func (c *Core) NextEventAt(now uint64) uint64 {
 	}
 	next := ^uint64(0)
 	if c.robCount > 0 {
-		retireAt := c.rob[c.robHead].completeAt
-		if retireAt <= now {
-			retireAt = now + 1 // complete but width-limited this cycle
+		retireAt := now + 1 // non-memory work, or complete but width-limited
+		if op := c.headOp(); op != nil && op.completeAt > retireAt {
+			retireAt = op.completeAt
 		}
 		next = retireAt
 		if c.robCount == c.cfg.ROBSize {
@@ -420,8 +467,9 @@ func (c *Core) At() uint64 { return c.next }
 // suspended just before it), the next tick would be at or past bound
 // (AtBound), or a tick leaves the core at target retired instructions or
 // drained (Reached). Between ticks it adds the MemStall cycles a
-// lockstep Tick would have counted, so the statistics match ticking
-// every cycle exactly.
+// lockstep Tick would have counted, and it applies each stretch of
+// identical ticks in one step, so the statistics match ticking every
+// cycle exactly.
 func (c *Core) RunAhead(bound, target uint64) (Stop, uint64) {
 	for {
 		if !c.mid {
@@ -430,6 +478,9 @@ func (c *Core) RunAhead(bound, target uint64) (Stop, uint64) {
 				return AtBound, bound
 			}
 			c.idleTo(c.next)
+			if c.stretch(bound, target) {
+				continue
+			}
 			c.sanAtTick(c.next)
 			c.retire(c.next)
 			c.slot, c.mid = 0, true
@@ -447,6 +498,68 @@ func (c *Core) RunAhead(bound, target uint64) (Stop, uint64) {
 	}
 }
 
+// stretch applies, in one step, the ticks from c.next on that would
+// each do exactly the same thing, and reports whether there were any.
+// Two kinds of tick repeat while the current record has non-memory work
+// left, each dispatching Width of it:
+//
+//   - steady: the non-memory run at the ROB head holds Width, so the
+//     tick retires Width;
+//   - stall-fill: an incomplete memory operation heads the ROB, so the
+//     tick retires nothing, counts a MemStall cycle and fills the ROB.
+//
+// A stretch ends below bound, before the tick that would reach target,
+// before the head operation completes, while the ROB has room and while
+// the record has Width non-memory instructions left. Each of its ticks
+// is followed by the next cycle's, and afterwards the core waits for
+// NextEventAt of its last cycle, exactly as after ticking them one by
+// one, so every later tick, cut and EarliestReach is unchanged.
+func (c *Core) stretch(bound, target uint64) bool {
+	w := uint32(c.cfg.Width)
+	if !c.curValid || c.nonMemLeft < w || c.stats.Instructions >= target {
+		return false
+	}
+	now := c.next
+	k := min(bound-now, uint64(c.nonMemLeft/w))
+	op := c.headOp()
+	switch {
+	case op == nil: // steady
+		run := c.headRun()
+		if *run < w {
+			return false
+		}
+		if c.robMem > 0 {
+			k = min(k, uint64(*run/w))
+		} // else the tail run retires as fast as it refills
+		k = min(k, (target-c.stats.Instructions-1)/uint64(w))
+	case op.completeAt > now: // stall-fill
+		k = min(k, op.completeAt-now, uint64(c.cfg.ROBSize-c.robCount)/uint64(w))
+	default:
+		return false // the head operation retires: this tick differs
+	}
+	if k == 0 {
+		return false
+	}
+	nonMemLeft := c.nonMemLeft
+	n := uint32(k) * w
+	c.nonMemLeft -= n
+	if op == nil {
+		if c.robMem > 0 { // the head run moves to the tail
+			c.rob[c.robHead].nonMem -= n
+			c.robTail += n
+		}
+		c.stats.Instructions += uint64(n)
+	} else {
+		c.robTail += n
+		c.robCount += int(n)
+		c.stats.MemStall += k
+	}
+	c.sanAtStretch(now, k, bound, nonMemLeft, op != nil)
+	c.idleFrom = now + k
+	c.next = c.NextEventAt(now + k - 1)
+	return true
+}
+
 // Issue performs the memory operation RunAhead suspended at.
 func (c *Core) Issue() { c.issue(c.next) }
 
@@ -457,10 +570,8 @@ func (c *Core) idleTo(to uint64) {
 	if to <= c.idleFrom {
 		return
 	}
-	if c.robCount > 0 {
-		if head := &c.rob[c.robHead]; head.isMem && head.completeAt > c.idleFrom {
-			c.stats.MemStall += min(to, head.completeAt) - c.idleFrom
-		}
+	if op := c.headOp(); op != nil && op.completeAt > c.idleFrom {
+		c.stats.MemStall += min(to, op.completeAt) - c.idleFrom
 	}
 	c.idleFrom = to
 }

@@ -10,3 +10,5 @@ type sanState struct{}
 func (c *Core) sanAtTick(now uint64) {}
 
 func (c *Core) sanAtRetire(now, completeAt uint64) {}
+
+func (c *Core) sanAtStretch(now, k, bound uint64, nonMemLeft uint32, stall bool) {}

@@ -29,6 +29,20 @@ func TestFindModuleRootAndModulePath(t *testing.T) {
 	}
 }
 
+func TestModuleRel(t *testing.T) {
+	for _, tc := range []struct{ file, want string }{
+		{"/src/bingo/internal/cpu/core.go", "internal/cpu/core.go"},
+		{"/src/bingo/go.mod", "go.mod"},
+		{"/src/bingo2/x.go", "/src/bingo2/x.go"}, // a sibling, not inside the root
+		{"/src/bingo/", "/src/bingo/"},
+		{"/elsewhere/x.go", "/elsewhere/x.go"},
+	} {
+		if got := ModuleRel("/src/bingo", tc.file); got != tc.want {
+			t.Errorf("ModuleRel(%q) = %q, want %q", tc.file, got, tc.want)
+		}
+	}
+}
+
 func TestExpandPatterns(t *testing.T) {
 	l := newTestLoader(t)
 

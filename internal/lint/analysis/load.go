@@ -107,6 +107,16 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
+// ModuleRel returns filename relative to the module root, the form in
+// which every simlint report and message names a file. A file outside
+// the module keeps its path.
+func ModuleRel(root, filename string) string {
+	if rel, ok := strings.CutPrefix(filename, root+"/"); ok && rel != "" {
+		return rel
+	}
+	return filename
+}
+
 // Override maps importPath to an explicit directory. The analysistest
 // runner uses this to load fixture packages under testdata/ with import
 // paths that exercise the analyzers' package scoping.

@@ -100,7 +100,7 @@ func summaryOf(pass *analysis.Pass, p *types.Package) *PkgEffects {
 // uses to name a site in another package.
 func (w *World) Where(pos token.Pos) string {
 	p := w.pass.Fset.Position(pos)
-	return strings.TrimPrefix(p.Filename, w.pass.Loader.ModuleRoot+"/") + ":" + strconv.Itoa(p.Line)
+	return analysis.ModuleRel(w.pass.Loader.ModuleRoot, p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 func dedupeSorted(keys []string) []string {

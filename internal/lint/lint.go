@@ -59,10 +59,10 @@ type Options struct {
 	// this run, and for names no analyzer in the Suite answers to — as
 	// findings.
 	UnusedSuppressions bool
-	// SARIF switches the output to a SARIF 2.1.0 log for code-scanning
-	// upload. Like JSON, it includes suppressed findings (carried as
-	// inSource suppressions). Takes precedence over JSON.
-	SARIF bool
+	// SARIF, when non-nil, also receives the findings as a SARIF 2.1.0
+	// log for code-scanning upload. Like JSON, it includes suppressed
+	// findings (carried as inSource suppressions).
+	SARIF io.Writer
 }
 
 // Finding is one diagnostic with its position resolved, as emitted in
@@ -81,7 +81,7 @@ type Finding struct {
 // and runs the configured analyzers, writing findings to w. It returns
 // the number of actionable findings: unsuppressed diagnostics plus, when
 // requested, unused suppression directives. Suppressed findings appear
-// (marked) only in JSON output.
+// (marked) only in the JSON and SARIF outputs.
 func Check(w io.Writer, moduleRoot string, patterns []string, opts Options) (int, error) {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
@@ -111,17 +111,16 @@ func Check(w io.Writer, moduleRoot string, patterns []string, opts Options) (int
 			count++
 		}
 	}
-	if opts.SARIF {
+	if opts.SARIF != nil {
 		docs := map[string]string{
 			"unused-suppression": "a //lint:ignore or //lint:file-ignore directive that no longer suppresses any finding",
 		}
 		for _, a := range analyzers {
 			docs[a.Name] = firstLine(a.Doc)
 		}
-		if err := writeSARIF(w, findings, docs); err != nil {
+		if err := writeSARIF(opts.SARIF, findings, docs); err != nil {
 			return count, err
 		}
-		return count, nil
 	}
 	if opts.JSON {
 		enc := json.NewEncoder(w)
@@ -171,7 +170,7 @@ func runConfig(moduleRoot string, tags, patterns []string, analyzers []*analysis
 		for _, d := range diags {
 			pos := loader.Fset.Position(d.Pos)
 			findings = append(findings, Finding{
-				File:         relPath(moduleRoot, pos.Filename),
+				File:         analysis.ModuleRel(moduleRoot, pos.Filename),
 				Line:         pos.Line,
 				Col:          pos.Column,
 				Analyzer:     d.Analyzer,
@@ -264,7 +263,7 @@ func unusedSuppressions(moduleRoot string, dirs []*analysis.Directive, analyzers
 			stale = "names no analyzer in the suite"
 		}
 		out = append(out, Finding{
-			File:     relPath(moduleRoot, d.File),
+			File:     analysis.ModuleRel(moduleRoot, d.File),
 			Line:     d.Line,
 			Col:      d.Col,
 			Analyzer: "unused-suppression",
@@ -288,11 +287,4 @@ func sortFindings(findings []Finding) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-}
-
-func relPath(root, path string) string {
-	if len(path) > len(root)+1 && path[:len(root)] == root && path[len(root)] == '/' {
-		return path[len(root)+1:]
-	}
-	return path
 }

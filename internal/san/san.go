@@ -79,9 +79,13 @@ const (
 	// CPUTick: core ticks observe a non-decreasing cycle, and ROB/LSQ
 	// occupancies stay within their configured capacities.
 	CPUTick ID = "SAN-CPU-TICK"
-	// CPURetire: an instruction only retires once its completion cycle has
-	// passed, in order, at most Width per cycle.
+	// CPURetire: a memory operation only retires once its completion
+	// cycle has passed, in order, at most Width instructions per cycle.
 	CPURetire ID = "SAN-CPU-RETIRE"
+	// CPUStretch: a run of identical ticks RunAhead applies in one step
+	// stays below its bound and within the work, the head operation's
+	// latency and the ROB room that make the ticks identical.
+	CPUStretch ID = "SAN-CPU-STRETCH"
 
 	// SysClock: the system clock is strictly monotone.
 	SysClock ID = "SAN-SYS-CLOCK"
