@@ -106,6 +106,22 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 0", valid, code, stderr)
 		}
 	}
+	// An unwritable telemetry output is an I/O error, not a usage error:
+	// exit 1 naming the path, before any simulation prints results.
+	missing := filepath.Join(dir, "no-such-dir", "out")
+	for _, flag := range []string{"-telemetry-out", "-telemetry-csv", "-trace-out"} {
+		args := []string{"-workload", "em3d", "-warmup", "1000", "-measure", "2000", flag, missing}
+		var stdout, stderr bytes.Buffer
+		c := exec.Command(filepath.Join(dir, "bingosim"), args...)
+		c.Stdout, c.Stderr = &stdout, &stderr
+		err := c.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), missing) || stdout.Len() != 0 {
+			t.Errorf("bingosim %v: err %v, stderr %q, stdout %q; want exit 1 naming the path and no stdout",
+				args, err, stderr.String(), stdout.String())
+		}
+	}
+
 	// One simlint run gives the JSON report on stdout and the SARIF log
 	// in the file -sarif names.
 	if sarif, err := os.ReadFile(filepath.Join(dir, "ok.sarif")); err != nil || !bytes.Contains(sarif, []byte(`"version": "2.1.0"`)) {

@@ -142,6 +142,23 @@ func main() {
 		}
 	}
 
+	// Create every requested output now, so an unwritable path fails
+	// before the simulation instead of after it. writeTelemetry
+	// re-creates each file when it writes it.
+	for _, path := range []string{*telJSONFlag, *telCSVFlag, *traceOutFlag} {
+		if path == "" {
+			continue
+		}
+		f, err := os.Create(path)
+		if err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bingosim: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
 	// Telemetry is a pure observer: the collector attaches before the
 	// simulation and the printed results are byte-identical with or
 	// without it.
@@ -152,7 +169,7 @@ func main() {
 		tel.Prefetcher = *pfFlag
 	}
 	if *debugFlag != "" {
-		srv, err := telemetry.StartDebugServer(*debugFlag, tel.Registry())
+		srv, err := telemetry.StartDebugServer(*debugFlag, tel.Metrics)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bingosim: %v\n", err)
 			os.Exit(1)

@@ -35,7 +35,6 @@ import (
 
 	"bingo/internal/harness"
 	"bingo/internal/san"
-	"bingo/internal/telemetry"
 )
 
 // maxJobs caps -j. Every warm worker holds one live System while its
@@ -93,20 +92,6 @@ func main() {
 	if *quietFlag {
 		report = nil
 	}
-	var debugReg *telemetry.Registry
-	if *debugFlag != "" {
-		debugReg = telemetry.NewRegistry()
-		srv, err := telemetry.StartDebugServer(*debugFlag, debugReg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		// The process is exiting anyway when this runs; a close error on the
-		// debug listener has no one left to act on it.
-		defer func() { _ = srv.Close() }()
-		fmt.Fprintf(os.Stderr, "experiments: debug server on http://%s/debug/\n", srv.Addr)
-	}
-
 	cfg := harness.SuiteConfig{
 		Experiments:    strings.Split(*expFlag, ","),
 		Opts:           opts,
@@ -116,7 +101,7 @@ func main() {
 		Report:         report,
 		TelemetryDir:   *telFlag,
 		TelemetryEpoch: *epochFlag,
-		Debug:          debugReg,
+		DebugAddr:      *debugFlag,
 	}
 
 	if err := harness.RunSuite(os.Stdout, cfg); err != nil {

@@ -24,7 +24,7 @@ func (stubLevel) Access(now uint64, req Request) Result {
 // (perfbench's sim_minstr_per_s tracks the wall-clock side of the same
 // promise.)
 func TestAccessHotPathDoesNotAllocate(t *testing.T) {
-	c := MustNew(Config{Name: "L1", SizeBytes: 64 * 1024, Assoc: 8, HitLatency: 4, Policy: LRU}, stubLevel{})
+	c := MustNew(Config{Name: "L1", SizeBytes: 64 * 1024, Assoc: 8, HitLatency: 4}, stubLevel{})
 
 	// Force the san deep sweep to run inside the measured window so its
 	// cost is covered by the guard too.

@@ -14,7 +14,7 @@ func (nullLower) Access(now uint64, req Request) Result {
 
 func benchCache(b *testing.B) *Cache {
 	b.Helper()
-	c, err := New(Config{Name: "B", SizeBytes: 8 << 20, Assoc: 16, HitLatency: 15, Policy: LRU}, nullLower{})
+	c, err := New(Config{Name: "B", SizeBytes: 8 << 20, Assoc: 16, HitLatency: 15}, nullLower{})
 	if err != nil {
 		b.Fatal(err)
 	}

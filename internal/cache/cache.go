@@ -120,7 +120,6 @@ type Config struct {
 	SizeBytes  int
 	Assoc      int
 	HitLatency uint64 // cycles, charged on every access to this level
-	Policy     PolicyKind
 }
 
 // Validate reports configuration errors.
@@ -203,12 +202,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Cache is one set-associative level of the hierarchy.
+// Cache is one set-associative level of the hierarchy. Replacement is
+// LRU: every touch stamps the way with the next value of a per-cache
+// clock, and the victim is the way with the oldest stamp.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	setMask  uint64
-	policy   Policy
+	cfg     Config
+	sets    [][]line
+	setMask uint64
+	// lruClock counts touches; lruStamp[set*Assoc+way] holds the clock
+	// value of the way's last touch (0: never touched). The stamps sit
+	// apart from the lines so a line stays small.
+	lruClock uint64
+	lruStamp []uint64
 	lower    Level
 	listener EvictionListener
 	outcome  OutcomeFunc
@@ -232,11 +237,11 @@ func New(cfg Config, lower Level) (*Cache, error) {
 		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		setMask: uint64(numSets - 1),
-		policy:  newPolicy(cfg.Policy, numSets, cfg.Assoc),
-		lower:   lower,
+		cfg:      cfg,
+		sets:     sets,
+		setMask:  uint64(numSets - 1),
+		lruStamp: make([]uint64, numSets*cfg.Assoc),
+		lower:    lower,
 	}, nil
 }
 
@@ -346,7 +351,7 @@ func (c *Cache) Access(now uint64, req Request) Result {
 		if req.Kind == Write {
 			ln.dirty = true
 		}
-		c.policy.Touch(si, w)
+		c.touch(si, w)
 		res := Result{CompleteAt: complete, HitLevel: c.cfg.Name}
 		c.sanAfterAccess(now, ready, si, res)
 		return res
@@ -362,7 +367,7 @@ func (c *Cache) Access(now uint64, req Request) Result {
 		arrival:  lowerRes.CompleteAt,
 		fillCore: req.Core,
 	})
-	c.policy.Touch(si, w)
+	c.touch(si, w)
 	res := Result{CompleteAt: lowerRes.CompleteAt, HitLevel: lowerRes.HitLevel}
 	c.sanAfterAccess(now, ready, si, res)
 	return res
@@ -389,7 +394,7 @@ func (c *Cache) accessPrefetch(now, ready uint64, req Request, si int, block uin
 		arrival:    lowerRes.CompleteAt,
 		fillCore:   req.Core,
 	})
-	c.policy.Touch(si, w)
+	c.touch(si, w)
 	c.stats.PrefetchFills++
 	if c.probe != nil {
 		c.probe.PrefetchFill(req.Core)
@@ -397,6 +402,24 @@ func (c *Cache) accessPrefetch(now, ready uint64, req Request, si int, block uin
 	res := Result{CompleteAt: lowerRes.CompleteAt, HitLevel: lowerRes.HitLevel}
 	c.sanAfterAccess(now, ready, si, res)
 	return res
+}
+
+// touch records a reference to way w of set si.
+func (c *Cache) touch(si, w int) {
+	c.lruClock++
+	c.lruStamp[si*c.cfg.Assoc+w] = c.lruClock
+}
+
+// victim returns the least recently touched way of set si.
+func (c *Cache) victim(si int) int {
+	stamps := c.lruStamp[si*c.cfg.Assoc : (si+1)*c.cfg.Assoc]
+	best, bestTime := 0, stamps[0]
+	for w := 1; w < len(stamps); w++ {
+		if t := stamps[w]; t < bestTime {
+			best, bestTime = w, t
+		}
+	}
+	return best
 }
 
 // installLine places ln into set si, evicting a victim if necessary, and
@@ -411,7 +434,7 @@ func (c *Cache) installLine(now uint64, si int, ln line) int {
 		}
 	}
 	if w < 0 {
-		w = c.policy.Victim(si)
+		w = c.victim(si)
 		c.sanCheckVictim(now, si, w)
 		victim := &set[w]
 		c.evict(now, si, victim)
@@ -453,11 +476,11 @@ func (c *Cache) Writeback(now uint64, addr mem.Addr) {
 	si := c.setIndex(block)
 	if w := c.lookup(si, block); w >= 0 {
 		c.sets[si][w].dirty = true
-		c.policy.Touch(si, w)
+		c.touch(si, w)
 		return
 	}
 	w := c.installLine(now, si, line{tag: block, valid: true, dirty: true, arrival: now})
-	c.policy.Touch(si, w)
+	c.touch(si, w)
 }
 
 // Flush invalidates every line, reporting each valid block to the eviction

@@ -25,7 +25,7 @@ func (f *fakeLower) Writeback(now uint64, addr mem.Addr) {
 func smallCache(t *testing.T, sizeBytes, assoc int) (*Cache, *fakeLower) {
 	t.Helper()
 	lower := &fakeLower{latency: 100}
-	c, err := New(Config{Name: "T", SizeBytes: sizeBytes, Assoc: assoc, HitLatency: 2, Policy: LRU}, lower)
+	c, err := New(Config{Name: "T", SizeBytes: sizeBytes, Assoc: assoc, HitLatency: 2}, lower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,20 +283,6 @@ func TestStatsDerived(t *testing.T) {
 func TestAccessKindString(t *testing.T) {
 	if Demand.String() != "demand" || Write.String() != "write" || Prefetch.String() != "prefetch" {
 		t.Fatal("AccessKind strings wrong")
-	}
-}
-
-func TestRandomPolicySmoke(t *testing.T) {
-	lower := &fakeLower{latency: 10}
-	c := MustNew(Config{Name: "R", SizeBytes: 64 * 8, Assoc: 2, HitLatency: 1, Policy: RandomRepl}, lower)
-	for i := uint64(0); i < 64; i++ {
-		c.Access(i, Request{Addr: mem.Addr(i << mem.BlockShift), Kind: Demand})
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("random policy should evict under pressure")
-	}
-	if LRU.String() != "lru" || RandomRepl.String() != "random" {
-		t.Fatal("policy names wrong")
 	}
 }
 

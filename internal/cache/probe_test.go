@@ -73,7 +73,7 @@ func TestPrefetchProbeLifecycle(t *testing.T) {
 func TestPrefetchProbeEvictUnused(t *testing.T) {
 	// Direct-mapped single set: the second fill evicts the first.
 	lower := &fakeLower{latency: 10}
-	c := MustNew(Config{Name: "T", SizeBytes: 64, Assoc: 1, HitLatency: 1, Policy: LRU}, lower)
+	c := MustNew(Config{Name: "T", SizeBytes: 64, Assoc: 1, HitLatency: 1}, lower)
 	probe := &recordingProbe{}
 	c.SetPrefetchProbe(probe)
 

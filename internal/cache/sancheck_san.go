@@ -49,19 +49,19 @@ func (c *Cache) sanAtInstall(now uint64, si int, ln line) {
 	}
 }
 
-// sanCheckVictim verifies the replacement policy returned an in-range,
-// currently valid way (Victim is only consulted when the set is full).
+// sanCheckVictim verifies LRU replacement returned an in-range,
+// currently valid way (victim is only consulted when the set is full).
 func (c *Cache) sanCheckVictim(now uint64, si, w int) {
 	if !san.Enabled() {
 		return
 	}
 	if w < 0 || w >= c.cfg.Assoc {
 		san.Failf(c.cfg.Name, now, san.CacheLRU,
-			"policy victim way %d out of range [0,%d) for set %d", w, c.cfg.Assoc, si)
+			"LRU victim way %d out of range [0,%d) for set %d", w, c.cfg.Assoc, si)
 	}
 	if !c.sets[si][w].valid {
 		san.Failf(c.cfg.Name, now, san.CacheLRU,
-			"policy chose invalid way %d of full set %d as victim", w, si)
+			"LRU chose invalid way %d of full set %d as victim", w, si)
 	}
 }
 
@@ -86,28 +86,25 @@ func (c *Cache) sanCheckSet(now uint64, si int) {
 		san.Failf(c.cfg.Name, now, san.CacheOccupancy,
 			"set %d holds %d valid lines, associativity %d", si, valid, c.cfg.Assoc)
 	}
-	if p, ok := c.policy.(*lruPolicy); ok {
-		c.sanCheckLRU(now, si, p)
-	}
+	c.sanCheckLRU(now, si)
 }
 
 // sanCheckLRU verifies the LRU recency stack of one set: stamps never run
-// ahead of the policy clock and touched ways carry distinct stamps (a
+// ahead of the LRU clock and touched ways carry distinct stamps (a
 // duplicate stamp would make the victim choice ambiguous — a malformed
 // recency stack).
-func (c *Cache) sanCheckLRU(now uint64, si int, p *lruPolicy) {
-	base := si * p.assoc
-	for i := 0; i < p.assoc; i++ {
-		ti := p.last[base+i]
-		if ti > p.clock {
+func (c *Cache) sanCheckLRU(now uint64, si int) {
+	stamps := c.lruStamp[si*c.cfg.Assoc : (si+1)*c.cfg.Assoc]
+	for i, ti := range stamps {
+		if ti > c.lruClock {
 			san.Failf(c.cfg.Name, now, san.CacheLRU,
-				"set %d way %d recency stamp %d ahead of policy clock %d", si, i, ti, p.clock)
+				"set %d way %d recency stamp %d ahead of LRU clock %d", si, i, ti, c.lruClock)
 		}
 		if ti == 0 {
 			continue // never touched
 		}
-		for j := i + 1; j < p.assoc; j++ {
-			if p.last[base+j] == ti {
+		for j := i + 1; j < len(stamps); j++ {
+			if stamps[j] == ti {
 				san.Failf(c.cfg.Name, now, san.CacheLRU,
 					"set %d ways %d and %d share recency stamp %d", si, i, j, ti)
 			}

@@ -107,6 +107,7 @@ func (m *Matrix) run(key CellKey, fn cellFunc) (system.Results, any, error) {
 		// Do not memoise failures: waiters already blocked on this call
 		// see the error, but a later request for the key may retry.
 		delete(m.cells, key)
+		m.failed++
 	}
 	m.mu.Unlock()
 	return cs.res, cs.aux, cs.err
@@ -135,7 +136,6 @@ func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Fa
 			sys, err = BuildSystem(w, factory, opts)
 		}
 		if err != nil {
-			m.recordCellOutcome(system.Results{}, err)
 			return system.Results{}, nil, err
 		}
 		// The collector is nil when telemetry export is off.
@@ -144,7 +144,6 @@ func (m *Matrix) RunCell(key CellKey, opts RunOptions, build func() (prefetch.Fa
 			sys.EnableTelemetry(tel)
 		}
 		res := sys.Run()
-		m.recordCellOutcome(res, nil)
 		if err := m.exportCellTelemetry(key, tel); err != nil {
 			return system.Results{}, nil, err
 		}
@@ -180,7 +179,6 @@ func (m *Matrix) Inject(key CellKey, res system.Results, aux any, dur time.Durat
 		AllocBytes:   -1,
 	})
 	m.mu.Unlock()
-	m.recordCellOutcome(res, nil)
 	return true
 }
 

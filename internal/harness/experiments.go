@@ -8,7 +8,6 @@ import (
 	"bingo/internal/core"
 	"bingo/internal/prefetch"
 	"bingo/internal/system"
-	"bingo/internal/telemetry"
 	"bingo/internal/workloads"
 )
 
@@ -33,14 +32,13 @@ type Matrix struct {
 	mu          sync.Mutex
 	cells       map[CellKey]*cellState
 	stats       []CellStat
+	failed      int // cell runs that returned an error (Progress)
 	trackAllocs bool
 
-	// Telemetry export configuration (SetTelemetry) and the optional
-	// live-progress registry (SetDebugRegistry). Both are observability
-	// only: simulated results never depend on them.
+	// Telemetry export configuration (SetTelemetry): observability only,
+	// simulated results never depend on it.
 	telDir   string
 	telEpoch uint64
-	debugReg *telemetry.Registry
 }
 
 // NewMatrix creates an empty memoised run matrix.

@@ -129,10 +129,10 @@ type SuiteConfig struct {
 	// TelemetryEpoch is the sampling period in simulated cycles for the
 	// exported series (0 selects telemetry.DefaultEpochCycles).
 	TelemetryEpoch uint64
-	// Debug, when non-nil, receives live progress counters (cells
-	// completed/failed, instructions simulated) — typically the registry
-	// served by a telemetry.DebugServer behind -debug-addr.
-	Debug *telemetry.Registry
+	// DebugAddr, when non-empty, is where RunSuite serves a
+	// telemetry.DebugServer (pprof, expvar, and the matrix's Progress
+	// counters) while the suite runs.
+	DebugAddr string
 }
 
 // jobs resolves the configured worker count.
@@ -191,6 +191,16 @@ func RunSuite(out io.Writer, cfg SuiteConfig) error {
 	if err != nil {
 		return err
 	}
+	if cfg.DebugAddr != "" {
+		srv, err := telemetry.StartDebugServer(cfg.DebugAddr, m.Progress)
+		if err != nil {
+			return err
+		}
+		// The suite is over when this runs; a close error on the debug
+		// listener has no one left to act on it.
+		defer func() { _ = srv.Close() }()
+		reportf(cfg.Report, "debug server on http://%s/debug/\n", srv.Addr)
+	}
 	jobs := cfg.jobs()
 
 	wallStart := time.Now()
@@ -213,10 +223,10 @@ func RunSuite(out io.Writer, cfg SuiteConfig) error {
 }
 
 // NewSuiteMatrix validates a suite configuration and builds the run
-// matrix it describes: base options, telemetry export, debug registry,
-// and allocation tracking (only attributable at Jobs == 1). It also
-// returns the selected experiment names in render order. An unknown
-// format or experiment fails here, before any simulation.
+// matrix it describes: base options, telemetry export, and allocation
+// tracking (only attributable at Jobs == 1). It also returns the
+// selected experiment names in render order. An unknown format or
+// experiment fails here, before any simulation.
 func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, []string, error) {
 	if err := checkFormat(cfg.Format); err != nil {
 		return nil, nil, err
@@ -234,7 +244,6 @@ func NewSuiteMatrix(cfg SuiteConfig) (*Matrix, []string, error) {
 			return nil, nil, err
 		}
 	}
-	m.SetDebugRegistry(cfg.Debug)
 	return m, names, nil
 }
 

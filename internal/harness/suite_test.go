@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"bingo/internal/telemetry"
 )
 
 // TestInjectRendersIdentically is Inject's contract as RenderTables sees
@@ -98,22 +96,24 @@ func TestInjectRendersIdentically(t *testing.T) {
 // TestRunSuiteRejectsUnknownFormat pins that a bad -format fails before
 // any simulation instead of silently rendering text.
 func TestRunSuiteRejectsUnknownFormat(t *testing.T) {
-	reg := telemetry.NewRegistry()
 	var out, report bytes.Buffer
-	err := RunSuite(&out, SuiteConfig{
+	cfg := SuiteConfig{
 		Experiments: []string{"table2"},
 		Opts:        microOptions(),
 		Jobs:        2,
 		Format:      "bogus",
 		Report:      &report,
-		Debug:       reg,
-	})
+		DebugAddr:   "127.0.0.1:0",
+	}
+	err := RunSuite(&out, cfg)
 	var unknown UnknownFormatError
 	if !errors.As(err, &unknown) || unknown.Format != "bogus" {
 		t.Fatalf("RunSuite(Format: bogus) = %v, want UnknownFormatError", err)
 	}
-	if n := reg.Counter("harness.cells_completed").Value() + reg.Counter("harness.cells_failed").Value(); n != 0 {
-		t.Fatalf("%d cells ran before the format was rejected", n)
+	// No matrix means no cell can run; an empty report also means the
+	// debug server never started.
+	if m, _, err := NewSuiteMatrix(cfg); m != nil || err == nil {
+		t.Fatalf("NewSuiteMatrix(Format: bogus) = matrix %p, err %v; want no matrix", m, err)
 	}
 	if out.Len() != 0 || report.Len() != 0 {
 		t.Fatalf("rejected run wrote output: stdout %q, report %q", out.String(), report.String())

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"bingo/internal/system"
 	"bingo/internal/telemetry"
 )
 
@@ -37,27 +36,11 @@ func (m *Matrix) SetTelemetry(dir string, epochCycles uint64) error {
 	return nil
 }
 
-// SetDebugRegistry points the matrix at a registry for live progress
-// counters (cells completed/failed, instructions simulated), typically
-// the one a telemetry.DebugServer is serving. Nil disables mirroring.
-func (m *Matrix) SetDebugRegistry(reg *telemetry.Registry) {
-	m.mu.Lock()
-	m.debugReg = reg
-	m.mu.Unlock()
-}
-
 // telemetrySettings returns the current export configuration.
 func (m *Matrix) telemetrySettings() (dir string, epoch uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.telDir, m.telEpoch
-}
-
-// debugRegistry returns the configured debug registry, if any.
-func (m *Matrix) debugRegistry() *telemetry.Registry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.debugReg
 }
 
 // newCellCollector builds the collector for one cell run, or nil when
@@ -127,17 +110,20 @@ func writeFileWith(path string, write func(w io.Writer) error) error {
 	return closeErr
 }
 
-// recordCellOutcome mirrors per-cell progress into the debug registry,
-// if one is configured. Purely observational: counters only.
-func (m *Matrix) recordCellOutcome(res system.Results, err error) {
-	reg := m.debugRegistry()
-	if reg == nil {
-		return
+// Progress returns the live progress counters a debug server serves
+// behind -debug-addr: cells completed and failed, and the instructions
+// the completed cells simulated. It reads what the matrix records for
+// its run report, and is safe to call from any goroutine.
+func (m *Matrix) Progress() telemetry.Snapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var instr uint64
+	for _, s := range m.stats {
+		instr += s.Instructions
 	}
-	if err != nil {
-		reg.Counter("harness.cells_failed").Inc()
-		return
+	return telemetry.Snapshot{
+		"harness.cells_completed":        int64(len(m.stats)),
+		"harness.cells_failed":           int64(m.failed),
+		"harness.instructions_simulated": int64(instr),
 	}
-	reg.Counter("harness.cells_completed").Inc()
-	reg.Counter("harness.instructions_simulated").Add(res.WindowInstructions)
 }

@@ -3,12 +3,15 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"bingo/internal/prefetch"
 	"bingo/internal/telemetry"
 	"bingo/internal/workloads"
 )
@@ -262,5 +265,94 @@ func TestTelemetryFileBase(t *testing.T) {
 	c := telemetryFileBase(CellKey{Workload: "em3d", Prefetcher: "bingo", Variant: "seed=3"})
 	if !strings.HasPrefix(c, "em3d_bingo_seed_3-") {
 		t.Errorf("file base %q does not embed the sanitised key", c)
+	}
+}
+
+// TestMatrixProgress pins the three keys `experiments -debug-addr`
+// serves: they read the matrix's own run records, counting a completed
+// cell once however often it is requested, and a failed run as failed.
+func TestMatrixProgress(t *testing.T) {
+	m := NewMatrix(microOptions())
+	want := telemetry.Snapshot{"harness.cells_completed": 0, "harness.cells_failed": 0, "harness.instructions_simulated": 0}
+	if got := m.Progress(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fresh matrix progress = %v, want %v", got, want)
+	}
+	w := telemetryTestWorkload(t)
+	res, err := m.Baseline(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Baseline(w); err != nil { // memoised: no second run
+		t.Fatal(err)
+	}
+	broken := func() (prefetch.Factory, error) { return nil, errors.New("no factory") }
+	if _, _, err := m.RunCell(CellKey{Workload: w.Name, Prefetcher: "broken"}, m.Options(), broken, nil); err == nil {
+		t.Fatal("a failing build reported no error")
+	}
+	want = telemetry.Snapshot{
+		"harness.cells_completed":        1,
+		"harness.cells_failed":           1,
+		"harness.instructions_simulated": int64(res.WindowInstructions),
+	}
+	if got := m.Progress(); !reflect.DeepEqual(got, want) || res.WindowInstructions == 0 {
+		t.Fatalf("progress = %v, want %v", got, want)
+	}
+}
+
+// TestDebugMetricsMatchExport pins that after a run /debug/metrics
+// serves exactly the JSON document's metrics section: 33 keys with a
+// prefetcher, 25 without, and the use-margin and late-wait counts equal
+// to the lifecycle's timely and late uses.
+func TestDebugMetricsMatchExport(t *testing.T) {
+	w := telemetryTestWorkload(t)
+	for _, tc := range []struct {
+		pf   string
+		keys int
+	}{{"bingo", 33}, {"none", 25}} {
+		factory, err := FactoryByName(tc.pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := BuildSystem(w, factory, tinyOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.NewCollector(telemetryTestEpoch)
+		sys.EnableTelemetry(tel)
+		res := sys.Run()
+
+		srv, err := telemetry.StartDebugServer("127.0.0.1:0", tel.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get("http://" + srv.Addr + "/debug/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var served telemetry.Snapshot
+		err = json.NewDecoder(resp.Body).Decode(&served)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if cerr := srv.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		exported := tel.Export().Metrics
+		if !reflect.DeepEqual(served, exported) || len(served) != tc.keys {
+			t.Errorf("%s: /debug/metrics served %d keys %v; export has %d %v; want %d equal",
+				tc.pf, len(served), served, len(exported), exported, tc.keys)
+		}
+		if tc.pf != "none" && res.Timeliness.Timely == 0 {
+			t.Errorf("%s: no timely prefetch, so the count check below proves nothing", tc.pf)
+		}
+		if served["prefetch.use_margin_cycles.count"] != int64(res.Timeliness.Timely) ||
+			served["prefetch.late_wait_cycles.count"] != int64(res.Timeliness.Late) {
+			t.Errorf("%s: use-margin/late-wait counts %d/%d, lifecycle timely/late %d/%d", tc.pf,
+				served["prefetch.use_margin_cycles.count"], served["prefetch.late_wait_cycles.count"],
+				res.Timeliness.Timely, res.Timeliness.Late)
+		}
 	}
 }

@@ -47,7 +47,7 @@ const (
 	// CacheOccupancy: valid lines in a set never exceed the associativity.
 	CacheOccupancy ID = "SAN-CACHE-OCCUPANCY"
 	// CacheLRU: the replacement state is well-formed (distinct recency
-	// stamps, stamps never ahead of the policy clock, victims in range).
+	// stamps, stamps never ahead of the LRU clock, victims in range).
 	CacheLRU ID = "SAN-CACHE-LRU"
 	// CacheMSHR: fill arrival cycles are never in the past — every access
 	// completes at or after the level's own hit latency, and in-flight

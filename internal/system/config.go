@@ -77,14 +77,12 @@ func DefaultConfig() Config {
 			SizeBytes:  64 * 1024,
 			Assoc:      8,
 			HitLatency: 4,
-			Policy:     cache.LRU,
 		},
 		LLC: cache.Config{
 			Name:       "LLC",
 			SizeBytes:  8 * 1024 * 1024,
 			Assoc:      16,
 			HitLatency: 15,
-			Policy:     cache.LRU,
 		},
 		DRAM:          dram.Default4GHz(),
 		MemoryBytes:   4 << 30,

@@ -21,9 +21,8 @@ import (
 // which ticks every core in index order. Distinct System instances are
 // fully independent and safe to run concurrently — the parallel experiment
 // engine relies on this. Audit note: all mutable simulation state
-// (caches, DRAM banks, translator RNG, prefetcher metadata, the
-// replacement policy's RNG in internal/cache) hangs off the System built
-// by New; neither this package nor its dependencies keep package-level
+// (caches and their LRU clocks, DRAM banks, translator RNG, prefetcher
+// metadata) hangs off the System built by New; neither this package nor its dependencies keep package-level
 // mutable state, which is what keeps `go test -race` clean over the
 // parallel harness.
 type System struct {
@@ -170,27 +169,9 @@ type l1Port struct {
 
 // Access implements cache.Level.
 func (p l1Port) Access(now uint64, req cache.Request) cache.Result {
-	s := p.sys
 	hit := p.l1.Contains(req.Addr)
 	res := p.l1.Access(now, req)
-	pf := s.pfs[p.core]
-	addrs := pf.OnAccess(prefetch.AccessEvent{
-		Addr:  req.Addr,
-		PC:    req.PC,
-		Core:  req.Core,
-		Write: req.Kind == cache.Write,
-		Hit:   hit,
-	})
-	s.lc.Predicted(p.core, len(addrs))
-	for i, a := range addrs {
-		if !s.pfReserve(p.core, now) {
-			s.pfDropped[p.core] += uint64(len(addrs) - i)
-			s.lc.QueueDropped(p.core, len(addrs)-i)
-			break
-		}
-		pres := p.l1.Access(now, cache.Request{Addr: a, PC: req.PC, Core: req.Core, Kind: cache.Prefetch})
-		s.pfInflight[p.core] = append(s.pfInflight[p.core], pres.CompleteAt)
-	}
+	p.sys.issuePrefetches(p.l1, p.core, now, req, hit)
 	return res
 }
 
@@ -235,25 +216,33 @@ func (p llcPort) Access(now uint64, req cache.Request) cache.Result {
 	if s.pfs == nil || req.Kind == cache.Prefetch || s.cfg.PrefetchAt != AttachLLC {
 		return res
 	}
-	pf := s.pfs[req.Core]
-	addrs := pf.OnAccess(prefetch.AccessEvent{
+	s.issuePrefetches(s.llc, req.Core, now, req, hit)
+	return res
+}
+
+// issuePrefetches is the one prefetch-issue path: core's prefetcher observes
+// the demand access req (hit reports whether its block was present
+// before the access), and each predicted block is issued into target
+// (the cache the prefetcher fills) while the core's prefetch queue has
+// room. The rest are dropped and counted.
+func (s *System) issuePrefetches(target *cache.Cache, core int, now uint64, req cache.Request, hit bool) {
+	addrs := s.pfs[core].OnAccess(prefetch.AccessEvent{
 		Addr:  req.Addr,
 		PC:    req.PC,
 		Core:  req.Core,
 		Write: req.Kind == cache.Write,
 		Hit:   hit,
 	})
-	s.lc.Predicted(req.Core, len(addrs))
+	s.lc.Predicted(core, len(addrs))
 	for i, a := range addrs {
-		if !s.pfReserve(req.Core, now) {
-			s.pfDropped[req.Core] += uint64(len(addrs) - i)
-			s.lc.QueueDropped(req.Core, len(addrs)-i)
+		if !s.pfReserve(core, now) {
+			s.pfDropped[core] += uint64(len(addrs) - i)
+			s.lc.QueueDropped(core, len(addrs)-i)
 			break
 		}
-		pres := s.llc.Access(now, cache.Request{Addr: a, PC: req.PC, Core: req.Core, Kind: cache.Prefetch})
-		s.pfInflight[req.Core] = append(s.pfInflight[req.Core], pres.CompleteAt)
+		pres := target.Access(now, cache.Request{Addr: a, PC: req.PC, Core: req.Core, Kind: cache.Prefetch})
+		s.pfInflight[core] = append(s.pfInflight[core], pres.CompleteAt)
 	}
-	return res
 }
 
 // routeOutcome delivers a prefetched line's fate to the issuing core's

@@ -19,10 +19,10 @@ func tinyConfig() Config {
 		NumCores: 2,
 		Core:     cpu.Config{Width: 2, ROBSize: 32, LSQSize: 8},
 		L1: cache.Config{
-			Name: "L1", SizeBytes: 4 * 1024, Assoc: 4, HitLatency: 2, Policy: cache.LRU,
+			Name: "L1", SizeBytes: 4 * 1024, Assoc: 4, HitLatency: 2,
 		},
 		LLC: cache.Config{
-			Name: "LLC", SizeBytes: 64 * 1024, Assoc: 8, HitLatency: 10, Policy: cache.LRU,
+			Name: "LLC", SizeBytes: 64 * 1024, Assoc: 8, HitLatency: 10,
 		},
 		DRAM: dram.Config{
 			Channels: 1, BanksPerChannel: 4, RowBytes: 4096,

@@ -1,7 +1,12 @@
 package telemetry
 
-// Collector accumulates the epoch time-series of one run and owns the
-// run's metric Registry. Attach it to a system with
+import (
+	"sort"
+	"sync/atomic"
+)
+
+// Collector accumulates the epoch time-series of one run and publishes
+// the run's metric Snapshot. Attach it to a system with
 // system.EnableTelemetry; the system then drives the cycle-sampling
 // callbacks below. A Collector observes exactly the measurement window:
 // nothing is recorded during warm-up, and the final partial epoch is
@@ -9,8 +14,8 @@ package telemetry
 // end-of-run totals.
 //
 // Like the simulator components it observes, a Collector belongs to the
-// simulation goroutine; only the Registry's metric values are safe for
-// concurrent readers (the debug HTTP server).
+// simulation goroutine; only Metrics is safe for concurrent readers (the
+// debug HTTP server).
 type Collector struct {
 	epochCycles uint64
 
@@ -19,10 +24,11 @@ type Collector struct {
 	Workload   string
 	Prefetcher string
 
-	reg      *Registry
-	lc       *Lifecycle
-	margins  *Histogram
-	lateness *Histogram
+	lc *Lifecycle
+	// metrics is the snapshot mirror last published. Each one is built
+	// whole and never written again, so a concurrent reader that loads
+	// the pointer sees a complete, consistent set of values.
+	metrics atomic.Pointer[Snapshot]
 
 	begun      bool
 	finished   bool
@@ -39,34 +45,28 @@ func NewCollector(epochCycles uint64) *Collector {
 	if epochCycles == 0 {
 		epochCycles = DefaultEpochCycles
 	}
-	reg := NewRegistry()
-	c := &Collector{
-		epochCycles: epochCycles,
-		reg:         reg,
-		margins:     reg.Histogram("prefetch.use_margin_cycles"),
-		lateness:    reg.Histogram("prefetch.late_wait_cycles"),
-	}
-	return c
+	return &Collector{epochCycles: epochCycles}
 }
 
 // EpochCycles returns the sampling period.
 func (c *Collector) EpochCycles() uint64 { return c.epochCycles }
 
-// Registry returns the collector's metric registry.
-func (c *Collector) Registry() *Registry { return c.reg }
+// Metrics returns the metric snapshot published at the last epoch close
+// (or at Finish), or an empty one before the first. It is safe to call
+// from any goroutine; the returned map must not be modified.
+func (c *Collector) Metrics() Snapshot {
+	if s := c.metrics.Load(); s != nil {
+		return *s
+	}
+	return Snapshot{}
+}
 
 // Lifecycle returns the bound lifecycle tracker (nil for a baseline
 // run with no prefetcher).
 func (c *Collector) Lifecycle() *Lifecycle { return c.lc }
 
-// BindLifecycle points the collector at the system's lifecycle tracker
-// and wires the margin/lateness distributions into it.
-func (c *Collector) BindLifecycle(lc *Lifecycle) {
-	c.lc = lc
-	if lc != nil {
-		lc.AttachHistograms(c.margins, c.lateness)
-	}
-}
+// BindLifecycle points the collector at the system's lifecycle tracker.
+func (c *Collector) BindLifecycle(lc *Lifecycle) { c.lc = lc }
 
 // Begun reports whether measurement sampling has started.
 func (c *Collector) Begun() bool { return c.begun }
@@ -86,11 +86,6 @@ func (c *Collector) Begin(cycle uint64) {
 	c.lastEnd = cycle
 	c.nextAt = cycle + c.epochCycles
 	c.cum = Totals{}
-	// The lifecycle probes fire in every phase, so any warm-up
-	// prefetch-use observations are discarded here: the distributions
-	// cover exactly the measurement window, like the series and counters.
-	c.margins.reset()
-	c.lateness.reset()
 }
 
 // ShouldSample reports whether the clock has crossed the next epoch
@@ -135,8 +130,8 @@ func (c *Collector) emit(cycle uint64, cum Totals) {
 	c.mirror()
 }
 
-// Finish flushes the final (usually partial) epoch and mirrors the
-// run's totals into the registry. Called once when measurement ends;
+// Finish flushes the final (usually partial) epoch and publishes the
+// run's totals. Called once when measurement ends;
 // further calls are no-ops.
 func (c *Collector) Finish(cycle uint64, cum Totals) {
 	if !c.begun || c.finished {
@@ -166,44 +161,74 @@ func (c *Collector) SummedTotals() Totals {
 	return sum
 }
 
-// mirror copies the cumulative totals and lifecycle counters into the
-// registry. It runs at every epoch close, so a concurrent observer (the
-// debug server) sees live counters, and once more at Finish, so the
-// exported metric snapshot agrees with the series.
+// mirror publishes a fresh Snapshot of the cumulative totals and the
+// lifecycle counters. It runs at every epoch close, so a concurrent
+// observer (the debug server) sees live counters, and once more at
+// Finish, so the exported snapshot agrees with the series. The two
+// "prefetch.*_cycles" pairs are present even without a lifecycle (a
+// baseline run), at zero.
 func (c *Collector) mirror() {
-	r := c.reg
-	r.Counter("sim.epochs").Store(uint64(len(c.series)))
-	r.Counter("sim.measured_cycles").Store(c.MeasuredCycles())
-	r.Counter("sim.instructions").Store(c.cum.Instructions())
-	llc := c.cum.LLC
-	r.Counter("llc.accesses").Store(llc.Accesses)
-	r.Counter("llc.hits").Store(llc.Hits)
-	r.Counter("llc.misses").Store(llc.Misses)
-	r.Counter("llc.late_hits").Store(llc.LateHits)
-	r.Counter("llc.prefetch_issued").Store(llc.PrefetchIssued)
-	r.Counter("llc.prefetch_fills").Store(llc.PrefetchFills)
-	r.Counter("llc.prefetch_redundant").Store(llc.PrefetchHits)
-	r.Counter("llc.useful_prefetch").Store(llc.UsefulPrefetch)
-	r.Counter("llc.late_prefetch").Store(llc.LatePrefetch)
-	r.Counter("llc.unused_prefetch").Store(llc.UnusedPrefetch)
-	r.Counter("llc.evictions").Store(llc.Evictions)
-	r.Counter("llc.writebacks").Store(llc.Writebacks)
-	d := c.cum.DRAM
-	r.Counter("dram.reads").Store(d.Reads)
-	r.Counter("dram.writes").Store(d.Writes)
-	r.Counter("dram.row_hits").Store(d.RowHits)
-	r.Counter("dram.row_empty").Store(d.RowEmpty)
-	r.Counter("dram.row_conflicts").Store(d.RowConflicts)
-	r.Counter("dram.bus_busy").Store(d.BusBusy)
-	if c.lc != nil {
-		t := c.lc.Totals()
-		r.Counter("prefetch.issued").Store(t.Issued)
-		r.Counter("prefetch.queue_dropped").Store(t.QueueDropped)
-		r.Counter("prefetch.redundant").Store(t.Redundant)
-		r.Counter("prefetch.fills").Store(t.Fills)
-		r.Counter("prefetch.timely").Store(t.Timely)
-		r.Counter("prefetch.late").Store(t.Late)
-		r.Counter("prefetch.unused_evicted").Store(t.UnusedEvicted)
-		r.Gauge("prefetch.in_flight").Set(int64(t.InFlight))
+	llc, d := c.cum.LLC, c.cum.DRAM
+	s := Snapshot{
+		"sim.epochs":             int64(len(c.series)),
+		"sim.measured_cycles":    int64(c.MeasuredCycles()),
+		"sim.instructions":       int64(c.cum.Instructions()),
+		"llc.accesses":           int64(llc.Accesses),
+		"llc.hits":               int64(llc.Hits),
+		"llc.misses":             int64(llc.Misses),
+		"llc.late_hits":          int64(llc.LateHits),
+		"llc.prefetch_issued":    int64(llc.PrefetchIssued),
+		"llc.prefetch_fills":     int64(llc.PrefetchFills),
+		"llc.prefetch_redundant": int64(llc.PrefetchHits),
+		"llc.useful_prefetch":    int64(llc.UsefulPrefetch),
+		"llc.late_prefetch":      int64(llc.LatePrefetch),
+		"llc.unused_prefetch":    int64(llc.UnusedPrefetch),
+		"llc.evictions":          int64(llc.Evictions),
+		"llc.writebacks":         int64(llc.Writebacks),
+		"dram.reads":             int64(d.Reads),
+		"dram.writes":            int64(d.Writes),
+		"dram.row_hits":          int64(d.RowHits),
+		"dram.row_empty":         int64(d.RowEmpty),
+		"dram.row_conflicts":     int64(d.RowConflicts),
+		"dram.bus_busy":          int64(d.BusBusy),
 	}
+	var t LifecycleStats
+	var margin, late uint64
+	if c.lc != nil {
+		t = c.lc.Totals()
+		margin, late = c.lc.WaitCycles()
+		s["prefetch.issued"] = int64(t.Issued)
+		s["prefetch.queue_dropped"] = int64(t.QueueDropped)
+		s["prefetch.redundant"] = int64(t.Redundant)
+		s["prefetch.fills"] = int64(t.Fills)
+		s["prefetch.timely"] = int64(t.Timely)
+		s["prefetch.late"] = int64(t.Late)
+		s["prefetch.unused_evicted"] = int64(t.UnusedEvicted)
+		s["prefetch.in_flight"] = int64(t.InFlight)
+	}
+	s["prefetch.use_margin_cycles.count"] = int64(t.Timely)
+	s["prefetch.use_margin_cycles.sum"] = int64(margin)
+	s["prefetch.late_wait_cycles.count"] = int64(t.Late)
+	s["prefetch.late_wait_cycles.sum"] = int64(late)
+	c.metrics.Store(&s)
+}
+
+// Snapshot is a point-in-time flattened view of a run's metrics, keyed by
+// stable lowercase dotted names such as "llc.misses" or
+// "prefetch.use_margin_cycles.sum". Stable names are what let exported
+// snapshots be compared across runs and releases. Values are int64 so
+// one type covers counts and the one up/down value (prefetch.in_flight);
+// counts never come near the int64 range (the largest grow with
+// simulated cycles).
+type Snapshot map[string]int64
+
+// Names returns the snapshot's keys in sorted order, for deterministic
+// rendering.
+func (s Snapshot) Names() []string {
+	names := make([]string, 0, len(s))
+	for k := range s {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
 }

@@ -67,12 +67,12 @@ func TestCollectorSeriesSumsToTotals(t *testing.T) {
 		t.Fatalf("summed series %+v != final totals %+v", sum, final)
 	}
 
-	// Finish is idempotent and mirrors into the registry.
+	// Finish is idempotent and publishes the totals.
 	c.Finish(2000, totalsAt(99, 2))
 	if len(c.Series()) != 3 {
 		t.Fatal("Finish after Finish extended the series")
 	}
-	snap := c.Registry().Snapshot()
+	snap := c.Metrics()
 	if snap["llc.misses"] != int64(final.LLC.Misses) {
 		t.Errorf("mirrored llc.misses = %d, want %d", snap["llc.misses"], final.LLC.Misses)
 	}
@@ -84,20 +84,80 @@ func TestCollectorSeriesSumsToTotals(t *testing.T) {
 	}
 }
 
-// TestCollectorMirrorsAtEpochClose pins that the registry is live during
-// the run: the debug server reads it between epochs, long before Finish.
+// TestCollectorMirrorsAtEpochClose pins that the published snapshot is
+// live during the run: the debug server reads it between epochs, long
+// before Finish.
 func TestCollectorMirrorsAtEpochClose(t *testing.T) {
 	c := NewCollector(100)
+	if n := len(c.Metrics()); n != 0 {
+		t.Fatalf("snapshot before the first epoch has %d keys, want none", n)
+	}
 	c.Begin(1000)
 	c.Sample(1100, totalsAt(10, 2))
 	c.Sample(1200, totalsAt(25, 2))
-	snap := c.Registry().Snapshot()
+	snap := c.Metrics()
 	want := c.SummedTotals().LLC.Accesses
 	if got := snap["llc.accesses"]; got != int64(want) || want == 0 {
 		t.Errorf("llc.accesses before Finish = %d, want the summed series' %d", got, want)
 	}
 	if snap["sim.epochs"] != 2 {
 		t.Errorf("sim.epochs before Finish = %d, want 2", snap["sim.epochs"])
+	}
+}
+
+// TestSnapshotIncludesHistograms pins the four "prefetch.*_cycles"
+// keys: present at zero in a baseline run (no lifecycle), and with a
+// lifecycle their counts are its Timely and Late and their sums its wait
+// cycles.
+func TestSnapshotIncludesHistograms(t *testing.T) {
+	keys := []string{
+		"prefetch.use_margin_cycles.count", "prefetch.use_margin_cycles.sum",
+		"prefetch.late_wait_cycles.count", "prefetch.late_wait_cycles.sum",
+	}
+	base := NewCollector(100)
+	base.Begin(0)
+	base.Finish(50, totalsAt(1, 1))
+	snap := base.Metrics()
+	for _, k := range keys {
+		if v, ok := snap[k]; !ok || v != 0 {
+			t.Errorf("baseline %s = %d (present %v), want 0", k, v, ok)
+		}
+	}
+	if len(snap) != 25 {
+		t.Errorf("baseline snapshot has %d keys, want 25: %v", len(snap), snap.Names())
+	}
+
+	lc := NewLifecycle(2)
+	c := NewCollector(100)
+	c.BindLifecycle(lc)
+	c.Begin(0)
+	lc.Predicted(0, 4)
+	for i := 0; i < 4; i++ {
+		lc.PrefetchFill(i % 2)
+	}
+	lc.PrefetchUse(0, false, 3)
+	lc.PrefetchUse(1, false, 5)
+	lc.PrefetchUse(0, true, 11)
+	c.Finish(50, totalsAt(1, 2))
+	snap = c.Metrics()
+	want := map[string]int64{keys[0]: 2, keys[1]: 8, keys[2]: 1, keys[3]: 11}
+	for k, v := range want {
+		if snap[k] != v {
+			t.Errorf("%s = %d, want %d", k, snap[k], v)
+		}
+	}
+	if snap[keys[0]] != snap["prefetch.timely"] || snap[keys[2]] != snap["prefetch.late"] {
+		t.Errorf("histogram counts %d/%d differ from timely/late %d/%d",
+			snap[keys[0]], snap[keys[2]], snap["prefetch.timely"], snap["prefetch.late"])
+	}
+	if len(snap) != 33 {
+		t.Errorf("snapshot with a lifecycle has %d keys, want 33: %v", len(snap), snap.Names())
+	}
+	names := snap.Names()
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("Names not sorted: %v", names)
+		}
 	}
 }
 

@@ -12,23 +12,24 @@ import (
 )
 
 // Debug HTTP server: net/http/pprof profiles, expvar, and a JSON view
-// of a Registry, served on a loopback (or any) address behind the CLIs'
-// -debug-addr flag. The server only ever reads atomic metric values, so
-// it is safe to run alongside a live simulation; it cannot perturb
-// simulated state.
+// of a metric Snapshot source, served on a loopback (or any) address
+// behind the CLIs' -debug-addr flag. A source must be safe to call from
+// the server's goroutines, as Collector.Metrics and the harness's
+// Matrix.Progress are. The server only reads, so it is safe to run
+// alongside a live simulation and cannot perturb simulated state.
 
-// debugReg is the registry currently exposed via expvar. expvar.Publish
+// debugSource is the source currently exposed via expvar. expvar.Publish
 // is global and permanent, so the expvar hook is installed once and
 // indirects through this pointer; starting a new debug server swaps the
-// target.
+// source.
 var (
-	debugReg   atomic.Pointer[Registry]
-	expvarOnce sync.Once
+	debugSource atomic.Pointer[func() Snapshot]
+	expvarOnce  sync.Once
 	//conc:immutable assigned once at package init; only ever called through expvarOnce
 	expvarInstal = func() {
 		expvar.Publish("telemetry", expvar.Func(func() any {
-			if r := debugReg.Load(); r != nil {
-				return r.Snapshot()
+			if src := debugSource.Load(); src != nil {
+				return (*src)()
 			}
 			return Snapshot{}
 		}))
@@ -45,15 +46,15 @@ type DebugServer struct {
 }
 
 // StartDebugServer serves /debug/pprof/*, /debug/vars (expvar, with the
-// registry under the "telemetry" key), and /debug/metrics (the registry
+// source's snapshot under the "telemetry" key), and /debug/metrics (the
 // snapshot as plain JSON) on addr. It returns once the listener is
 // bound; serving proceeds on a background goroutine.
-func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
-	if reg == nil {
-		return nil, fmt.Errorf("telemetry: debug server needs a registry")
+func StartDebugServer(addr string, source func() Snapshot) (*DebugServer, error) {
+	if source == nil {
+		return nil, fmt.Errorf("telemetry: debug server needs a metrics source")
 	}
 	expvarOnce.Do(expvarInstal)
-	debugReg.Store(reg)
+	debugSource.Store(&source)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -64,14 +65,10 @@ func StartDebugServer(addr string, reg *Registry) (*DebugServer, error) {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		snap := reg.Snapshot()
-		out := make(map[string]int64, len(snap))
-		for _, name := range snap.Names() {
-			out[name] = snap[name]
-		}
+		// encoding/json writes map keys sorted.
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(source()); err != nil {
 			// The client hung up mid-response; nothing to clean up.
 			return
 		}

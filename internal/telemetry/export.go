@@ -86,7 +86,7 @@ func (c *Collector) Export() Document {
 		EndCycle:    c.lastEnd,
 		Epochs:      make([]EpochRow, 0, len(c.series)),
 		Lifecycle:   c.lifecycleReport(),
-		Metrics:     c.reg.Snapshot(),
+		Metrics:     c.Metrics(),
 	}
 	for _, e := range c.series {
 		doc.Epochs = append(doc.Epochs, newEpochRow(e))

@@ -81,28 +81,23 @@ func (s LifecycleStats) Used() uint64 { return s.Timely + s.Late }
 // events and takes the queue-side events (Predicted, QueueDropped)
 // directly from the system's issue path. It belongs to the simulation
 // goroutine: counters are plain integers on the hot path, and the
-// Collector mirrors them into atomic registry metrics at epoch
-// boundaries for concurrent observers.
+// Collector publishes a snapshot of them at epoch boundaries for
+// concurrent observers.
 type Lifecycle struct {
 	cores []LifecycleStats
 
-	// Optional distributions, attached by a Collector: margins records,
-	// for timely uses, the cycles between fill completion and the first
-	// use's data-availability; lateness records, for late uses, the
-	// cycles the demand access had to wait on the in-flight fill.
-	margins  *Histogram
-	lateness *Histogram
+	// marginCycles sums, over timely uses, the cycles between fill
+	// completion and the use's data availability; lateCycles sums, over
+	// late uses, the cycles the demand access waited on the in-flight
+	// fill. They are system-wide and stay out of LifecycleStats, whose
+	// exported JSON carries the counts (Timely, Late) only.
+	marginCycles uint64
+	lateCycles   uint64
 }
 
 // NewLifecycle returns a tracker for the given core count.
 func NewLifecycle(cores int) *Lifecycle {
 	return &Lifecycle{cores: make([]LifecycleStats, cores)}
-}
-
-// AttachHistograms wires the optional use-margin and late-wait
-// distributions (either may be nil).
-func (l *Lifecycle) AttachHistograms(margins, lateness *Histogram) {
-	l.margins, l.lateness = margins, lateness
 }
 
 // Reset zeroes every counter. The system calls this at the warm-up to
@@ -113,6 +108,13 @@ func (l *Lifecycle) Reset() {
 	for i := range l.cores {
 		l.cores[i] = LifecycleStats{}
 	}
+	l.marginCycles, l.lateCycles = 0, 0
+}
+
+// WaitCycles returns the summed use margin of timely uses and the summed
+// wait of late uses; divide by Totals().Timely and .Late for the means.
+func (l *Lifecycle) WaitCycles() (margin, late uint64) {
+	return l.marginCycles, l.lateCycles
 }
 
 // NumCores returns the tracked core count.
@@ -179,15 +181,11 @@ func (l *Lifecycle) PrefetchUse(core int, late bool, cycles uint64) {
 	}
 	if late {
 		c.Late++
-		if l.lateness != nil {
-			l.lateness.Observe(cycles)
-		}
+		l.lateCycles += cycles
 		return
 	}
 	c.Timely++
-	if l.margins != nil {
-		l.margins.Observe(cycles)
-	}
+	l.marginCycles += cycles
 }
 
 // PrefetchEvictUnused implements cache.PrefetchProbe: a prefetched line

@@ -59,19 +59,28 @@ func TestLifecycleFractions(t *testing.T) {
 	}
 }
 
+// TestLifecycleHistograms checks the two wait sums that back the
+// "prefetch.use_margin_cycles" and "prefetch.late_wait_cycles" metrics:
+// timely margins and late waits add up separately, and Reset zeroes
+// them with the counters.
 func TestLifecycleHistograms(t *testing.T) {
-	l := NewLifecycle(1)
-	var margins, lateness Histogram
-	l.AttachHistograms(&margins, &lateness)
-	l.PrefetchFill(0)
-	l.PrefetchFill(0)
-	l.PrefetchUse(0, false, 100)
-	l.PrefetchUse(0, true, 7)
-	if margins.Count() != 1 || margins.Sum() != 100 {
-		t.Errorf("margins = %d obs / sum %d, want 1/100", margins.Count(), margins.Sum())
+	l := NewLifecycle(2)
+	for i := 0; i < 4; i++ {
+		l.PrefetchFill(i % 2)
 	}
-	if lateness.Count() != 1 || lateness.Sum() != 7 {
-		t.Errorf("lateness = %d obs / sum %d, want 1/7", lateness.Count(), lateness.Sum())
+	l.PrefetchUse(0, false, 100)
+	l.PrefetchUse(1, false, 20)
+	l.PrefetchUse(0, true, 7)
+	l.PrefetchUse(5, true, 1000) // out-of-range core: dropped
+	if margin, late := l.WaitCycles(); margin != 120 || late != 7 {
+		t.Errorf("wait cycles = margin %d / late %d, want 120/7", margin, late)
+	}
+	if tot := l.Totals(); tot.Timely != 2 || tot.Late != 1 {
+		t.Errorf("timely/late = %d/%d, want 2/1", tot.Timely, tot.Late)
+	}
+	l.Reset()
+	if margin, late := l.WaitCycles(); margin != 0 || late != 0 {
+		t.Errorf("wait cycles after Reset = %d/%d, want 0/0", margin, late)
 	}
 }
 

@@ -1,9 +1,8 @@
-// Package telemetry is the simulator's observability layer: a
-// dependency-light metrics registry (typed counters, gauges and
-// histograms with stable names and snapshot/delta semantics), a
-// prefetch lifecycle tracker that follows every prefetched block from
-// issue to first demand use or eviction, and a cycle-sampled epoch
-// time-series collector with JSON/CSV and Chrome trace_event exporters.
+// Package telemetry is the simulator's observability layer: a prefetch
+// lifecycle tracker that follows every prefetched block from issue to
+// first demand use or eviction, and a cycle-sampled epoch time-series
+// collector that publishes a flat metric Snapshot of its totals and
+// exports JSON/CSV and Chrome trace_event files.
 //
 // Telemetry is strictly an observer. Attaching a Collector to a system
 // never changes simulated state: results and stdout are byte-identical
@@ -11,9 +10,10 @@
 // oracle).
 //
 // Threading: the Lifecycle and the Collector's series belong to the
-// simulation goroutine, like every other simulator component. Registry
-// values are atomics so the optional debug HTTP server (expvar, pprof)
-// may read them while a simulation runs.
+// simulation goroutine, like every other simulator component. The
+// Collector publishes each Snapshot whole through an atomic pointer, so
+// the optional debug HTTP server (expvar, pprof) may read it while a
+// simulation runs.
 package telemetry
 
 // DefaultEpochCycles is the default sampling period of the epoch
