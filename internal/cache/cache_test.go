@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"bingo/internal/mem"
 )
@@ -302,4 +303,12 @@ type backstopFunc func(uint64, mem.Addr, bool) uint64
 
 func (f backstopFunc) Access(now uint64, addr mem.Addr, write bool) uint64 {
 	return f(now, addr, write)
+}
+
+// TestLineIs32Bytes pins the line layout: with the LRU stamp inside, a
+// line is still 32 bytes, so a 16-way set spans eight host cache lines.
+func TestLineIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 32 {
+		t.Fatalf("line is %d bytes, want 32", n)
+	}
 }

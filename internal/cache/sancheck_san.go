@@ -94,8 +94,9 @@ func (c *Cache) sanCheckSet(now uint64, si int) {
 // duplicate stamp would make the victim choice ambiguous — a malformed
 // recency stack).
 func (c *Cache) sanCheckLRU(now uint64, si int) {
-	stamps := c.lruStamp[si*c.cfg.Assoc : (si+1)*c.cfg.Assoc]
-	for i, ti := range stamps {
+	set := c.sets[si]
+	for i := range set {
+		ti := set[i].stamp
 		if ti > c.lruClock {
 			san.Failf(c.cfg.Name, now, san.CacheLRU,
 				"set %d way %d recency stamp %d ahead of LRU clock %d", si, i, ti, c.lruClock)
@@ -103,8 +104,8 @@ func (c *Cache) sanCheckLRU(now uint64, si int) {
 		if ti == 0 {
 			continue // never touched
 		}
-		for j := i + 1; j < len(stamps); j++ {
-			if stamps[j] == ti {
+		for j := i + 1; j < len(set); j++ {
+			if set[j].stamp == ti {
 				san.Failf(c.cfg.Name, now, san.CacheLRU,
 					"set %d ways %d and %d share recency stamp %d", si, i, j, ti)
 			}

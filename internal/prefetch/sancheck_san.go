@@ -2,10 +2,7 @@
 
 package prefetch
 
-import (
-	"bingo/internal/mem"
-	"bingo/internal/san"
-)
+import "bingo/internal/san"
 
 // sanState is the per-table checker state of the runtime invariant
 // sanitizer (build tag `san`).
@@ -21,25 +18,27 @@ func (t *Table[V]) sanAfterInsert(key uint64) {
 	if !san.Enabled() {
 		return
 	}
-	if t.size < 0 || t.size > len(t.entries) {
+	if t.size < 0 || t.size > len(t.tags) {
 		san.Failf("prefetch.table", 0, san.TableResidency,
-			"size counter %d outside [0,%d]", t.size, len(t.entries))
+			"size counter %d outside [0,%d]", t.size, len(t.tags))
 	}
-	set := t.set(key)
-	for i := range set {
-		if !set[i].valid {
+	si, _ := t.slot(key)
+	base := si * t.ways
+	for w := 0; w < t.ways; w++ {
+		if t.fp(si, w) == 0 {
 			continue
 		}
-		if set[i].lru > t.clock {
+		tag := t.tags[base+w]
+		if t.lru[base+w] > t.clock {
 			san.Failf("prefetch.table", 0, san.TableResidency,
 				"entry tag %#x has recency stamp %d beyond table clock %d",
-				set[i].tag, set[i].lru, t.clock)
+				tag, t.lru[base+w], t.clock)
 		}
-		for j := i + 1; j < len(set); j++ {
-			if set[j].valid && set[j].tag == set[i].tag {
+		for v := w + 1; v < t.ways; v++ {
+			if t.fp(si, v) != 0 && t.tags[base+v] == tag {
 				san.Failf("prefetch.table", 0, san.TableResidency,
 					"duplicate tag %#x in ways %d and %d of the set for key %#x",
-					set[i].tag, i, j, key)
+					tag, w, v, key)
 			}
 		}
 	}
@@ -50,23 +49,41 @@ func (t *Table[V]) sanAfterInsert(key uint64) {
 }
 
 // sanDeepCheck recounts valid entries across the whole table and verifies
-// the incremental size counter and set-index placement of every tag.
+// the incremental size counter, the set-index placement and fingerprint
+// byte of every tag, and that empty ways and the padding lanes of each
+// set's last fingerprint word hold zeros.
 func (t *Table[V]) sanDeepCheck() {
 	count := 0
-	for i := range t.entries {
-		if !t.entries[i].valid {
+	for i := range t.tags {
+		fp := t.fp(i/t.ways, i%t.ways)
+		if fp == 0 {
+			if t.tags[i] != 0 {
+				san.Failf("prefetch.table", 0, san.TableResidency,
+					"empty way %d of set %d holds tag %#x", i%t.ways, i/t.ways, t.tags[i])
+			}
 			continue
 		}
 		count++
-		want := int(mem.Mix64(t.entries[i].tag) & t.setMask)
+		want, wantFP := t.slot(t.tags[i])
 		if got := i / t.ways; got != want {
 			san.Failf("prefetch.table", 0, san.TableResidency,
-				"tag %#x resident in set %d but hashes to set %d", t.entries[i].tag, got, want)
+				"tag %#x resident in set %d but hashes to set %d", t.tags[i], got, want)
+		}
+		if fp != wantFP {
+			san.Failf("prefetch.table", 0, san.TableResidency,
+				"tag %#x in set %d way %d has fingerprint %#x, its hash gives %#x",
+				t.tags[i], i/t.ways, i%t.ways, fp, wantFP)
 		}
 	}
 	if count != t.size {
 		san.Failf("prefetch.table", 0, san.TableResidency,
 			"size counter %d but %d valid entries resident", t.size, count)
+	}
+	for k := t.words - 1; k < len(t.fps); k += t.words {
+		if pad := t.fps[k] &^ (t.tail >> 7 * 0xff); pad != 0 {
+			san.Failf("prefetch.table", 0, san.TableResidency,
+				"set %d has fingerprint bits %#x beyond its %d ways", k/t.words, pad, t.ways)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bingo/internal/mem"
 )
@@ -10,20 +11,40 @@ import (
 // the workhorse structure of every history-based prefetcher. Keys are
 // full-width; the set index is a hash of the key and the tag is the key
 // itself, so distinct keys never alias.
+//
+// Each way also has a one-byte fingerprint, packed eight to a word in
+// fps: the top byte of the key's hash with its high bit set, or 0 for an
+// empty way. A probe compares a set's fingerprint words against the key's
+// byte all at once and reads the full tag only of the ways that match, so
+// a probe that misses (most RegionTracker erases do) reads one word per
+// eight ways and no entry. Tags, recency stamps and values live in
+// parallel slices indexed set*ways+way.
 type Table[V any] struct {
 	ways    int
+	words   int    // fingerprint words per set: ways rounded up to 8 lanes
+	tail    uint64 // lane mask of a set's last fingerprint word
 	setMask uint64
-	entries []tableEntry[V]
+	fps     []uint64
+	tags    []uint64
+	lru     []uint64
+	values  []V
 	clock   uint64
 	size    int
 	san     sanState // runtime invariant sanitizer (empty without -tags=san)
 }
 
-type tableEntry[V any] struct {
-	valid bool
-	tag   uint64
-	lru   uint64
-	value V
+// Fingerprint-word constants: laneOnes repeats a byte across the eight
+// lanes of a word, and laneHigh/laneLow split each lane's bits.
+const (
+	laneOnes uint64 = 0x0101010101010101
+	laneHigh uint64 = 0x8080808080808080
+	laneLow  uint64 = 0x7f7f7f7f7f7f7f7f
+)
+
+// zeroLanes returns laneHigh's bit set in every lane of x that is zero,
+// and no other bit. It is exact: no carry crosses a lane.
+func zeroLanes(x uint64) uint64 {
+	return ^((x&laneLow + laneLow) | x | laneLow)
 }
 
 // TableSets returns the set count of a numEntries-entry, ways-way table.
@@ -49,10 +70,20 @@ func NewTable[V any](numEntries, ways int) (*Table[V], error) {
 	if err != nil {
 		return nil, err
 	}
+	words := (ways + 7) / 8
+	tail := laneHigh
+	if r := ways % 8; r != 0 {
+		tail = laneHigh & (1<<(8*r) - 1)
+	}
 	return &Table[V]{
 		ways:    ways,
+		words:   words,
+		tail:    tail,
 		setMask: uint64(sets - 1),
-		entries: make([]tableEntry[V], numEntries),
+		fps:     make([]uint64, sets*words),
+		tags:    make([]uint64, numEntries),
+		lru:     make([]uint64, numEntries),
+		values:  make([]V, numEntries),
 	}, nil
 }
 
@@ -69,92 +100,138 @@ func MustNewTable[V any](numEntries, ways int) *Table[V] {
 func (t *Table[V]) Len() int { return t.size }
 
 // Capacity returns the total entry count.
-func (t *Table[V]) Capacity() int { return len(t.entries) }
+func (t *Table[V]) Capacity() int { return len(t.tags) }
 
 // Ways returns the associativity.
 func (t *Table[V]) Ways() int { return t.ways }
 
-func (t *Table[V]) set(key uint64) []tableEntry[V] {
-	si := int(mem.Mix64(key) & t.setMask)
-	return t.entries[si*t.ways : (si+1)*t.ways]
+// slot returns key's set and its fingerprint byte, both from one hash.
+func (t *Table[V]) slot(key uint64) (set int, fp uint64) {
+	h := mem.Mix64(key)
+	return int(h & t.setMask), h>>56 | 0x80
+}
+
+// fp returns the fingerprint byte of way w of set si (0: empty way).
+func (t *Table[V]) fp(si, w int) uint64 {
+	return t.fps[si*t.words+w/8] >> (8 * uint(w%8)) & 0xff
+}
+
+// setFP writes the fingerprint byte of way w of set si (0 empties it).
+func (t *Table[V]) setFP(si, w int, fp uint64) {
+	word := &t.fps[si*t.words+w/8]
+	shift := 8 * uint(w%8)
+	*word = *word&^(0xff<<shift) | fp<<shift
+}
+
+// find returns the index of key's entry in set si, or -1. Only ways whose
+// fingerprint byte equals fp have their tag read.
+func (t *Table[V]) find(si int, fp, key uint64) int {
+	pattern := fp * laneOnes
+	for k, word := range t.fps[si*t.words : (si+1)*t.words] {
+		for m := zeroLanes(word ^ pattern); m != 0; m &= m - 1 {
+			i := si*t.ways + 8*k + bits.TrailingZeros64(m)/8
+			if t.tags[i] == key {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// emptyWay returns the index of the lowest-indexed empty way of set si,
+// or -1 when the set is full.
+func (t *Table[V]) emptyWay(si int) int {
+	words := t.fps[si*t.words : (si+1)*t.words]
+	for k, word := range words {
+		m := zeroLanes(word)
+		if k == len(words)-1 {
+			m &= t.tail
+		}
+		if m != 0 {
+			return si*t.ways + 8*k + bits.TrailingZeros64(m)/8
+		}
+	}
+	return -1
+}
+
+// lruWay returns the index of the least recently used way of full set si
+// (the lowest-indexed one on a tie).
+func (t *Table[V]) lruWay(si int) int {
+	base := si * t.ways
+	stamps := t.lru[base : base+t.ways]
+	oldest := stamps[0]
+	for _, s := range stamps {
+		oldest = min(oldest, s) // branch-free: the oldest way is unpredictable
+	}
+	victim := 0
+	for stamps[victim] != oldest {
+		victim++
+	}
+	return base + victim
 }
 
 // Lookup returns a pointer to the value stored under key, touching its
 // recency if touch is true. The pointer stays valid until the entry is
 // evicted or erased.
 func (t *Table[V]) Lookup(key uint64, touch bool) (*V, bool) {
-	set := t.set(key)
-	for i := range set {
-		if set[i].valid && set[i].tag == key {
-			if touch {
-				t.clock++
-				set[i].lru = t.clock
-			}
-			return &set[i].value, true
-		}
+	si, fp := t.slot(key)
+	i := t.find(si, fp, key)
+	if i < 0 {
+		return nil, false
 	}
-	return nil, false
+	if touch {
+		t.clock++
+		t.lru[i] = t.clock
+	}
+	return &t.values[i], true
 }
 
 // Insert stores value under key, replacing any existing entry for the key
-// and otherwise evicting the set's LRU victim. It returns the evicted
-// key/value when a valid entry was displaced.
+// and otherwise filling the set's lowest-indexed empty way, or evicting
+// its LRU victim when none is empty. It returns the evicted key/value
+// when a valid entry was displaced.
 func (t *Table[V]) Insert(key uint64, value V) (evictedKey uint64, evictedVal V, evicted bool) {
-	set := t.set(key)
+	si, fp := t.slot(key)
 	t.clock++
-	victim := -1
-	var victimLRU uint64 = ^uint64(0)
-	for i := range set {
-		if set[i].valid && set[i].tag == key {
-			set[i].value = value
-			set[i].lru = t.clock
-			return 0, evictedVal, false
-		}
-		if !set[i].valid {
-			if victim == -1 || set[victim].valid {
-				victim = i
-				victimLRU = 0
-			}
-			continue
-		}
-		if set[i].lru < victimLRU {
-			victim = i
-			victimLRU = set[i].lru
-		}
+	if i := t.find(si, fp, key); i >= 0 {
+		t.values[i] = value
+		t.lru[i] = t.clock
+		return 0, evictedVal, false
 	}
-	e := &set[victim]
-	if e.valid {
-		evictedKey, evictedVal, evicted = e.tag, e.value, true
+	i := t.emptyWay(si)
+	if i < 0 {
+		i = t.lruWay(si)
+		evictedKey, evictedVal, evicted = t.tags[i], t.values[i], true
 	} else {
 		t.size++
 	}
-	*e = tableEntry[V]{valid: true, tag: key, lru: t.clock, value: value}
+	t.tags[i], t.lru[i], t.values[i] = key, t.clock, value
+	t.setFP(si, i-si*t.ways, fp)
 	t.sanAfterInsert(key)
 	return evictedKey, evictedVal, evicted
 }
 
 // Erase removes the entry for key, returning its value if present.
 func (t *Table[V]) Erase(key uint64) (V, bool) {
-	set := t.set(key)
-	for i := range set {
-		if set[i].valid && set[i].tag == key {
-			v := set[i].value
-			var zero V
-			set[i] = tableEntry[V]{value: zero}
-			t.size--
-			return v, true
-		}
-	}
 	var zero V
-	return zero, false
+	si, fp := t.slot(key)
+	i := t.find(si, fp, key)
+	if i < 0 {
+		return zero, false
+	}
+	v := t.values[i]
+	t.tags[i], t.lru[i], t.values[i] = 0, 0, zero
+	t.setFP(si, i-si*t.ways, 0)
+	t.size--
+	return v, true
 }
 
-// Range calls fn for every valid entry until fn returns false. Iteration
-// order is unspecified.
+// Range calls fn for every valid entry, in index order (set by set, way
+// by way), until fn returns false.
 func (t *Table[V]) Range(fn func(key uint64, value *V) bool) {
-	for i := range t.entries {
-		if t.entries[i].valid {
-			if !fn(t.entries[i].tag, &t.entries[i].value) {
+	for si, i := 0, 0; i < len(t.tags); si++ {
+		for w := 0; w < t.ways; w, i = w+1, i+1 {
+			if t.fp(si, w) != 0 && !fn(t.tags[i], &t.values[i]) {
 				return
 			}
 		}

@@ -8,6 +8,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"bingo/internal/mem"
@@ -20,15 +21,50 @@ const DefaultPageSize = 4096
 // assignment. It is not safe for concurrent use: one System's goroutine
 // owns it, so the RNG draw order — and therefore every frame assignment —
 // follows the simulated access order exactly.
+//
+// The page table is a two-level radix tree: a map from the virtual page
+// number's high bits to a leaf covering leafPages consecutive pages. A
+// small direct-mapped cache of recently used leaves sits in front of the
+// map, so a translation that stays near recent pages reads one leaf entry
+// and no map bucket.
 type Translator struct {
 	pageShift uint
 	pageMask  uint64
-	mapping   map[uint64]uint64 // virtual page -> physical frame
-	freeList  []uint64          // shuffled physical frame numbers
-	nextFree  int
+	leaves    map[uint64]*leaf // vpn/leafPages -> leaf
+	recent    [recentLeaves]recentLeaf
+	mapped    int      // pages touched so far
+	freeList  []uint64 // the current chunk of shuffled frame numbers
+	nextFree  int      // next unused index into freeList
+	issued    uint64   // frames put into chunks so far
 	rng       *rand.Rand
 	frames    uint64
 }
+
+const (
+	leafPages    = 64
+	recentBits   = 8
+	recentLeaves = 1 << recentBits
+)
+
+// recentSlot returns the recent-leaf slot of leaf key: the top bits of a
+// Fibonacci hash. The cores' address spaces differ only in high bits
+// ((core+1)<<40 in the workloads), so slots taken from the key's low
+// bits would put the cores' leaves at equal offsets in one slot.
+func recentSlot(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 >> (64 - recentBits) }
+
+// leaf holds frame+1 for each of leafPages consecutive virtual pages;
+// 0 marks a page not yet touched.
+type leaf [leafPages]uint32
+
+// recentLeaf is one slot of the recent-leaf cache (lf == nil: empty).
+type recentLeaf struct {
+	key uint64
+	lf  *leaf
+}
+
+// maxFrames is how many frames a leaf entry can name: frame+1 must fit
+// in a uint32.
+const maxFrames = math.MaxUint32
 
 // NewTranslator creates a translator over a physical memory of memBytes
 // using pageSize-byte pages (both powers of two). Frames are handed out in
@@ -44,7 +80,7 @@ func NewTranslator(memBytes, pageSize uint64, seed int64) (*Translator, error) {
 	t := &Translator{
 		pageShift: mem.Log2(pageSize),
 		pageMask:  pageSize - 1,
-		mapping:   make(map[uint64]uint64),
+		leaves:    make(map[uint64]*leaf),
 		rng:       rand.New(rand.NewSource(seed)),
 		frames:    memBytes / pageSize,
 	}
@@ -64,23 +100,41 @@ func MustTranslator(memBytes, pageSize uint64, seed int64) *Translator {
 func (t *Translator) PageSize() uint64 { return t.pageMask + 1 }
 
 // MappedPages returns how many virtual pages have been touched so far.
-func (t *Translator) MappedPages() int { return len(t.mapping) }
+func (t *Translator) MappedPages() int { return t.mapped }
 
 // Translate maps a virtual address to its physical address, allocating a
 // random frame on first touch.
 func (t *Translator) Translate(va mem.Addr) mem.Addr {
 	vpn := uint64(va) >> t.pageShift
-	frame, ok := t.mapping[vpn]
-	if !ok {
-		frame = t.allocFrame()
-		t.mapping[vpn] = frame //hot:alloc first-touch page mapping; the table grows once per page
+	key, slot := vpn/leafPages, vpn%leafPages //lint:ignore unitlint leaf geometry (pages per leaf), not the block size
+	r := &t.recent[recentSlot(key)]
+	if r.lf == nil || r.key != key {
+		lf := t.leaves[key]
+		if lf == nil {
+			lf = t.newLeaf(key)
+		}
+		r.key, r.lf = key, lf
 	}
-	return mem.Addr(frame<<t.pageShift | uint64(va)&t.pageMask)
+	e := &r.lf[slot]
+	if *e == 0 {
+		*e = uint32(t.allocFrame() + 1)
+		t.mapped++
+	}
+	return mem.Addr(uint64(*e-1)<<t.pageShift | uint64(va)&t.pageMask)
+}
+
+// newLeaf adds the empty leaf for key to the page table.
+//
+//hot:alloc first touch of a leafPages-page span; the table grows once per leaf
+func (t *Translator) newLeaf(key uint64) *leaf {
+	lf := new(leaf)
+	t.leaves[key] = lf
+	return lf
 }
 
 // allocFrame returns the next frame from a lazily built shuffled free list.
-// The list is materialised in chunks so that huge physical memories do not
-// cost a giant up-front allocation.
+// The list is materialised one chunk at a time so that huge physical
+// memories do not cost a giant up-front allocation.
 func (t *Translator) allocFrame() uint64 {
 	if t.nextFree >= len(t.freeList) {
 		t.refillFreeList()
@@ -92,22 +146,32 @@ func (t *Translator) allocFrame() uint64 {
 
 const freeListChunk = 1 << 16
 
+// refillFreeList replaces the used-up chunk with the next frames, shuffled.
+//
 //hot:alloc lazy free-list refill, amortized over 64Ki translations
 func (t *Translator) refillFreeList() {
-	base := uint64(len(t.freeList))
-	n := uint64(freeListChunk)
-	if base < t.frames && base+n > t.frames {
-		n = t.frames - base
+	base := t.issued
+	n, ok := chunkSize(base, t.frames)
+	if !ok {
+		panic(fmt.Sprintf("vm: frame %d does not fit a page-table entry (at most %d frames)", base+n-1, uint64(maxFrames)))
 	}
-	if n == 0 {
-		n = freeListChunk // past physical memory: keep synthesising frames
-	}
-	chunk := make([]uint64, n)
-	for i := range chunk {
-		chunk[i] = base + uint64(i)
+	chunk := t.freeList[:0]
+	for i := uint64(0); i < n; i++ {
+		chunk = append(chunk, base+i)
 	}
 	t.rng.Shuffle(len(chunk), func(i, j int) { chunk[i], chunk[j] = chunk[j], chunk[i] })
-	t.freeList = append(t.freeList, chunk...)
+	t.freeList, t.nextFree, t.issued = chunk, 0, base+n
+}
+
+// chunkSize returns how many frames the free-list refill starting at frame
+// base hands out: a chunk, cut short at the end of physical memory. ok is
+// false when the chunk would hold a frame a leaf entry cannot name.
+func chunkSize(base, frames uint64) (n uint64, ok bool) {
+	n = freeListChunk
+	if base < frames && base+n > frames {
+		n = frames - base
+	}
+	return n, base+n <= maxFrames
 }
 
 // Identity is a Translator-compatible pass-through used by tests and by
