@@ -116,6 +116,17 @@ func (c Config) Validate() error {
 	if err := c.LLC.Validate(); err != nil {
 		return err
 	}
+	// A prefetcher's AccessEvent.Hit is read off the name of the level
+	// that answered (see issuePrefetches), so the LLC's name must differ
+	// from main memory's and from every L1's.
+	if c.LLC.Name == "" || c.LLC.Name == cache.MemoryName {
+		return fmt.Errorf("system: LLC name %q is empty or names main memory", c.LLC.Name)
+	}
+	for i := 0; i < c.NumCores; i++ {
+		if c.LLC.Name == l1Name(i) {
+			return fmt.Errorf("system: LLC name %q is also core %d's L1 name", c.LLC.Name, i)
+		}
+	}
 	if err := c.DRAM.Validate(); err != nil {
 		return err
 	}
