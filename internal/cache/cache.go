@@ -9,7 +9,9 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
+	"bingo/internal/lru"
 	"bingo/internal/mem"
 )
 
@@ -130,6 +132,10 @@ func (c Config) Validate() error {
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache %s: associativity must be positive", c.Name)
 	}
+	if c.Assoc > lru.MaxWays {
+		return fmt.Errorf("cache %s: associativity %d above the %d ways a set's recency order ranks",
+			c.Name, c.Assoc, lru.MaxWays)
+	}
 	if c.SizeBytes <= 0 || c.SizeBytes%(c.Assoc*mem.BlockSize) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible into %d-way sets of %d-byte blocks",
 			c.Name, c.SizeBytes, c.Assoc, mem.BlockSize)
@@ -141,17 +147,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one way of a set: 32 bytes, so a 16-way set is 512 contiguous
-// bytes and the LRU stamp a probe reads sits beside the tag it matched.
-type line struct {
-	tag        uint64 // block number
-	arrival    uint64 // cycle at which the fill completes (MSHR semantics)
-	stamp      uint64 // LRU clock value of the way's last touch (0: never touched)
-	fillCore   int32  // core whose request installed the line
-	valid      bool
-	dirty      bool
-	prefetched bool // filled by a prefetch and not yet referenced by demand
-}
+// Each way is a uint32 tag and a uint64 meta word in two flat arrays,
+// and each set has one lru.Order: 12.5 host bytes per way, so a 16-way
+// set's tags fill one 64-byte host cache line.
+//
+// The tag is the block number without its set-index bits, plus one, so 0
+// marks an invalid way. The meta word packs the cycle at which the fill
+// completes (MSHR semantics), the core whose request installed the line,
+// and the dirty and prefetched bits.
+const (
+	arrivalBits = 48
+	arrivalMask = 1<<arrivalBits - 1
+	coreShift   = arrivalBits
+	coreMask    = 0xff
+	dirtyBit    = 1 << 56
+	// prefetchedBit: filled by a prefetch and not yet referenced by demand.
+	prefetchedBit = 1 << 57
+)
+
+func arrivalOf(meta uint64) uint64 { return meta & arrivalMask }
+
+func fillCoreOf(meta uint64) int { return int(meta >> coreShift & coreMask) }
 
 // Stats accumulates per-cache counters. All prefetch-related counters are
 // maintained at the level the prefetcher fills into (the LLC in this
@@ -209,13 +225,16 @@ func (s Stats) HitRate() float64 {
 }
 
 // Cache is one set-associative level of the hierarchy. Replacement is
-// LRU: every touch stamps the way with the next value of a per-cache
-// clock, and the victim is the way with the oldest stamp.
+// LRU: each set's lru.Order ranks its ways, a touch moves the way to the
+// most recent rank, and the victim is the least recent way.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	ways     int
+	setShift uint // log2 of the set count: a tag is block>>setShift + 1
 	setMask  uint64
-	lruClock uint64 // counts touches; each line's stamp is a value of it
+	tags     []uint32    // set*ways+way: set-relative tag, 0 = invalid
+	meta     []uint64    // set*ways+way: arrival, fill core, dirty, prefetched
+	order    []lru.Order // per set: recency order of its ways
 	lower    Level
 	listener EvictionListener
 	outcome  OutcomeFunc
@@ -233,16 +252,19 @@ func New(cfg Config, lower Level) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: lower level must not be nil", cfg.Name)
 	}
 	numSets := cfg.SizeBytes / (cfg.Assoc * mem.BlockSize)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	order := make([]lru.Order, numSets)
+	for i := range order {
+		order[i] = lru.New(cfg.Assoc)
 	}
 	return &Cache{
-		cfg:     cfg,
-		sets:    sets,
-		setMask: uint64(numSets - 1),
-		lower:   lower,
+		cfg:      cfg,
+		ways:     cfg.Assoc,
+		setShift: mem.Log2(uint64(numSets)),
+		setMask:  uint64(numSets - 1),
+		tags:     make([]uint32, numSets*cfg.Assoc),
+		meta:     make([]uint64, numSets*cfg.Assoc),
+		order:    order,
+		lower:    lower,
 	}, nil
 }
 
@@ -270,10 +292,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 // prefetches would inflate accuracy past 100%. Cache contents are kept.
 func (c *Cache) ResetStats() {
 	c.stats = Stats{}
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			c.sets[si][w].prefetched = false
-		}
+	for i := range c.meta {
+		c.meta[i] &^= prefetchedBit
 	}
 }
 
@@ -287,15 +307,56 @@ func (c *Cache) SetOutcomeFunc(f OutcomeFunc) { c.outcome = f }
 func (c *Cache) SetPrefetchProbe(p PrefetchProbe) { c.probe = p }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return len(c.order) }
 
 func (c *Cache) setIndex(block uint64) int { return int(block & c.setMask) }
 
-// lookup returns the way holding block in set si, or -1.
-func (c *Cache) lookup(si int, block uint64) int {
-	set := c.sets[si]
-	for w := range set {
-		if set[w].valid && set[w].tag == block {
+// tagOf returns block's set-relative tag, or false when it does not fit
+// the 32-bit tag field.
+func (c *Cache) tagOf(block uint64) (uint32, bool) {
+	t := block>>c.setShift + 1
+	return uint32(t), t <= math.MaxUint32
+}
+
+// mustTagOf is tagOf for an access that may install the block: a tag
+// that does not fit is a fault of the configuration.
+func (c *Cache) mustTagOf(block uint64) uint32 {
+	t, ok := c.tagOf(block)
+	if !ok {
+		c.overflow("block", block)
+	}
+	return t
+}
+
+// blockOf inverts tagOf for a valid way of set si.
+func (c *Cache) blockOf(si int, tag uint32) uint64 {
+	return uint64(tag-1)<<c.setShift | uint64(si)
+}
+
+// pack builds the meta word of a line being installed.
+func (c *Cache) pack(arrival uint64, core int, flags uint64) uint64 {
+	if arrival > arrivalMask {
+		c.overflow("arrival cycle", arrival)
+	}
+	if uint(core) > coreMask {
+		c.overflow("fill core", uint64(core))
+	}
+	return arrival | uint64(core)<<coreShift | flags
+}
+
+// overflow panics: a simulated value outgrew its field in the packed way
+// layout, so the cache can no longer represent the machine.
+//
+//hot:alloc panic formatting runs only when a value outgrows its field, which ends the run
+func (c *Cache) overflow(field string, v uint64) {
+	panic(fmt.Sprintf("cache %s: %s %#x outgrows its field in the way layout", c.cfg.Name, field, v))
+}
+
+// lookup returns the way holding tag in set si, or -1.
+func (c *Cache) lookup(si int, tag uint32) int {
+	base := si * c.ways
+	for w, t := range c.tags[base : base+c.ways] {
+		if t == tag {
 			return w
 		}
 	}
@@ -306,7 +367,8 @@ func (c *Cache) lookup(si int, block uint64) int {
 // in-flight status). It does not perturb replacement state.
 func (c *Cache) Contains(addr mem.Addr) bool {
 	block := addr.BlockNumber()
-	return c.lookup(c.setIndex(block), block) >= 0
+	tag, ok := c.tagOf(block)
+	return ok && c.lookup(c.setIndex(block), tag) >= 0
 }
 
 // Access performs a demand or prefetch access. now is the cycle the request
@@ -314,43 +376,45 @@ func (c *Cache) Contains(addr mem.Addr) bool {
 func (c *Cache) Access(now uint64, req Request) Result {
 	block := req.Addr.BlockNumber()
 	si := c.setIndex(block)
+	tag := c.mustTagOf(block)
 	ready := now + c.cfg.HitLatency
 
 	if req.Kind == Prefetch {
-		return c.accessPrefetch(now, ready, req, si, block)
+		return c.accessPrefetch(now, ready, req, si, tag)
 	}
 
 	c.stats.Accesses++
-	if w := c.lookup(si, block); w >= 0 {
-		ln := &c.sets[si][w]
+	if w := c.lookup(si, tag); w >= 0 {
+		m := &c.meta[si*c.ways+w]
+		arrival := arrivalOf(*m)
 		c.stats.Hits++
 		complete := ready
-		if ln.arrival > ready { // fill still in flight: coalesce
-			complete = ln.arrival
+		if arrival > ready { // fill still in flight: coalesce
+			complete = arrival
 			c.stats.LateHits++
-			if ln.prefetched {
+			if *m&prefetchedBit != 0 {
 				c.stats.LatePrefetch++
 			}
 		}
-		if ln.prefetched {
+		if *m&prefetchedBit != 0 {
 			c.stats.UsefulPrefetch++
-			ln.prefetched = false
+			*m &^= prefetchedBit
 			if c.probe != nil {
 				// Late: the demand waits out the in-flight fill; the wait is
 				// how late the prefetch was. Timely: the margin is the slack
 				// between fill completion and this use's data availability.
-				if late := ln.arrival > ready; late {
-					c.probe.PrefetchUse(int(ln.fillCore), true, ln.arrival-ready)
+				if late := arrival > ready; late {
+					c.probe.PrefetchUse(fillCoreOf(*m), true, arrival-ready)
 				} else {
-					c.probe.PrefetchUse(int(ln.fillCore), false, ready-ln.arrival)
+					c.probe.PrefetchUse(fillCoreOf(*m), false, ready-arrival)
 				}
 			}
 			if c.outcome != nil {
-				c.outcome(int(ln.fillCore), true)
+				c.outcome(fillCoreOf(*m), true)
 			}
 		}
 		if req.Kind == Write {
-			ln.dirty = true
+			*m |= dirtyBit
 		}
 		c.touch(si, w)
 		res := Result{CompleteAt: complete, HitLevel: c.cfg.Name}
@@ -361,25 +425,22 @@ func (c *Cache) Access(now uint64, req Request) Result {
 	// Demand miss: fetch from below, install with future arrival.
 	c.stats.Misses++
 	lowerRes := c.lower.Access(ready, req)
-	w := c.installLine(now, si, line{
-		tag:      block,
-		valid:    true,
-		dirty:    req.Kind == Write,
-		arrival:  lowerRes.CompleteAt,
-		fillCore: int32(req.Core),
-	})
+	var flags uint64
+	if req.Kind == Write {
+		flags = dirtyBit
+	}
+	w := c.installLine(now, si, tag, c.pack(lowerRes.CompleteAt, req.Core, flags))
 	c.touch(si, w)
 	res := Result{CompleteAt: lowerRes.CompleteAt, HitLevel: lowerRes.HitLevel}
 	c.sanAfterAccess(now, ready, si, res)
 	return res
 }
 
-func (c *Cache) accessPrefetch(now, ready uint64, req Request, si int, block uint64) Result {
+func (c *Cache) accessPrefetch(now, ready uint64, req Request, si int, tag uint32) Result {
 	c.stats.PrefetchIssued++
-	if w := c.lookup(si, block); w >= 0 {
+	if c.lookup(si, tag) >= 0 {
 		// Already present (or in flight): redundant prefetch, drop it.
 		c.stats.PrefetchHits++
-		_ = w
 		if c.probe != nil {
 			c.probe.PrefetchRedundant(req.Core)
 		}
@@ -388,13 +449,7 @@ func (c *Cache) accessPrefetch(now, ready uint64, req Request, si int, block uin
 		return res
 	}
 	lowerRes := c.lower.Access(ready, req)
-	w := c.installLine(now, si, line{
-		tag:        block,
-		valid:      true,
-		prefetched: true,
-		arrival:    lowerRes.CompleteAt,
-		fillCore:   int32(req.Core),
-	})
+	w := c.installLine(now, si, tag, c.pack(lowerRes.CompleteAt, req.Core, prefetchedBit))
 	c.touch(si, w)
 	c.stats.PrefetchFills++
 	if c.probe != nil {
@@ -407,67 +462,57 @@ func (c *Cache) accessPrefetch(now, ready uint64, req Request, si int, block uin
 
 // touch records a reference to way w of set si.
 func (c *Cache) touch(si, w int) {
-	c.lruClock++
-	c.sets[si][w].stamp = c.lruClock
+	c.order[si] = c.order[si].Touch(w, c.ways)
 }
 
-// victim returns the least recently touched way of set si.
-func (c *Cache) victim(si int) int {
-	set := c.sets[si]
-	best, bestTime := 0, set[0].stamp
-	for w := 1; w < len(set); w++ {
-		if t := set[w].stamp; t < bestTime {
-			best, bestTime = w, t
-		}
-	}
-	return best
-}
-
-// installLine places ln into set si, evicting a victim if necessary, and
-// returns the way used.
-func (c *Cache) installLine(now uint64, si int, ln line) int {
-	set := c.sets[si]
+// installLine places a line into set si, evicting the least recently
+// used way when no way is invalid, and returns the way used.
+func (c *Cache) installLine(now uint64, si int, tag uint32, meta uint64) int {
+	base := si * c.ways
 	w := -1
-	for i := range set {
-		if !set[i].valid {
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == 0 {
 			w = i
 			break
 		}
 	}
 	if w < 0 {
-		w = c.victim(si)
+		w = c.order[si].LRU()
 		c.sanCheckVictim(now, si, w)
-		victim := &set[w]
-		c.evict(now, si, victim)
+		c.evict(now, si, w)
 	}
-	c.sanAtInstall(now, si, ln)
-	set[w] = ln
+	c.sanAtInstall(now, si, tag, meta)
+	c.tags[base+w], c.meta[base+w] = tag, meta
 	return w
 }
 
-func (c *Cache) evict(now uint64, si int, victim *line) {
+// evict invalidates valid way w of set si, reporting the block.
+func (c *Cache) evict(now uint64, si, w int) {
+	i := si*c.ways + w
+	m := c.meta[i]
+	addr := mem.Addr(c.blockOf(si, c.tags[i]) << mem.BlockShift)
 	c.stats.Evictions++
-	if victim.prefetched {
+	if m&prefetchedBit != 0 {
 		c.stats.UnusedPrefetch++
 		if c.probe != nil {
-			c.probe.PrefetchEvictUnused(int(victim.fillCore))
+			c.probe.PrefetchEvictUnused(fillCoreOf(m))
 		}
 		if c.outcome != nil {
-			c.outcome(int(victim.fillCore), false)
+			c.outcome(fillCoreOf(m), false)
 		}
 	}
-	if victim.dirty {
+	if m&dirtyBit != 0 {
 		c.stats.Writebacks++
 		if wb, ok := c.lower.(interface {
 			Writeback(now uint64, addr mem.Addr)
 		}); ok {
-			wb.Writeback(now, mem.Addr(victim.tag<<mem.BlockShift))
+			wb.Writeback(now, addr)
 		}
 	}
 	if c.listener != nil {
-		c.listener.OnEviction(mem.Addr(victim.tag << mem.BlockShift))
+		c.listener.OnEviction(addr)
 	}
-	victim.valid = false
+	c.tags[i] = 0
 }
 
 // Writeback accepts a dirty block from the level above. Writebacks are
@@ -475,23 +520,23 @@ func (c *Cache) evict(now uint64, si int, victim *line) {
 func (c *Cache) Writeback(now uint64, addr mem.Addr) {
 	block := addr.BlockNumber()
 	si := c.setIndex(block)
-	if w := c.lookup(si, block); w >= 0 {
-		c.sets[si][w].dirty = true
+	tag := c.mustTagOf(block)
+	if w := c.lookup(si, tag); w >= 0 {
+		c.meta[si*c.ways+w] |= dirtyBit
 		c.touch(si, w)
 		return
 	}
-	w := c.installLine(now, si, line{tag: block, valid: true, dirty: true, arrival: now})
+	w := c.installLine(now, si, tag, c.pack(now, 0, dirtyBit))
 	c.touch(si, w)
 }
 
 // Flush invalidates every line, reporting each valid block to the eviction
 // listener. It models the end of a measurement epoch.
 func (c *Cache) Flush(now uint64) {
-	for si := range c.sets {
-		for w := range c.sets[si] {
-			ln := &c.sets[si][w]
-			if ln.valid {
-				c.evict(now, si, ln)
+	for si := range c.order {
+		for w := 0; w < c.ways; w++ {
+			if c.tags[si*c.ways+w] != 0 {
+				c.evict(now, si, w)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -36,19 +38,22 @@ func smallCache(t *testing.T, sizeBytes, assoc int) (*Cache, *fakeLower) {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Name: "a", SizeBytes: 0, Assoc: 1},
-		{Name: "b", SizeBytes: 100, Assoc: 1},     // not block-divisible
-		{Name: "c", SizeBytes: 64 * 3, Assoc: 1},  // 3 sets: not pow2
-		{Name: "d", SizeBytes: 1024, Assoc: 0},    // zero assoc
-		{Name: "e", SizeBytes: 64 * 8, Assoc: 3},  // not divisible by ways
-		{Name: "f", SizeBytes: 64 * 12, Assoc: 2}, // 6 sets: not pow2
+		{Name: "b", SizeBytes: 100, Assoc: 1},      // not block-divisible
+		{Name: "c", SizeBytes: 64 * 3, Assoc: 1},   // 3 sets: not pow2
+		{Name: "d", SizeBytes: 1024, Assoc: 0},     // zero assoc
+		{Name: "e", SizeBytes: 64 * 8, Assoc: 3},   // not divisible by ways
+		{Name: "f", SizeBytes: 64 * 12, Assoc: 2},  // 6 sets: not pow2
+		{Name: "g", SizeBytes: 64 * 32, Assoc: 32}, // above the 16 ways an order word ranks
 	}
 	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %q should fail validation", cfg.Name)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "cache "+cfg.Name+":") {
+			t.Errorf("config %q: got %v, want an error naming the cache", cfg.Name, err)
 		}
 	}
-	if err := (Config{Name: "ok", SizeBytes: 64 * 16, Assoc: 2}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, ok := range []Config{{Name: "ok", SizeBytes: 64 * 16, Assoc: 2}, {Name: "ok16", SizeBytes: 64 * 16, Assoc: 16}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
 	}
 	if _, err := New(Config{Name: "ok", SizeBytes: 64 * 16, Assoc: 2}, nil); err == nil {
 		t.Error("nil lower level should fail")
@@ -305,10 +310,63 @@ func (f backstopFunc) Access(now uint64, addr mem.Addr, write bool) uint64 {
 	return f(now, addr, write)
 }
 
-// TestLineIs32Bytes pins the line layout: with the LRU stamp inside, a
-// line is still 32 bytes, so a 16-way set spans eight host cache lines.
-func TestLineIs32Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(line{}); n != 32 {
-		t.Fatalf("line is %d bytes, want 32", n)
+// TestHostBytesPerWay pins the way layout: a uint32 tag and a uint64
+// meta word per way plus one 64-bit recency order per set is 12.5 host
+// bytes per simulated way, so Table I's 8 MB, 16-way LLC takes 1.5625 MiB
+// of host memory and a 16-way set's tags fill one 64-byte host line.
+func TestHostBytesPerWay(t *testing.T) {
+	c := MustNew(Config{Name: "LLC", SizeBytes: 8 << 20, Assoc: 16, HitLatency: 1}, nullLower{})
+	bytes := uintptr(len(c.tags))*unsafe.Sizeof(c.tags[0]) +
+		uintptr(len(c.meta))*unsafe.Sizeof(c.meta[0]) +
+		uintptr(len(c.order))*unsafe.Sizeof(c.order[0])
+	ways := uintptr(len(c.tags))
+	if 2*bytes > 25*ways {
+		t.Errorf("%d host bytes for %d ways: above 12.5 bytes per way", bytes, ways)
+	}
+	if 10*bytes > 16<<20 {
+		t.Errorf("Table I LLC takes %d host bytes, want at most 1.6 MiB", bytes)
+	}
+	if n := uintptr(c.ways) * unsafe.Sizeof(c.tags[0]); n != 64 {
+		t.Errorf("a 16-way set's tags span %d bytes, want one 64-byte host line", n)
+	}
+}
+
+// TestFieldOverflowPanicsNamingCache: a tag, arrival cycle or fill core
+// that outgrows its packed field panics with the cache's name, and a
+// lookup of an unrepresentable block reports it absent.
+func TestFieldOverflowPanicsNamingCache(t *testing.T) {
+	// One set, so the tag is the block number plus one.
+	huge := mem.Addr((uint64(math.MaxUint32) << mem.BlockShift))
+	for _, tc := range []struct {
+		name  string
+		lower Level
+		req   Request
+	}{
+		{"tag", nullLower{}, Request{Addr: huge, Kind: Demand}},
+		{"prefetch tag", nullLower{}, Request{Addr: huge, Kind: Prefetch}},
+		{"arrival", &fakeLower{latency: arrivalMask}, Request{Addr: 0x40, Kind: Demand}},
+		{"fill core", nullLower{}, Request{Addr: 0x40, Core: coreMask + 1, Kind: Demand}},
+		{"negative fill core", nullLower{}, Request{Addr: 0x40, Core: -1, Kind: Prefetch}},
+	} {
+		c := MustNew(Config{Name: "Tiny", SizeBytes: mem.BlockSize, Assoc: 1, HitLatency: 1}, tc.lower)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "cache Tiny") {
+					t.Errorf("%s: recovered %q, want a panic naming cache Tiny", tc.name, msg)
+				}
+			}()
+			c.Access(10, tc.req)
+		}()
+	}
+	c := MustNew(Config{Name: "Tiny", SizeBytes: mem.BlockSize, Assoc: 1, HitLatency: 1}, nullLower{})
+	if c.Contains(huge) {
+		t.Error("Contains reports a block whose tag does not fit")
+	}
+	// The largest block that fits: tag 0xffffffff.
+	last := mem.Addr((uint64(math.MaxUint32) - 1) << mem.BlockShift)
+	c.Access(0, Request{Addr: last, Kind: Demand})
+	if !c.Contains(last) {
+		t.Error("the largest representable block is not resident after a miss")
 	}
 }

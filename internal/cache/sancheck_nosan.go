@@ -10,6 +10,6 @@ type sanState struct{}
 
 func (c *Cache) sanAfterAccess(now, ready uint64, si int, res Result) {}
 
-func (c *Cache) sanAtInstall(now uint64, si int, ln line) {}
+func (c *Cache) sanAtInstall(now uint64, si int, tag uint32, meta uint64) {}
 
 func (c *Cache) sanCheckVictim(now uint64, si, w int) {}

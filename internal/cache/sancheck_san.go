@@ -39,13 +39,13 @@ func (c *Cache) sanAfterAccess(now, ready uint64, si int, res Result) {
 
 // sanAtInstall verifies MSHR fill semantics at line-install time: a fill's
 // arrival cycle may be in the future (in-flight) but never in the past.
-func (c *Cache) sanAtInstall(now uint64, si int, ln line) {
+func (c *Cache) sanAtInstall(now uint64, si int, tag uint32, meta uint64) {
 	if !san.Enabled() {
 		return
 	}
-	if ln.arrival < now {
+	if arrival := arrivalOf(meta); arrival < now {
 		san.Failf(c.cfg.Name, now, san.CacheMSHR,
-			"installing block %#x in set %d with arrival cycle %d < now %d", ln.tag, si, ln.arrival, now)
+			"installing block %#x in set %d with arrival cycle %d < now %d", c.blockOf(si, tag), si, arrival, now)
 	}
 }
 
@@ -59,26 +59,26 @@ func (c *Cache) sanCheckVictim(now uint64, si, w int) {
 		san.Failf(c.cfg.Name, now, san.CacheLRU,
 			"LRU victim way %d out of range [0,%d) for set %d", w, c.cfg.Assoc, si)
 	}
-	if !c.sets[si][w].valid {
+	if c.tags[si*c.ways+w] == 0 {
 		san.Failf(c.cfg.Name, now, san.CacheLRU,
 			"LRU chose invalid way %d of full set %d as victim", w, si)
 	}
 }
 
 // sanCheckSet verifies structural set invariants: unique tags, occupancy
-// within associativity, and well-formed replacement state.
+// within associativity, and a well-formed recency order.
 func (c *Cache) sanCheckSet(now uint64, si int) {
-	set := c.sets[si]
+	set := c.tags[si*c.ways : (si+1)*c.ways]
 	valid := 0
-	for i := range set {
-		if !set[i].valid {
+	for i, t := range set {
+		if t == 0 {
 			continue
 		}
 		valid++
 		for j := i + 1; j < len(set); j++ {
-			if set[j].valid && set[j].tag == set[i].tag {
+			if set[j] == t {
 				san.Failf(c.cfg.Name, now, san.CacheDupTag,
-					"set %d holds block %#x in ways %d and %d", si, set[i].tag, i, j)
+					"set %d holds block %#x in ways %d and %d", si, c.blockOf(si, t), i, j)
 			}
 		}
 	}
@@ -89,27 +89,13 @@ func (c *Cache) sanCheckSet(now uint64, si int) {
 	c.sanCheckLRU(now, si)
 }
 
-// sanCheckLRU verifies the LRU recency stack of one set: stamps never run
-// ahead of the LRU clock and touched ways carry distinct stamps (a
-// duplicate stamp would make the victim choice ambiguous — a malformed
-// recency stack).
+// sanCheckLRU verifies the recency order of one set ranks each way
+// exactly once: a way ranked twice, or a lane naming no way, would make
+// the victim choice wrong (a malformed recency stack).
 func (c *Cache) sanCheckLRU(now uint64, si int) {
-	set := c.sets[si]
-	for i := range set {
-		ti := set[i].stamp
-		if ti > c.lruClock {
-			san.Failf(c.cfg.Name, now, san.CacheLRU,
-				"set %d way %d recency stamp %d ahead of LRU clock %d", si, i, ti, c.lruClock)
-		}
-		if ti == 0 {
-			continue // never touched
-		}
-		for j := i + 1; j < len(set); j++ {
-			if set[j].stamp == ti {
-				san.Failf(c.cfg.Name, now, san.CacheLRU,
-					"set %d ways %d and %d share recency stamp %d", si, i, j, ti)
-			}
-		}
+	if o := c.order[si]; !o.Valid(c.ways) {
+		san.Failf(c.cfg.Name, now, san.CacheLRU,
+			"set %d recency order %#x does not rank each of its %d ways exactly once", si, uint64(o), c.ways)
 	}
 }
 
@@ -144,12 +130,9 @@ func (c *Cache) sanCheckEvents(now uint64) {
 // resident with its prefetched bit set.
 func (c *Cache) sanDeepCheck(now uint64) {
 	var resident uint64
-	for si := range c.sets {
-		set := c.sets[si]
-		for w := range set {
-			if set[w].valid && set[w].prefetched {
-				resident++
-			}
+	for i, t := range c.tags {
+		if t != 0 && c.meta[i]&prefetchedBit != 0 {
+			resident++
 		}
 	}
 	s := c.stats

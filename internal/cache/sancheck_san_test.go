@@ -5,29 +5,30 @@ package cache
 import (
 	"testing"
 
+	"bingo/internal/lru"
 	"bingo/internal/mem"
 	"bingo/internal/san"
 )
 
-// TestSanCheckLRUCatchesStampFaults seeds the two faults SAN-CACHE-LRU
-// checks for into the inline stamps of a healthy set: a stamp ahead of
-// the LRU clock, and two ways sharing a stamp.
-func TestSanCheckLRUCatchesStampFaults(t *testing.T) {
+// TestSanCheckLRUCatchesOrderFaults seeds the two faults SAN-CACHE-LRU
+// checks for into the recency order of a healthy 4-way set: a way ranked
+// in two lanes, and a lane naming a way the set does not have.
+func TestSanCheckLRUCatchesOrderFaults(t *testing.T) {
 	defer san.Apply(san.DefaultConfig())
 	san.Apply(san.Config{Enabled: true, DeepInterval: 1 << 30})
 	for _, fault := range []struct {
 		name   string
-		inject func(set []line, clock uint64)
+		inject func(o lru.Order) lru.Order
 	}{
-		{"stamp ahead of clock", func(set []line, clock uint64) { set[1].stamp = clock + 1 }},
-		{"shared stamp", func(set []line, clock uint64) { set[2].stamp = set[0].stamp }},
+		{"duplicated lane", func(o lru.Order) lru.Order { return o&^0xf0 | o&0xf<<4 }},
+		{"out-of-range lane", func(o lru.Order) lru.Order { return o&^0xf00 | 7<<8 }},
 	} {
 		c := MustNew(Config{Name: "T", SizeBytes: 4 * 4 * mem.BlockSize, Assoc: 4, HitLatency: 1}, nullLower{})
 		for b := uint64(0); b < 4; b++ {
 			c.Access(b, Request{Addr: mem.Addr((4 * b) << mem.BlockShift), Kind: Demand}) // 4 sets: all in set 0
 		}
 		c.sanCheckLRU(10, 0) // healthy: must not report
-		fault.inject(c.sets[0], c.lruClock)
+		c.order[0] = fault.inject(c.order[0])
 		func() {
 			defer func() {
 				v, ok := recover().(*san.Violation)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"bingo/internal/mem"
@@ -40,6 +41,52 @@ func BenchmarkHistoryLookupShortVote(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A region never trained: forces the short-event voting pass.
 		h.Lookup(0x400, blockAddr(uint64(1_000_000+i), 5), 5)
+	}
+}
+
+// BenchmarkHistoryLookup probes a full Table I history table (16 K
+// entries, 16 ways: 512 KiB of entries) with random triggers from 256
+// PCs. hit looks up triggers the table holds (long matches); miss looks
+// up regions it never saw, so each probe also scans its set for short
+// matches and votes.
+func BenchmarkHistoryLookup(b *testing.B) {
+	type trigger struct {
+		pc   mem.PC
+		addr mem.Addr
+		off  int
+	}
+	rc := mem.MustRegionConfig(2048)
+	h := MustNewHistoryTable(rc, 16*1024, 16, 0.20)
+	rng := rand.New(rand.NewSource(1))
+	random := func(regionBase uint64) trigger {
+		off := rng.Intn(rc.Blocks())
+		return trigger{mem.PC(0x400 + 4*rng.Intn(256)), blockAddr(regionBase+rng.Uint64()%(1<<24), off), off}
+	}
+	held := make([]trigger, 16*1024)
+	for i := range held {
+		held[i] = random(0)
+		fp := prefetch.Footprint(rng.Uint32()).With(held[i].off)
+		h.Insert(held[i].pc, held[i].addr, held[i].off, fp)
+	}
+	var hits, misses []trigger
+	for _, tr := range held {
+		if _, kind := h.Lookup(tr.pc, tr.addr, tr.off); kind == MatchLong {
+			hits = append(hits, tr)
+		}
+	}
+	for len(misses) < len(hits) {
+		misses = append(misses, random(1<<30))
+	}
+	for _, bc := range []struct {
+		name     string
+		triggers []trigger
+	}{{"hit", hits}, {"miss", misses}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tr := bc.triggers[i%len(bc.triggers)]
+				h.Lookup(tr.pc, tr.addr, tr.off)
+			}
+		})
 	}
 }
 

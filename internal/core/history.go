@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"bingo/internal/lru"
 	"bingo/internal/mem"
 	"bingo/internal/prefetch"
 )
@@ -56,16 +57,16 @@ func (s HistoryStats) MatchProbability() float64 {
 	return float64(s.LongHits+s.ShortHits) / float64(s.Lookups)
 }
 
-// historyEntry is one way of the unified table. The long tag is the
-// PC+Address event; the short tag (PC+Offset) is physically a subset of
-// the long event's bits in hardware — we store it explicitly for clarity.
+// historyEntry is one way of the unified table: 32 bytes. The long tag
+// is the PC+Address event; the short tag (PC+Offset) is physically a
+// subset of the long event's bits in hardware — we store it explicitly
+// for clarity. Recency lives in the set's lru.Order, not in the entry.
 type historyEntry struct {
-	valid     bool
 	longTag   uint64
 	shortTag  uint64
-	lru       uint64
 	footprint prefetch.Footprint // anchored: trigger block rotated to bit 0
-	offset    int                // trigger offset the footprint was learned at
+	offset    uint8              // trigger offset the footprint was learned at
+	valid     bool
 }
 
 // HistoryTable is Bingo's single unified history table (Figure 5): indexed
@@ -76,8 +77,8 @@ type HistoryTable struct {
 	rc       mem.RegionConfig
 	ways     int
 	setMask  uint64
-	sets     []historyEntry
-	clock    uint64
+	sets     []historyEntry // set*ways+way
+	order    []lru.Order    // per set: recency order of its ways
 	vote     float64
 	recent   bool // use the most-recent short match instead of voting
 	longBits uint // 0 = full-width tags; else hardware-style truncation
@@ -115,11 +116,16 @@ func NewHistoryTable(rc mem.RegionConfig, numEntries, ways int, voteThreshold fl
 	if err != nil {
 		return nil, err
 	}
+	order := make([]lru.Order, sets)
+	for i := range order {
+		order[i] = lru.New(ways)
+	}
 	return &HistoryTable{
 		rc:      rc,
 		ways:    ways,
 		setMask: uint64(sets - 1),
 		sets:    make([]historyEntry, numEntries),
+		order:   order,
 		vote:    voteThreshold,
 	}, nil
 }
@@ -131,6 +137,10 @@ func historySets(numEntries, ways int, voteThreshold float64) (int, error) {
 	sets, err := prefetch.TableSets(numEntries, ways)
 	if err != nil {
 		return 0, fmt.Errorf("core: history: %w", err)
+	}
+	if ways > lru.MaxWays {
+		return 0, fmt.Errorf("core: history: associativity %d above the %d ways a set's recency order ranks",
+			ways, lru.MaxWays)
 	}
 	if !(voteThreshold > 0 && voteThreshold <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("core: vote threshold %v must be in (0,1]", voteThreshold)
@@ -164,9 +174,15 @@ func (h *HistoryTable) shortKey(pc mem.PC, addr mem.Addr) uint64 {
 	return prefetch.EventPCOffset.Key(pc, addr, h.rc)
 }
 
-func (h *HistoryTable) setFor(shortKey uint64) []historyEntry {
+// setFor returns the index of shortKey's set and its entries.
+func (h *HistoryTable) setFor(shortKey uint64) (int, []historyEntry) {
 	si := int(shortKey & h.setMask)
-	return h.sets[si*h.ways : (si+1)*h.ways]
+	return si, h.sets[si*h.ways : (si+1)*h.ways]
+}
+
+// touch records a reference to way w of set si.
+func (h *HistoryTable) touch(si, w int) {
+	h.order[si] = h.order[si].Touch(w, h.ways)
 }
 
 // Insert records the footprint observed after the trigger (pc, addr). The
@@ -178,44 +194,35 @@ func (h *HistoryTable) Insert(pc mem.PC, addr mem.Addr, triggerOffset int, fp pr
 	long := h.foldTag(h.longKey(pc, addr))
 	short := h.shortKey(pc, addr)
 	anchored := fp.Rotate(triggerOffset, 0, h.rc.Blocks())
-	set := h.setFor(short)
-	h.clock++
+	si, set := h.setFor(short)
 	h.stats.Insertions++
 
 	victim := -1
-	var victimLRU uint64 = ^uint64(0)
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.longTag == long {
 			e.footprint = anchored
 			e.shortTag = short
-			e.offset = triggerOffset
-			e.lru = h.clock
+			e.offset = uint8(triggerOffset)
+			h.touch(si, i)
 			return
 		}
-		if !e.valid {
-			if victim == -1 || set[victim].valid {
-				victim = i
-				victimLRU = 0
-			}
-			continue
-		}
-		if e.lru < victimLRU {
+		if !e.valid && victim < 0 {
 			victim = i
-			victimLRU = e.lru
 		}
 	}
-	if set[victim].valid {
+	if victim < 0 {
+		victim = h.order[si].LRU()
 		h.stats.Evictions++
 	}
 	set[victim] = historyEntry{
 		valid:     true,
 		longTag:   long,
 		shortTag:  short,
-		lru:       h.clock,
 		footprint: anchored,
-		offset:    triggerOffset,
+		offset:    uint8(triggerOffset),
 	}
+	h.touch(si, victim)
 	h.sanAfterInsert(short)
 }
 
@@ -229,14 +236,13 @@ func (h *HistoryTable) Lookup(pc mem.PC, addr mem.Addr, triggerOffset int) (pref
 	h.sanCheckTrigger(triggerOffset)
 	long := h.foldTag(h.longKey(pc, addr))
 	short := h.shortKey(pc, addr)
-	set := h.setFor(short)
+	si, set := h.setFor(short)
 	h.stats.Lookups++
 
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.longTag == long {
-			h.clock++
-			e.lru = h.clock
+			h.touch(si, i)
 			h.stats.LongHits++
 			return e.footprint.Rotate(0, triggerOffset, h.rc.Blocks()), MatchLong
 		}
@@ -246,19 +252,18 @@ func (h *HistoryTable) Lookup(pc mem.PC, addr mem.Addr, triggerOffset int) (pref
 	var votes [64]int
 	matches := 0
 	var newest *historyEntry
-	var newestLRU uint64
+	newestRank := -1
+	before := h.order[si] // pre-touch recency decides "most recent"
 	for i := range set {
 		e := &set[i]
 		if !e.valid || e.shortTag != short {
 			continue
 		}
-		if newest == nil || e.lru > newestLRU {
-			newest = e
-			newestLRU = e.lru // pre-touch recency decides "most recent"
+		if r := before.Rank(i); r > newestRank {
+			newest, newestRank = e, r
 		}
 		matches++
-		h.clock++
-		e.lru = h.clock
+		h.touch(si, i)
 		// Iterate set bits in place: materialising a []int per matching
 		// entry (Footprint.Blocks) allocated on every short-vote lookup,
 		// the hottest path of the whole simulation.

@@ -30,6 +30,7 @@ func TestHistoryValidation(t *testing.T) {
 		{64, 4, 0},    // bad vote
 		{64, 4, 1.5},  // bad vote
 		{64, -1, 0.2}, // bad ways
+		{64, 32, 0.2}, // above the 16 ways an order word ranks
 	}
 	for i, c := range cases {
 		if _, err := NewHistoryTable(rc, c.entries, c.ways, c.vote); err == nil {

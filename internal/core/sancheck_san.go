@@ -25,14 +25,15 @@ func (h *HistoryTable) sanCheckTrigger(triggerOffset int) {
 // sanAfterInsert verifies the unified table's residency invariants on the
 // set just written: long tags are unique among valid ways (the PC+Address
 // event is the full tag, so two ways must never carry the same one),
-// recency stamps never run ahead of the table clock, stored trigger
+// the set's recency order ranks each way exactly once, stored trigger
 // offsets lie within the region, and anchored footprints fit the region
 // geometry. Every san.DeepInterval() inserts the whole table is swept.
 func (h *HistoryTable) sanAfterInsert(short uint64) {
 	if !san.Enabled() {
 		return
 	}
-	set := h.setFor(short)
+	si, set := h.setFor(short)
+	h.sanCheckOrder(si)
 	for i := range set {
 		e := &set[i]
 		if !e.valid {
@@ -53,14 +54,18 @@ func (h *HistoryTable) sanAfterInsert(short uint64) {
 	}
 }
 
+// sanCheckOrder verifies set si's recency order ranks each of its ways
+// exactly once.
+func (h *HistoryTable) sanCheckOrder(si int) {
+	if o := h.order[si]; !o.Valid(h.ways) {
+		san.Failf("core.history", 0, san.BingoResidency,
+			"set %d recency order %#x does not rank each of its %d ways exactly once", si, uint64(o), h.ways)
+	}
+}
+
 // sanCheckEntry verifies one resident entry's bounds.
 func (h *HistoryTable) sanCheckEntry(e *historyEntry) {
-	if e.lru > h.clock {
-		san.Failf("core.history", 0, san.BingoResidency,
-			"entry long tag %#x has recency stamp %d beyond table clock %d",
-			e.longTag, e.lru, h.clock)
-	}
-	if e.offset < 0 || e.offset >= h.rc.Blocks() {
+	if int(e.offset) >= h.rc.Blocks() {
 		san.Failf("core.history", 0, san.BingoResidency,
 			"entry long tag %#x learned at offset %d outside region of %d blocks",
 			e.longTag, e.offset, h.rc.Blocks())
@@ -72,13 +77,14 @@ func (h *HistoryTable) sanCheckEntry(e *historyEntry) {
 	}
 }
 
-// sanDeepCheck sweeps every set: entry bounds plus set-wide long-tag
-// uniqueness, and that every resident short tag actually indexes the set
+// sanDeepCheck sweeps every set: entry bounds, recency orders and
+// set-wide long-tag uniqueness, and that every resident short tag actually indexes the set
 // it lives in (residency placement).
 func (h *HistoryTable) sanDeepCheck() {
 	numSets := int(h.setMask) + 1
 	for si := 0; si < numSets; si++ {
 		set := h.sets[si*h.ways : (si+1)*h.ways]
+		h.sanCheckOrder(si)
 		for i := range set {
 			e := &set[i]
 			if !e.valid {

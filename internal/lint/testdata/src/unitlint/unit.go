@@ -45,3 +45,14 @@ func bitVectorMath(bits uint64, i int) (int, uint, bool) {
 func otherShifts(raw uint64) uint64 {
 	return raw>>8 ^ raw<<16 // non-geometry constants: allowed
 }
+
+// pagesPerLeaf is 64 pages, not the block size.
+const pagesPerLeaf = 64
+
+func namedUnits(a mem.Addr, vpn uint64) []uint64 {
+	slot := vpn % pagesPerLeaf // a unit named outside mem, on a plain word: allowed
+	blk := a % 64              // want `block modulus`
+	named := a % pagesPerLeaf  // want `block modulus`
+	conv := uint64(a) % 64     // want `block modulus`
+	return []uint64{slot, uint64(blk), uint64(named), conv}
+}

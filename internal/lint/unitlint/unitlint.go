@@ -11,8 +11,10 @@
 // 4096) when the value being operated on is address-like: its type is
 // mem.Addr, mem.PC, or uint64. Expressions that spell the constant via the
 // mem package (addr >> mem.BlockShift, a &^ (mem.BlockSize - 1)) are
-// exempt — naming the unit is exactly the contract — but the preferred fix
-// is the typed helper (Addr.BlockNumber, Addr.PageNumber,
+// exempt — naming the unit is exactly the contract — and so is a constant
+// named outside mem on a plain uint64 (`vpn % leafPages`: the name states
+// a unit that is not the block or page), but never on a mem.Addr or
+// mem.PC. The preferred fix is the typed helper (Addr.BlockNumber, Addr.PageNumber,
 // RegionConfig.BlockIndex, ...). Bit-vector math on small integer indices
 // (footprint words, tree-PLRU nodes) is untouched: the operand type filter
 // keeps it out of scope.
@@ -86,24 +88,40 @@ func check(pass *analysis.Pass, be *ast.BinaryExpr) {
 	if pass.RefersToPackage(constSide, memPath) {
 		return // unit spelled via mem constants: contract honored
 	}
-	if !addressLike(pass, varSide) {
+	switch addressLike(pass, varSide) {
+	case notAddress:
 		return // bit-vector / index math, not address units
+	case rawWord:
+		if _, lit := ast.Unparen(constSide).(*ast.BasicLit); !lit {
+			return // a constant named outside mem states a unit of its own
+		}
 	}
 	pass.Reportf(be.OpPos, "raw %s (%s %d) on address-typed value outside %s; use the typed mem helper (Addr.BlockNumber, Addr.PageNumber, RegionConfig.BlockIndex, ...)",
 		what, be.Op, v, memPath)
 }
 
-// addressLike reports whether e (or a subexpression) carries address
-// units: type mem.Addr / mem.PC, or plain uint64 — the representation
-// every address in the simulator is stored in. Signed and small integer
-// types are deliberately out of scope so footprint-bit and way-index math
-// stays legal.
-func addressLike(pass *analysis.Pass, e ast.Expr) bool {
-	like := false
+// operand classifies the value side of a flagged expression.
+type operand int
+
+const (
+	notAddress operand = iota // signed or small integers: index math
+	rawWord                   // plain uint64/uintptr: an address or any other word
+	typedAddr                 // mem.Addr or mem.PC: an address for certain
+)
+
+// addressLike classifies e by the most address-like type it (or a
+// subexpression) carries: mem.Addr / mem.PC, else plain uint64 — the
+// representation every address in the simulator is stored in. Signed
+// and small integer types are deliberately out of scope so footprint-bit
+// and way-index math stays legal. A rawWord operand is flagged only with
+// a literal constant: `vpn % leafPages` names its unit, while `a % 64`
+// on a mem.Addr is flagged however the 64 is spelled.
+func addressLike(pass *analysis.Pass, e ast.Expr) operand {
+	kind := notAddress
 	ast.Inspect(e, func(n ast.Node) bool {
 		ex, ok := n.(ast.Expr)
-		if !ok || like {
-			return !like
+		if !ok || kind == typedAddr {
+			return kind != typedAddr
 		}
 		t := pass.TypeOf(ex)
 		if t == nil {
@@ -113,17 +131,16 @@ func addressLike(pass *analysis.Pass, e ast.Expr) bool {
 			obj := named.Obj()
 			if obj.Pkg() != nil && obj.Pkg().Path() == memPath &&
 				(obj.Name() == "Addr" || obj.Name() == "PC") {
-				like = true
+				kind = typedAddr
 				return false
 			}
 		}
 		if basic, ok := t.Underlying().(*types.Basic); ok {
 			if basic.Kind() == types.Uint64 || basic.Kind() == types.Uintptr {
-				like = true
-				return false
+				kind = rawWord
 			}
 		}
 		return true
 	})
-	return like
+	return kind
 }

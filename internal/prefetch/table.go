@@ -138,20 +138,32 @@ func (t *Table[V]) find(si int, fp, key uint64) int {
 	return -1
 }
 
-// emptyWay returns the index of the lowest-indexed empty way of set si,
-// or -1 when the set is full.
-func (t *Table[V]) emptyWay(si int) int {
+// probe is find for Insert: besides key's entry (or -1) it returns the
+// set's lowest-indexed empty way (or -1 when the set is full), read from
+// the same fingerprint words, so an insert scans the set once. find
+// keeps its one compare per word for the misses of Lookup and Erase.
+func (t *Table[V]) probe(si int, fp, key uint64) (found, empty int) {
+	pattern := fp * laneOnes
 	words := t.fps[si*t.words : (si+1)*t.words]
+	empty = -1
 	for k, word := range words {
-		m := zeroLanes(word)
-		if k == len(words)-1 {
-			m &= t.tail
+		for m := zeroLanes(word ^ pattern); m != 0; m &= m - 1 {
+			i := si*t.ways + 8*k + bits.TrailingZeros64(m)/8
+			if t.tags[i] == key {
+				return i, -1
+			}
 		}
-		if m != 0 {
-			return si*t.ways + 8*k + bits.TrailingZeros64(m)/8
+		if empty < 0 {
+			m := zeroLanes(word)
+			if k == len(words)-1 {
+				m &= t.tail
+			}
+			if m != 0 {
+				empty = si*t.ways + 8*k + bits.TrailingZeros64(m)/8
+			}
 		}
 	}
-	return -1
+	return -1, empty
 }
 
 // lruWay returns the index of the least recently used way of full set si
@@ -193,12 +205,13 @@ func (t *Table[V]) Lookup(key uint64, touch bool) (*V, bool) {
 func (t *Table[V]) Insert(key uint64, value V) (evictedKey uint64, evictedVal V, evicted bool) {
 	si, fp := t.slot(key)
 	t.clock++
-	if i := t.find(si, fp, key); i >= 0 {
+	i, empty := t.probe(si, fp, key)
+	if i >= 0 {
 		t.values[i] = value
 		t.lru[i] = t.clock
 		return 0, evictedVal, false
 	}
-	i := t.emptyWay(si)
+	i = empty
 	if i < 0 {
 		i = t.lruWay(si)
 		evictedKey, evictedVal, evicted = t.tags[i], t.values[i], true

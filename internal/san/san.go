@@ -46,8 +46,8 @@ const (
 	CacheDupTag ID = "SAN-CACHE-DUP-TAG"
 	// CacheOccupancy: valid lines in a set never exceed the associativity.
 	CacheOccupancy ID = "SAN-CACHE-OCCUPANCY"
-	// CacheLRU: the replacement state is well-formed (distinct recency
-	// stamps, stamps never ahead of the LRU clock, victims in range).
+	// CacheLRU: the replacement state is well-formed (each set's recency
+	// order ranks every way exactly once, victims in range and valid).
 	CacheLRU ID = "SAN-CACHE-LRU"
 	// CacheMSHR: fill arrival cycles are never in the past — every access
 	// completes at or after the level's own hit latency, and in-flight
@@ -100,7 +100,7 @@ const (
 
 	// BingoResidency: the unified history table never exceeds its
 	// configured residency (valid entries per set ≤ ways, unique long tags
-	// within a set).
+	// within a set, each set's recency order ranks every way exactly once).
 	BingoResidency ID = "SAN-BINGO-RESIDENCY"
 	// BingoFootprint: footprints and trigger offsets stay within the
 	// region geometry (no bits at or beyond Blocks()).

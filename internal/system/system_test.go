@@ -2,6 +2,7 @@ package system
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -555,3 +556,26 @@ func TestWithCoresScaling(t *testing.T) {
 		t.Error("WithCores(4) should reproduce the Table I anchor exactly")
 	}
 }
+
+// TestLargestMachineFitsTagFields: a cache way stores its block as a
+// 32-bit set-relative tag. On the largest machine (64 cores, 64 GB), the
+// L1 (the fewest sets, so the widest tag) holds the last physical block,
+// whose set-relative block number needs 23 of those bits.
+func TestLargestMachineFitsTagFields(t *testing.T) {
+	cfg := DefaultConfig().WithCores(MaxCores)
+	last := mem.Addr(cfg.MemoryBytes - 1)
+	l1 := cache.MustNew(cfg.L1, cache.MemoryLevel{Mem: fixedBackstop(100)})
+	l1.Access(0, cache.Request{Addr: last, Kind: cache.Demand})
+	if !l1.Contains(last) {
+		t.Fatal("the last physical block is not resident after a miss")
+	}
+	sets := uint64(l1.NumSets())
+	if n := bits.Len64(last.BlockNumber() / sets); n != 23 {
+		t.Errorf("the last block's set-relative number needs %d bits, want 23", n)
+	}
+}
+
+// fixedBackstop is main memory with a fixed latency.
+type fixedBackstop uint64
+
+func (f fixedBackstop) Access(now uint64, _ mem.Addr, _ bool) uint64 { return now + uint64(f) }

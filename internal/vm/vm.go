@@ -106,7 +106,7 @@ func (t *Translator) MappedPages() int { return t.mapped }
 // random frame on first touch.
 func (t *Translator) Translate(va mem.Addr) mem.Addr {
 	vpn := uint64(va) >> t.pageShift
-	key, slot := vpn/leafPages, vpn%leafPages //lint:ignore unitlint leaf geometry (pages per leaf), not the block size
+	key, slot := vpn/leafPages, vpn%leafPages
 	r := &t.recent[recentSlot(key)]
 	if r.lf == nil || r.key != key {
 		lf := t.leaves[key]

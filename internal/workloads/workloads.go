@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"bingo/internal/mem"
 	"bingo/internal/trace"
@@ -106,13 +107,22 @@ func Names() []string {
 }
 
 // perCore runs the same generator on every core with decorrelated seeds
-// and disjoint address spaces (server workloads).
+// and disjoint address spaces (server workloads). Each core's generator
+// is built in its own goroutine: generators share nothing, so the
+// streams are those of a sequential build, and Zeus's chain replays
+// (most of a Zeus build) run on every host CPU.
 func perCore(build func(seed int64, vbase uint64) trace.Source) func(int, int64) []trace.Source {
 	return func(cores int, seed int64) []trace.Source {
 		out := make([]trace.Source, cores)
+		var wg sync.WaitGroup
 		for i := 0; i < cores; i++ {
-			out[i] = build(seed+int64(i)*7919, coreVBase(i))
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				out[i] = build(seed+int64(i)*7919, coreVBase(i))
+			}(i)
 		}
+		wg.Wait()
 		return out
 	}
 }
