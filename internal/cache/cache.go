@@ -253,8 +253,9 @@ func New(cfg Config, lower Level) (*Cache, error) {
 	}
 	numSets := cfg.SizeBytes / (cfg.Assoc * mem.BlockSize)
 	order := make([]lru.Order, numSets)
+	fresh := lru.New(cfg.Assoc)
 	for i := range order {
-		order[i] = lru.New(cfg.Assoc)
+		order[i] = fresh
 	}
 	return &Cache{
 		cfg:      cfg,

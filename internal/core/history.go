@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"bingo/internal/lru"
 	"bingo/internal/mem"
@@ -117,8 +116,9 @@ func NewHistoryTable(rc mem.RegionConfig, numEntries, ways int, voteThreshold fl
 		return nil, err
 	}
 	order := make([]lru.Order, sets)
+	fresh := lru.New(ways)
 	for i := range order {
-		order[i] = lru.New(ways)
+		order[i] = fresh
 	}
 	return &HistoryTable{
 		rc:      rc,
@@ -249,7 +249,7 @@ func (h *HistoryTable) Lookup(pc mem.PC, addr mem.Addr, triggerOffset int) (pref
 	}
 
 	// Short-event pass over the same set: count votes per block.
-	var votes [64]int
+	var votes voteCounts
 	matches := 0
 	var newest *historyEntry
 	newestRank := -1
@@ -264,12 +264,7 @@ func (h *HistoryTable) Lookup(pc mem.PC, addr mem.Addr, triggerOffset int) (pref
 		}
 		matches++
 		h.touch(si, i)
-		// Iterate set bits in place: materialising a []int per matching
-		// entry (Footprint.Blocks) allocated on every short-vote lookup,
-		// the hottest path of the whole simulation.
-		for v := uint64(e.footprint); v != 0; v &= v - 1 {
-			votes[bits.TrailingZeros64(v)]++
-		}
+		votes.add(e.footprint)
 	}
 	if matches == 0 {
 		h.stats.Misses++
@@ -284,13 +279,38 @@ func (h *HistoryTable) Lookup(pc mem.PC, addr mem.Addr, triggerOffset int) (pref
 	if needed < 1 {
 		needed = 1
 	}
-	var fp prefetch.Footprint
-	for b := 0; b < h.rc.Blocks(); b++ {
-		if votes[b] >= needed {
-			fp = fp.With(b)
+	// Rotate drops the comparator's bits past the region's last block.
+	return prefetch.Footprint(votes.atLeast(needed)).Rotate(0, triggerOffset, h.rc.Blocks()), MatchShort
+}
+
+// voteCounts holds a 5-bit vote count for each of 64 blocks, bit-sliced:
+// bit b of plane k is bit k of block b's count. A set has at most
+// lru.MaxWays = 16 ways, so a count never exceeds 16.
+type voteCounts [5]uint64
+
+// add adds one vote to every block of fp: a ripple-carry increment of all
+// 64 counts at once.
+func (v *voteCounts) add(fp prefetch.Footprint) {
+	carry := uint64(fp)
+	for k := 0; k < len(v) && carry != 0; k++ {
+		v[k], carry = v[k]^carry, v[k]&carry
+	}
+}
+
+// atLeast returns the blocks whose count is at least n (0 ≤ n < 32),
+// comparing all 64 counts with n at once from the top bit down: gt marks
+// counts already above n's high bits, eq those equal to them so far.
+func (v *voteCounts) atLeast(n int) uint64 {
+	gt, eq := uint64(0), ^uint64(0)
+	for k := len(v) - 1; k >= 0; k-- {
+		if n>>k&1 != 0 {
+			eq &= v[k]
+		} else {
+			gt |= eq & v[k]
+			eq &^= v[k]
 		}
 	}
-	return fp.Rotate(0, triggerOffset, h.rc.Blocks()), MatchShort
+	return gt | eq
 }
 
 // storageBits estimates the hardware budget: per entry a valid bit,

@@ -87,3 +87,36 @@ func BenchmarkTrackerObserve(b *testing.B) {
 		rt.Observe(mem.PC(0x400), mem.Addr(uint64(i%1000)*2048+uint64(i%32)*64), false)
 	}
 }
+
+// BenchmarkTrackerEvictionMiss broadcasts evictions of regions no tracker
+// holds to four Bingo-sized trackers (64 filter and 128 accumulation
+// entries, 16 ways), each filled with its own regions: what the four
+// cores' prefetchers do for most LLC evictions. One op is one eviction
+// seen by all four.
+func BenchmarkTrackerEvictionMiss(b *testing.B) {
+	rc := mem.MustRegionConfig(2048)
+	var trackers [4]*RegionTracker
+	for c := range trackers {
+		rt := MustNewRegionTracker(rc, 64, 128, 16)
+		rt.SetCompleteFunc(func(ActiveRegion) {})
+		for r := uint64(0); r < 256; r++ {
+			region := uint64(c+1)<<40 | r*7919
+			rt.Observe(0x400, mem.Addr(region<<rc.Shift()), false)
+			if r%3 != 0 {
+				rt.Observe(0x404, mem.Addr(region<<rc.Shift()+mem.BlockSize), false) // promote
+			}
+		}
+		trackers[c] = rt
+	}
+	absent := make([]mem.Addr, 1<<16)
+	for i := range absent {
+		absent[i] = mem.Addr(mem.Mix64(uint64(i)) | 1<<63) // never observed
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := absent[i&(len(absent)-1)]
+		for _, rt := range trackers {
+			rt.OnEviction(a)
+		}
+	}
+}

@@ -10,3 +10,8 @@ type sanState struct{}
 func (t *Table[V]) sanAfterInsert(key uint64) {}
 
 func sanCheckFootprint(f Footprint, blocks int) {}
+
+// trackerSan is the per-tracker checker state; empty without the tag.
+type trackerSan struct{}
+
+func (rt *RegionTracker) sanAfterInsert() {}

@@ -102,3 +102,46 @@ func sanCheckFootprint(f Footprint, blocks int) {
 			"footprint %#x marks blocks at or beyond region size %d", uint64(f), blocks)
 	}
 }
+
+// trackerSan is the per-tracker checker state of the runtime invariant
+// sanitizer (build tag `san`).
+type trackerSan struct {
+	events uint64 // filter inserts since the last deep sweep
+}
+
+// sanAfterInsert counts a filter insert; every san.DeepInterval() inserts
+// the presence counts are swept.
+func (rt *RegionTracker) sanAfterInsert() {
+	if !san.Enabled() {
+		return
+	}
+	rt.san.events++
+	if rt.san.events%san.DeepInterval() == 0 {
+		rt.sanDeepCheck()
+	}
+}
+
+// sanDeepCheck recounts each presence bucket from the filter and
+// accumulation tables, and verifies that no region is in both: a count
+// below its recount would let OnEviction skip a tracked region.
+func (rt *RegionTracker) sanDeepCheck() {
+	recount := make([]int, len(rt.presence))
+	rt.filter.Range(func(region uint64, _ *ActiveRegion) bool {
+		recount[rt.presenceIndex(region)]++
+		return true
+	})
+	rt.accum.Range(func(region uint64, _ *ActiveRegion) bool {
+		recount[rt.presenceIndex(region)]++
+		if _, ok := rt.filter.Lookup(region, false); ok {
+			san.Failf("prefetch.tracker", 0, san.TrackerPresence,
+				"region %#x is in both the filter and the accumulation table", region)
+		}
+		return true
+	})
+	for b, n := range recount {
+		if int(rt.presence[b]) != n {
+			san.Failf("prefetch.tracker", 0, san.TrackerPresence,
+				"presence bucket %d counts %d tracked regions, the tables hold %d", b, rt.presence[b], n)
+		}
+	}
+}

@@ -5,6 +5,7 @@ package prefetch
 import (
 	"testing"
 
+	"bingo/internal/mem"
 	"bingo/internal/san"
 )
 
@@ -60,4 +61,31 @@ func TestSanDeepCheckCatchesFingerprintFaults(t *testing.T) {
 		tbl.fps[1] |= 0x80 << 56 // lane 15 of set 0: beyond its 12 ways
 		tbl.sanDeepCheck()
 	})
+}
+
+// TestSanTrackerPresenceCatchesCountFaults corrupts one presence count of
+// a healthy tracker, up and down, and expects the deep sweep to report.
+func TestSanTrackerPresenceCatchesCountFaults(t *testing.T) {
+	defer san.Apply(san.DefaultConfig())
+	san.Apply(san.Config{Enabled: true, DeepInterval: 1 << 30})
+	for _, delta := range []int{-1, +1} {
+		rt := MustNewRegionTracker(mem.MustRegionConfig(2048), 16, 32, 4)
+		for r := uint64(0); r < 40; r++ {
+			rt.Observe(0x400, mem.Addr(r*2048), false)
+			if r%2 == 0 {
+				rt.Observe(0x404, mem.Addr(r*2048+64), false) // promote
+			}
+		}
+		rt.sanDeepCheck() // healthy: must not report
+		*rt.presenceBucket(6) += uint16(delta)
+		func() {
+			defer func() {
+				v, ok := recover().(*san.Violation)
+				if !ok || v.Invariant != san.TrackerPresence {
+					t.Errorf("count %+d: deep sweep reported %v, want %s", delta, v, san.TrackerPresence)
+				}
+			}()
+			rt.sanDeepCheck()
+		}()
+	}
 }

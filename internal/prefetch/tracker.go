@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"fmt"
+	"math"
 
 	"bingo/internal/mem"
 )
@@ -34,11 +35,21 @@ type Trigger struct {
 // footprint is gathered; eviction of any block of the region ends its
 // residency. Regions that never saw a second distinct block are dropped
 // without training, which keeps one-shot regions from polluting history.
+//
+// A region is tracked by at most one of the two tables, and presence
+// counts the tracked regions of each hash bucket. It is a counting
+// filter, so it has no false negatives: a bucket that reads 0 holds no
+// tracked region, and OnEviction (called for every eviction at the attach
+// level, most of them in regions no table holds) then returns after one
+// load instead of probing both tables. The counts only speed up the
+// simulation; they model no hardware, so StorageBits leaves them out.
 type RegionTracker struct {
-	rc         mem.RegionConfig
-	filter     *Table[ActiveRegion]
-	accum      *Table[ActiveRegion]
-	onComplete func(ActiveRegion)
+	rc            mem.RegionConfig
+	filter        *Table[ActiveRegion]
+	accum         *Table[ActiveRegion]
+	presence      []uint16 // tracked regions per bucket
+	presenceShift uint     // 64 - log2(len(presence))
+	onComplete    func(ActiveRegion)
 
 	// CompletedResidencies counts footprints handed back via OnEviction.
 	CompletedResidencies uint64
@@ -52,7 +63,28 @@ type RegionTracker struct {
 	// per-access hot path stays allocation-free. It is overwritten by the
 	// next Observe call.
 	trig Trigger
+
+	san trackerSan // runtime invariant sanitizer (empty without -tags=san)
 }
+
+// presencePerEntry is how many presence buckets the tracker keeps per
+// table entry (rounded up to a power of two in all): with at most one
+// tracked region in eight buckets, most untracked regions find a zero.
+const presencePerEntry = 8
+
+// presenceIndex returns region's presence bucket: the top bits of a
+// Fibonacci hash of the region number.
+func (rt *RegionTracker) presenceIndex(region uint64) uint64 {
+	return region * 0x9e3779b97f4a7c15 >> rt.presenceShift
+}
+
+// presenceBucket returns the count of region's presence bucket.
+func (rt *RegionTracker) presenceBucket(region uint64) *uint16 {
+	return &rt.presence[rt.presenceIndex(region)]
+}
+
+// untrack records that a region left the table that tracked it.
+func (rt *RegionTracker) untrack(region uint64) { *rt.presenceBucket(region)-- }
 
 // SetCompleteFunc registers the callback invoked whenever a region's
 // residency ends with a multi-block footprint — either because one of its
@@ -79,6 +111,9 @@ func CheckTrackerGeometry(filterEntries, accumEntries, ways int) error {
 	if _, err := TableSets(accumEntries, ways); err != nil {
 		return fmt.Errorf("accumulation table: %w", err)
 	}
+	if n := filterEntries + accumEntries; n > math.MaxUint16 {
+		return fmt.Errorf("prefetch: tracker of %d entries above the %d regions a presence count holds", n, math.MaxUint16)
+	}
 	return nil
 }
 
@@ -88,10 +123,14 @@ func NewRegionTracker(rc mem.RegionConfig, filterEntries, accumEntries, ways int
 	if err := CheckTrackerGeometry(filterEntries, accumEntries, ways); err != nil {
 		return nil, err
 	}
+	want := uint64(presencePerEntry * (filterEntries + accumEntries))
+	buckets := uint64(1) << mem.Log2(2*want-1) // want rounded up to a power of two
 	return &RegionTracker{
-		rc:     rc,
-		filter: MustNewTable[ActiveRegion](filterEntries, ways),
-		accum:  MustNewTable[ActiveRegion](accumEntries, ways),
+		rc:            rc,
+		filter:        MustNewTable[ActiveRegion](filterEntries, ways),
+		accum:         MustNewTable[ActiveRegion](accumEntries, ways),
+		presence:      make([]uint16, buckets),
+		presenceShift: 64 - mem.Log2(buckets),
 	}, nil
 }
 
@@ -123,23 +162,28 @@ func (rt *RegionTracker) Region() mem.RegionConfig { return rt.rc }
 func (rt *RegionTracker) Observe(pc mem.PC, addr mem.Addr, hit bool) (trigger *Trigger) {
 	region := rt.rc.RegionNumber(addr)
 	blockIdx := rt.rc.BlockIndex(addr)
+	count := rt.presenceBucket(region)
 
-	if ar, ok := rt.accum.Lookup(region, true); ok {
-		ar.Footprint = ar.Footprint.With(blockIdx)
-		return nil
-	}
-	if fe, ok := rt.filter.Lookup(region, true); ok {
-		if fe.TriggerOffset == blockIdx {
-			return nil // same block again: still a single-block region
+	if *count != 0 {
+		if ar, ok := rt.accum.Lookup(region, true); ok {
+			ar.Footprint = ar.Footprint.With(blockIdx)
+			return nil
 		}
-		promoted := *fe
-		promoted.Footprint = promoted.Footprint.With(blockIdx)
-		rt.filter.Erase(region)
-		if _, displaced, ok := rt.accum.Insert(region, promoted); ok {
-			rt.CapacityCompletions++
-			rt.complete(displaced)
+		if fe, ok := rt.filter.Lookup(region, true); ok {
+			if fe.TriggerOffset == blockIdx {
+				return nil // same block again: still a single-block region
+			}
+			// The region moves from one table to the other: its count stays.
+			promoted := *fe
+			promoted.Footprint = promoted.Footprint.With(blockIdx)
+			rt.filter.Erase(region)
+			if key, displaced, ok := rt.accum.Insert(region, promoted); ok {
+				rt.untrack(key)
+				rt.CapacityCompletions++
+				rt.complete(displaced)
+			}
+			return nil
 		}
-		return nil
 	}
 
 	// First touch: open a filter entry and, on a miss, report the trigger.
@@ -150,7 +194,11 @@ func (rt *RegionTracker) Observe(pc mem.PC, addr mem.Addr, hit bool) (trigger *T
 		TriggerOffset: blockIdx,
 		Footprint:     Footprint(0).With(blockIdx),
 	}
-	rt.filter.Insert(region, ar)
+	*count++
+	if key, _, ok := rt.filter.Insert(region, ar); ok {
+		rt.untrack(key) // a displaced single-block region ends untrained
+	}
+	rt.sanAfterInsert()
 	if hit {
 		return nil
 	}
@@ -167,15 +215,22 @@ func (rt *RegionTracker) Observe(pc mem.PC, addr mem.Addr, hit bool) (trigger *T
 // OnEviction processes a block eviction at the attach level. If the block
 // belongs to a tracked region the region's residency ends: accumulated
 // footprints are returned for training; single-block filter entries are
-// dropped.
+// dropped. A region whose presence bucket reads 0 is tracked by neither
+// table, so neither is probed.
 func (rt *RegionTracker) OnEviction(addr mem.Addr) (ActiveRegion, bool) {
 	region := rt.rc.RegionNumber(addr)
+	count := rt.presenceBucket(region)
+	if *count == 0 {
+		return ActiveRegion{}, false
+	}
 	if ar, ok := rt.accum.Erase(region); ok {
+		*count--
 		rt.CompletedResidencies++
 		rt.complete(ar)
 		return ar, true
 	}
 	if _, ok := rt.filter.Erase(region); ok {
+		*count--
 		rt.DroppedSingles++
 	}
 	return ActiveRegion{}, false

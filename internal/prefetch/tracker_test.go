@@ -135,4 +135,7 @@ func TestTrackerValidation(t *testing.T) {
 	if _, err := NewRegionTracker(rc, 16, 3, 4); err == nil {
 		t.Error("bad accumulation geometry should fail")
 	}
+	if _, err := NewRegionTracker(rc, 1<<16, 16, 16); err == nil {
+		t.Error("a tracker with more entries than a presence count holds should fail")
+	}
 }

@@ -109,6 +109,10 @@ const (
 	// TableResidency: the generic prefetcher metadata table keeps unique
 	// tags per set and a size that matches the valid-entry count.
 	TableResidency ID = "SAN-TABLE-RESIDENCY"
+	// TrackerPresence: each presence count of a region tracker equals the
+	// number of its tracked regions that hash to the bucket, and no
+	// region is in both of its tables.
+	TrackerPresence ID = "SAN-TRACKER-PRESENCE"
 )
 
 // Violation is the structured report a failing invariant panics with.

@@ -33,7 +33,7 @@ type Translator struct {
 	leaves    map[uint64]*leaf // vpn/leafPages -> leaf
 	recent    [recentLeaves]recentLeaf
 	mapped    int      // pages touched so far
-	freeList  []uint64 // the current chunk of shuffled frame numbers
+	freeList  []uint32 // the current chunk of shuffled frame numbers
 	nextFree  int      // next unused index into freeList
 	issued    uint64   // frames put into chunks so far
 	rng       *rand.Rand
@@ -141,7 +141,7 @@ func (t *Translator) allocFrame() uint64 {
 	}
 	f := t.freeList[t.nextFree]
 	t.nextFree++
-	return f
+	return uint64(f)
 }
 
 const freeListChunk = 1 << 16
@@ -155,9 +155,13 @@ func (t *Translator) refillFreeList() {
 	if !ok {
 		panic(fmt.Sprintf("vm: frame %d does not fit a page-table entry (at most %d frames)", base+n-1, uint64(maxFrames)))
 	}
-	chunk := t.freeList[:0]
-	for i := uint64(0); i < n; i++ {
-		chunk = append(chunk, base+i)
+	chunk := t.freeList
+	if uint64(cap(chunk)) < n {
+		chunk = make([]uint32, n) // the first chunk; later ones reuse it
+	}
+	chunk = chunk[:n]
+	for i := range chunk {
+		chunk[i] = uint32(base + uint64(i)) // chunkSize keeps every frame below maxFrames
 	}
 	t.rng.Shuffle(len(chunk), func(i, j int) { chunk[i], chunk[j] = chunk[j], chunk[i] })
 	t.freeList, t.nextFree, t.issued = chunk, 0, base+n
