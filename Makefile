@@ -32,8 +32,9 @@ vet:
 
 # simlint is the project-specific invariant suite (determinism,
 # address-unit safety, shared-state contracts, sanitizer gating,
-# parameter hygiene, hot-path allocation discipline, telemetry purity);
-# see README.md "Static analysis & invariants".
+# parameter hygiene, error handling); see README.md "Static analysis &
+# invariants". The allocation-free hot path and telemetry purity are
+# checked by tests that run the simulator (`make test`).
 # -unused-suppressions reports //lint: directives that no longer
 # suppress anything, so stale suppressions cannot accumulate.
 simlint:

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bingo/internal/trace"
 )
 
 // TestCLIBadInputExitsTwo builds bingosim, experiments, tracegen,
@@ -70,6 +72,7 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 		{[]string{"experiments", "-exp", " , "}, "-exp"},
 		{[]string{"tracegen", "-workload", "em3d", "-core", "-1", "-o", filepath.Join(dir, "bad.trc")}, "-core -1"},
 		{[]string{"tracegen", "-workload", "em3d", "-n", "-5", "-o", filepath.Join(dir, "bad.trc")}, "-n -5"},
+		{[]string{"tracegen", "-workload", "em3d", "-n", "0", "-o", filepath.Join(dir, "bad.trc")}, "-n 0"},
 		{[]string{"tracegen", "-workload", "Zeus", "-core", "100000", "-o", filepath.Join(dir, "bad.trc")}, "-core 100000"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "0"}, "-n 0"},
 		{[]string{"traceinfo", "-workload", "Zeus", "-n", "-5"}, "-n -5"},
@@ -106,19 +109,32 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 			t.Errorf("%v: exit %d, stderr %q; want exit 0", valid, code, stderr)
 		}
 	}
-	// An unwritable telemetry output is an I/O error, not a usage error:
-	// exit 1 naming the path, before any simulation prints results.
+	// An unwritable telemetry output, a missing trace and a trace with no
+	// records are I/O errors, not usage errors: exit 1 naming the path,
+	// before any simulation prints results. An empty trace used to replay
+	// as instr=0 on every core and exit 0.
 	missing := filepath.Join(dir, "no-such-dir", "out")
-	for _, flag := range []string{"-telemetry-out", "-telemetry-csv", "-trace-out"} {
-		args := []string{"-workload", "em3d", "-warmup", "1000", "-measure", "2000", flag, missing}
+	empty := filepath.Join(dir, "empty.trc")
+	writeEmptyTrace(t, empty)
+	for _, tc := range []struct {
+		args []string
+		path string
+	}{
+		{[]string{"bingosim", "-workload", "em3d", "-warmup", "1000", "-measure", "2000", "-telemetry-out", missing}, missing},
+		{[]string{"bingosim", "-workload", "em3d", "-warmup", "1000", "-measure", "2000", "-telemetry-csv", missing}, missing},
+		{[]string{"bingosim", "-workload", "em3d", "-warmup", "1000", "-measure", "2000", "-trace-out", missing}, missing},
+		{[]string{"bingosim", "-trace", empty, "-warmup", "1000", "-measure", "2000"}, empty},
+		{[]string{"bingosim", "-trace", missing}, missing},
+		{[]string{"traceinfo", "-trace", missing}, missing},
+	} {
 		var stdout, stderr bytes.Buffer
-		c := exec.Command(filepath.Join(dir, "bingosim"), args...)
+		c := exec.Command(filepath.Join(dir, tc.args[0]), tc.args[1:]...)
 		c.Stdout, c.Stderr = &stdout, &stderr
 		err := c.Run()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), missing) || stdout.Len() != 0 {
-			t.Errorf("bingosim %v: err %v, stderr %q, stdout %q; want exit 1 naming the path and no stdout",
-				args, err, stderr.String(), stdout.String())
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), tc.path) || stdout.Len() != 0 {
+			t.Errorf("%v: err %v, stderr %q, stdout %q; want exit 1 naming %s and no stdout",
+				tc.args, err, stderr.String(), stdout.String(), tc.path)
 		}
 	}
 
@@ -126,5 +142,24 @@ func TestCLIBadInputExitsTwo(t *testing.T) {
 	// in the file -sarif names.
 	if sarif, err := os.ReadFile(filepath.Join(dir, "ok.sarif")); err != nil || !bytes.Contains(sarif, []byte(`"version": "2.1.0"`)) {
 		t.Errorf("simlint -json -sarif=file wrote no SARIF log (err %v): %q", err, sarif)
+	}
+}
+
+// writeEmptyTrace writes a well-formed trace file that holds no records.
+func writeEmptyTrace(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f, 0)
+	if err == nil {
+		err = w.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

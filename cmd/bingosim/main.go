@@ -299,10 +299,15 @@ func buildTraceSystem(path, prefetcher string, opts harness.RunOptions) (*system
 		r, closer, err := trace.NewAutoReader(f)
 		if err != nil {
 			_ = cleanup() // best-effort: the reader error wins
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 		if closer != nil {
 			closers = append(closers, closer.Close)
+		}
+		if r.Remaining() == 0 {
+			// Every core would retire nothing and print instr=0.
+			_ = cleanup() // best-effort: the empty trace wins
+			return nil, nil, fmt.Errorf("%s: trace holds no records", path)
 		}
 		sources[i] = r
 	}

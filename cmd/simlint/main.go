@@ -1,9 +1,11 @@
 // Command simlint runs the simulator's invariant suite — detlint,
-// unitlint, paramlint, errlint, sharelint, sanlint, hotlint, purelint —
-// over the repository. It is the project-specific complement to go vet:
-// the analyzers encode contracts (determinism, address-unit safety,
-// shared-state documentation, sanitizer gating, hot-path allocation
-// discipline, telemetry purity) that generic tooling cannot know about.
+// unitlint, paramlint, errlint, sharelint, sanlint — over the
+// repository. It is the project-specific complement to go vet: the
+// analyzers encode contracts (determinism, address-unit safety,
+// parameter provenance, error handling, shared-state documentation,
+// sanitizer gating) that generic tooling cannot know about. The
+// allocation-free hot path and telemetry purity are checked by running
+// the simulator, in tests (DESIGN.md §10).
 //
 // Usage:
 //

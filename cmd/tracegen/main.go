@@ -38,8 +38,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracegen: -core %d: core index must be in [0, %d)\n", *coreFlag, system.MaxCores)
 		os.Exit(2)
 	}
-	if *nFlag < 0 {
-		fmt.Fprintf(os.Stderr, "tracegen: -n %d: record count must be non-negative\n", *nFlag)
+	if *nFlag <= 0 {
+		// A trace with no records replays as a machine that retires nothing.
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d: record count must be positive\n", *nFlag)
 		os.Exit(2)
 	}
 	src, err := buildSource(*workloadFlag, *kernelFlag, *coreFlag, *seedFlag)

@@ -46,6 +46,9 @@ func main() {
 	src, label, cleanup, err := buildSource(*traceFlag, *workloadFlag, *kernelFlag, *seedFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceinfo: %v\n", err)
+		if *traceFlag != "" && *workloadFlag == "" && *kernelFlag == "" {
+			os.Exit(1) // the trace file could not be opened or read
+		}
 		os.Exit(2)
 	}
 

@@ -22,7 +22,8 @@ func (p *nextTwo) Name() string { return "next-two" }
 func (p *nextTwo) OnAccess(ev bingo.AccessEvent) []bingo.Addr {
 	base := ev.Addr.BlockAlign()
 	p.issued += 2
-	//hot:alloc example code favors clarity over buffer reuse
+	// Example code favors clarity over buffer reuse: this allocates on
+	// every call, which a simulator prefetcher must not.
 	return []bingo.Addr{
 		base + 1*bingo.BlockSize,
 		base + 2*bingo.BlockSize,

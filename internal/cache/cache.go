@@ -347,8 +347,6 @@ func (c *Cache) pack(arrival uint64, core int, flags uint64) uint64 {
 
 // overflow panics: a simulated value outgrew its field in the packed way
 // layout, so the cache can no longer represent the machine.
-//
-//hot:alloc panic formatting runs only when a value outgrows its field, which ends the run
 func (c *Cache) overflow(field string, v uint64) {
 	panic(fmt.Sprintf("cache %s: %s %#x outgrows its field in the way layout", c.cfg.Name, field, v))
 }

@@ -114,7 +114,7 @@ func New(cfg Config) (*Bingo, error) {
 	if cfg.TruncateTags {
 		history.SetTagTruncation(uint(cfg.LongTagBits))
 	}
-	b := &Bingo{cfg: cfg, rc: rc, tracker: tracker, history: history}
+	b := &Bingo{cfg: cfg, rc: rc, tracker: tracker, history: history, addrBuf: make([]mem.Addr, 0, rc.Blocks())}
 	tracker.SetCompleteFunc(b.train)
 	return b, nil
 }

@@ -98,6 +98,7 @@ func NewMultiEvent(cfg MultiEventConfig) (*MultiEvent, error) {
 		Consulted:       make([]uint64, len(cfg.Events)),
 		Matched:         make([]uint64, len(cfg.Events)),
 		ProbeRedundancy: cfg.ProbeRedundant,
+		addrBuf:         make([]mem.Addr, 0, rc.Blocks()),
 	}
 	for range cfg.Events {
 		t, err := prefetch.NewTable[patternEntry](cfg.TableEntries, cfg.TableWays)

@@ -309,7 +309,7 @@ func (c *Core) issue(now uint64) {
 	} else {
 		c.lastLoadDone = res.CompleteAt
 	}
-	c.outstanding = append(c.outstanding, res.CompleteAt) //hot:alloc outstanding grows to LSQSize, then reuses
+	c.outstanding = append(c.outstanding, res.CompleteAt) // grows to LSQSize, then reuses
 	tail := c.robHead + c.robMem
 	if tail >= c.cfg.ROBSize {
 		tail -= c.cfg.ROBSize
@@ -347,7 +347,7 @@ func (c *Core) lsqReserve(now uint64) bool {
 	live := c.outstanding[:0]
 	for _, t := range c.outstanding {
 		if t > now {
-			live = append(live, t) //hot:alloc append into outstanding[:0] reuses capacity, never grows
+			live = append(live, t)
 		}
 	}
 	c.outstanding = live

@@ -16,12 +16,9 @@
 // There are no package facts and no analyzer prerequisites. An analyzer
 // that needs another package's code reads it from that world: every
 // module-local package a unit imports is already in its Loader's cache,
-// type-checked against the same FileSet, and Loader.Memo derives data
-// from it once per loader rather than once per pass. The effects
-// summaries behind hotlint and purelint work this way (see
-// internal/lint/effects), and so does sharelint's walk of another
-// package's types. The Runner therefore analyzes only the units it is
-// asked for, in the order it is asked.
+// type-checked against the same FileSet. sharelint's walk of another
+// package's types works this way. The Runner therefore analyzes only the
+// units it is asked for, in the order it is asked.
 package analysis
 
 import (
@@ -69,10 +66,9 @@ type Pass struct {
 	Info     *types.Info
 	// Loader produced the unit. Every module-local package the unit
 	// imports is in its cache, type-checked against Fset, so an analyzer
-	// can read another package's syntax directly (and memoize what it
-	// derives with Loader.Memo). Its ModuleRoot serves the rare analyzer
-	// that checks source against a non-Go artifact (sanlint vs the
-	// DESIGN.md invariant catalog).
+	// can read another package's syntax directly. Its ModuleRoot serves
+	// the rare analyzer that checks source against a non-Go artifact
+	// (sanlint vs the DESIGN.md invariant catalog).
 	Loader *Loader
 
 	diags *[]Diagnostic

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzDirectiveParser drives the single tokenizer behind every
-// annotation vocabulary (//lint:ignore, //hot:alloc, //obs:write,
-// //conc:immutable, ...) plus the suppression grammar layered on it. The
+// annotation vocabulary (//lint:ignore, //conc:immutable, ...) plus the
+// suppression grammar layered on it. The
 // parsers gate real enforcement — a crash or a grammar hole here is a
 // linter that either dies on a hostile comment or silently accepts a
 // malformed waiver — so the properties checked are the ones the
@@ -17,9 +17,9 @@ func FuzzDirectiveParser(f *testing.F) {
 		"//lint:ignore detlint map iteration is sorted first",
 		"//lint:file-ignore detlint,sharelint generated file",
 		"//lint:ignore locklint",
-		"//hot:alloc reused buffer grows to steady-state capacity",
-		"//hot:path prefetch issue path",
-		"//obs:write sampling epoch reset",
+		"//conc:immutable set once by New",
+		"//x:y one-letter domain and verb",
+		"//lint:file-ignore unitlint,detlint fixture file",
 		"//vet:skip domain no analyzer owns",
 		"//conc:immutable after construction",
 		"//go:build san",
@@ -29,8 +29,8 @@ func FuzzDirectiveParser(f *testing.F) {
 		"//UPPER:case domain",
 		"//lint:\tignore tab verb",
 		"//lint:ignore a,,b double comma",
-		"//hot:alloc  двойной пробел", // non-ASCII arg, doubled space
-		"//hot:alloc\x00nul",
+		"//conc:immutable  двойной пробел", // non-ASCII arg, doubled space
+		"//conc:immutable\x00nul",
 		"//" + strings.Repeat("a", 1000) + ":b c",
 	} {
 		f.Add(seed)

@@ -50,7 +50,6 @@ type Loader struct {
 	pkgs      map[string]*Package
 	overrides map[string]string // import path → directory, for fixtures
 	loading   map[string]bool   // import cycle guard
-	memo      map[any]any       // Memo's values
 }
 
 // NewLoader builds a Loader for the module rooted at moduleRoot (the
@@ -69,7 +68,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 		pkgs:       map[string]*Package{},
 		overrides:  map[string]string{},
 		loading:    map[string]bool{},
-		memo:       map[any]any{},
 	}, nil
 }
 
@@ -151,20 +149,6 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	}
 	l.pkgs[importPath] = pkg
 	return pkg, nil
-}
-
-// Memo returns the value fill computes for key, calling fill at most
-// once per key for this loader. It lets an analyzer derive data from a
-// loaded package once per type-checked world instead of once per pass,
-// without a package-level cache outliving the loader. Keys must be
-// comparable; use an unexported key type so analyzers cannot collide.
-func (l *Loader) Memo(key any, fill func() any) any {
-	if v, ok := l.memo[key]; ok {
-		return v
-	}
-	v := fill()
-	l.memo[key] = v
-	return v
 }
 
 // TestUnits loads the test code of an already-loadable package as up to

@@ -40,8 +40,8 @@ type Config struct {
 	// Deps maps additional fixture packages — synthetic import path to
 	// directory — that the package under test imports. They are loaded
 	// into the same world but not analyzed themselves, so a fixture with a
-	// Deps entry exercises the cross-package read (hotlint and purelint
-	// summarize them through the loader).
+	// Deps entry exercises the cross-package read (sharelint walks their
+	// types through the loader).
 	Deps map[string]string
 }
 

@@ -1,8 +1,8 @@
 // Package lint assembles simlint, the simulator's invariant suite:
 // project-specific analyzers on the mini go/analysis framework in
 // internal/lint/analysis. See the package docs of detlint,
-// errlint, hotlint, paramlint, purelint, sanlint, sharelint and
-// unitlint for the invariant each one guards, DESIGN.md §10 for the
+// errlint, paramlint, sanlint, sharelint and unitlint for the invariant
+// each one guards, DESIGN.md §10 for the
 // catalog, and README.md ("Static analysis & invariants") for the
 // suppression directives.
 package lint
@@ -16,9 +16,7 @@ import (
 	"bingo/internal/lint/analysis"
 	"bingo/internal/lint/detlint"
 	"bingo/internal/lint/errlint"
-	"bingo/internal/lint/hotlint"
 	"bingo/internal/lint/paramlint"
-	"bingo/internal/lint/purelint"
 	"bingo/internal/lint/sanlint"
 	"bingo/internal/lint/sharelint"
 	"bingo/internal/lint/unitlint"
@@ -29,9 +27,7 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detlint.Analyzer,
 		errlint.Analyzer,
-		hotlint.Analyzer,
 		paramlint.Analyzer,
-		purelint.Analyzer,
 		sanlint.Analyzer,
 		sharelint.Analyzer,
 		unitlint.Analyzer,

@@ -12,17 +12,17 @@ import (
 // index coherence, %SRCROOT%-relative paths, and suppression carriage.
 func TestWriteSARIFShape(t *testing.T) {
 	findings := []Finding{
-		{File: "internal/cache/cache.go", Line: 42, Col: 7, Analyzer: "hotlint", Message: "interface boxing on the hot path"},
-		{File: "internal/telemetry/probe.go", Line: 9, Col: 2, Analyzer: "purelint", Message: "telemetry code writes simulator state", Suppressed: true, SuppressedBy: "reseeds its own sampler"},
+		{File: "internal/cache/cache.go", Line: 42, Col: 7, Analyzer: "detlint", Message: "iteration over a map feeds simulated state"},
+		{File: "internal/telemetry/probe.go", Line: 9, Col: 2, Analyzer: "sharelint", Message: "package-level mutable state", Suppressed: true, SuppressedBy: "written once at init"},
 	}
 	docs := map[string]string{
-		"hotlint":  "hotlint flags allocation on simulator hot paths.\n\nLong detail.",
-		"purelint": "purelint keeps telemetry passive.",
+		"detlint":   "detlint keeps simulation deterministic.\n\nLong detail.",
+		"sharelint": "sharelint forbids state shared between simulations.",
 	}
 	var buf bytes.Buffer
 	if err := writeSARIF(&buf, findings, map[string]string{
-		"hotlint":  firstLine(docs["hotlint"]),
-		"purelint": firstLine(docs["purelint"]),
+		"detlint":   firstLine(docs["detlint"]),
+		"sharelint": firstLine(docs["sharelint"]),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	if len(run.Tool.Driver.Rules) != 2 {
 		t.Fatalf("want 2 rules, got %d", len(run.Tool.Driver.Rules))
 	}
-	if run.Tool.Driver.Rules[0].ShortDescription.Text != "hotlint flags allocation on simulator hot paths." {
+	if run.Tool.Driver.Rules[0].ShortDescription.Text != "detlint keeps simulation deterministic." {
 		t.Errorf("rule doc not truncated to first line: %q", run.Tool.Driver.Rules[0].ShortDescription.Text)
 	}
 	if len(run.Results) != 2 {
@@ -105,15 +105,15 @@ func TestWriteSARIFShape(t *testing.T) {
 			t.Errorf("absolute path leaked into SARIF: %q", loc.ArtifactLocation.URI)
 		}
 	}
-	hot := run.Results[0]
-	if hot.Locations[0].PhysicalLocation.Region.StartLine != 42 || hot.Locations[0].PhysicalLocation.Region.StartColumn != 7 {
-		t.Errorf("region = %+v", hot.Locations[0].PhysicalLocation.Region)
+	first := run.Results[0]
+	if first.Locations[0].PhysicalLocation.Region.StartLine != 42 || first.Locations[0].PhysicalLocation.Region.StartColumn != 7 {
+		t.Errorf("region = %+v", first.Locations[0].PhysicalLocation.Region)
 	}
-	if len(hot.Suppressions) != 0 {
+	if len(first.Suppressions) != 0 {
 		t.Errorf("unsuppressed finding carries suppressions")
 	}
 	sup := run.Results[1]
-	if len(sup.Suppressions) != 1 || sup.Suppressions[0].Kind != "inSource" || sup.Suppressions[0].Justification != "reseeds its own sampler" {
+	if len(sup.Suppressions) != 1 || sup.Suppressions[0].Kind != "inSource" || sup.Suppressions[0].Justification != "written once at init" {
 		t.Errorf("suppression record = %+v", sup.Suppressions)
 	}
 }

@@ -69,7 +69,6 @@ func (k EventKind) Key(pc mem.PC, addr mem.Addr, rc mem.RegionConfig) uint64 {
 	case EventOffset:
 		return mem.Mix64(uint64(rc.BlockIndex(addr)))
 	default:
-		//hot:alloc panic formatting on an invalid kind never runs in a correct build
 		panic(fmt.Sprintf("prefetch: unknown event kind %d", int(k)))
 	}
 }

@@ -49,7 +49,7 @@ func (f Footprint) AppendAddrs(dst []mem.Addr, rc mem.RegionConfig, base mem.Add
 		if i == excludeIdx {
 			continue
 		}
-		dst = append(dst, rc.BlockAddr(base, i)) //hot:alloc caller's reused buffer grows to steady-state capacity
+		dst = append(dst, rc.BlockAddr(base, i))
 	}
 	return dst
 }

@@ -58,7 +58,7 @@ func New(cfg Config) (*AMPM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AMPM{cfg: cfg, rc: rc, zones: zones}, nil
+	return &AMPM{cfg: cfg, rc: rc, zones: zones, addrBuf: make([]mem.Addr, 0, max(cfg.MaxDegree, 0))}, nil
 }
 
 // MustNew panics on configuration error.
@@ -100,6 +100,9 @@ func (a *AMPM) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 		}
 	}
 	a.addrBuf = out
+	if len(out) == 0 {
+		return nil // no stride fired
+	}
 	return out
 }
 
@@ -120,7 +123,7 @@ func (a *AMPM) tryStride(zm *zoneMap, base mem.Addr, idx, k, blocks int, out []m
 		return out
 	}
 	zm.prefetched = zm.prefetched.With(t)
-	return append(out, a.rc.BlockAddr(base, t)) //hot:alloc reused buffer grows to steady-state capacity
+	return append(out, a.rc.BlockAddr(base, t))
 }
 
 // OnEviction implements prefetch.Prefetcher; AMPM keeps no residency

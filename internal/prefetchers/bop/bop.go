@@ -150,7 +150,7 @@ func (b *BOP) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 		if t&^(blocksPerPage-1) != pageBlockBase {
 			break // BOP never crosses page boundaries
 		}
-		out = append(out, mem.Addr(t<<mem.BlockShift)) //hot:alloc reused buffer grows to steady-state capacity
+		out = append(out, mem.Addr(t<<mem.BlockShift))
 	}
 	b.addrBuf = out
 	return out

@@ -91,7 +91,7 @@ func (g *GHB) chain(newest int64, max int) []uint64 {
 	out := g.chainBuf[:0]
 	for abs := newest; g.live(abs) && len(out) < max; {
 		e := g.at(abs)
-		out = append(out, e.block) //hot:alloc reused buffer grows to steady-state capacity
+		out = append(out, e.block)
 		abs = e.prev
 	}
 	g.chainBuf = out
@@ -119,7 +119,7 @@ func (g *GHB) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 	}
 	deltas := g.deltaBuf[:0] // deltas[i] = blocks[i] - blocks[i+1]
 	for i := 0; i+1 < len(blocks); i++ {
-		deltas = append(deltas, int64(blocks[i])-int64(blocks[i+1])) //hot:alloc reused buffer grows to steady-state capacity
+		deltas = append(deltas, int64(blocks[i])-int64(blocks[i+1]))
 	}
 	g.deltaBuf = deltas
 	d1, d2 := deltas[0], deltas[1]
@@ -137,7 +137,7 @@ func (g *GHB) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 			if cur <= 0 {
 				break
 			}
-			out = append(out, mem.Addr(uint64(cur)<<mem.BlockShift)) //hot:alloc reused buffer grows to steady-state capacity
+			out = append(out, mem.Addr(uint64(cur)<<mem.BlockShift))
 		}
 		g.addrBuf = out
 		return out

@@ -67,7 +67,7 @@ func New(cfg Config) (*SMS, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SMS{cfg: cfg, rc: rc, tracker: tracker, history: history}
+	s := &SMS{cfg: cfg, rc: rc, tracker: tracker, history: history, addrBuf: make([]mem.Addr, 0, rc.Blocks())}
 	tracker.SetCompleteFunc(s.train)
 	return s, nil
 }

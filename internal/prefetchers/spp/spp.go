@@ -107,6 +107,14 @@ func New(cfg Config) (*SPP, error) {
 		ptMask:  uint32(cfg.PatternEntries - 1),
 		filter:  make([]uint64, cfg.FilterEntries),
 		fMask:   uint64(cfg.FilterEntries - 1),
+		addrBuf: make([]mem.Addr, 0, max(cfg.MaxLookahead, 0)),
+	}
+	// Every entry's candidate deltas live in one backing array, so
+	// training never allocates.
+	d := max(cfg.DeltasPerEntry, 0)
+	slots := make([]deltaSlot, len(s.pattern)*d)
+	for i := range s.pattern {
+		s.pattern[i].deltas = slots[i*d : i*d : (i+1)*d]
 	}
 	return s, nil
 }
@@ -150,7 +158,7 @@ func (s *SPP) train(sig uint16, delta int) {
 		}
 	}
 	if len(e.deltas) < s.cfg.DeltasPerEntry {
-		e.deltas = append(e.deltas, deltaSlot{delta: delta, count: 1}) //hot:alloc reused buffer grows to steady-state capacity
+		e.deltas = append(e.deltas, deltaSlot{delta: delta, count: 1})
 		return
 	}
 	// Replace the weakest candidate.
@@ -226,7 +234,7 @@ func (s *SPP) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 		}
 		addr := s.rc.BlockAddr(base, off)
 		if !s.filtered(addr.BlockNumber()) {
-			out = append(out, addr) //hot:alloc reused buffer grows to steady-state capacity
+			out = append(out, addr)
 		}
 		sig = updateSig(sig, d)
 	}

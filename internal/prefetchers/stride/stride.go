@@ -95,7 +95,7 @@ func (s *Stride) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 		if t <= 0 {
 			break
 		}
-		out = append(out, mem.Addr(uint64(t)<<mem.BlockShift)) //hot:alloc reused buffer grows to steady-state capacity
+		out = append(out, mem.Addr(uint64(t)<<mem.BlockShift))
 	}
 	s.addrBuf = out
 	return out
@@ -132,7 +132,7 @@ func (p *NextLine) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 	out := p.addrBuf[:0]
 	block := ev.Addr.BlockNumber()
 	for i := 1; i <= n; i++ {
-		out = append(out, mem.Addr((block+uint64(i))<<mem.BlockShift)) //hot:alloc reused buffer grows to steady-state capacity
+		out = append(out, mem.Addr((block+uint64(i))<<mem.BlockShift))
 	}
 	p.addrBuf = out
 	return out

@@ -78,7 +78,7 @@ func New(cfg Config) (*VLDP, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &VLDP{cfg: cfg, rc: rc, dhb: dhb, opt: make([]int, cfg.OPTEntries)}
+	v := &VLDP{cfg: cfg, rc: rc, dhb: dhb, opt: make([]int, cfg.OPTEntries), addrBuf: make([]mem.Addr, 0, max(cfg.Degree, 1))}
 	for i := range v.dpts {
 		t, err := prefetch.NewTable[dptEntry](cfg.DPTEntries, cfg.DPTWays)
 		if err != nil {
@@ -143,7 +143,7 @@ func (v *VLDP) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 		// First access to the page: consult the OPT for a first-delta guess.
 		if d := v.opt[offset%len(v.opt)]; d != 0 {
 			if t := offset + d; t >= 0 && t < v.rc.Blocks() {
-				v.addrBuf = append(v.addrBuf[:0], v.rc.BlockAddr(base, t)) //hot:alloc reused buffer grows to steady-state capacity
+				v.addrBuf = append(v.addrBuf[:0], v.rc.BlockAddr(base, t))
 				return v.addrBuf
 			}
 		}
@@ -185,7 +185,7 @@ func (v *VLDP) OnAccess(ev prefetch.AccessEvent) []mem.Addr {
 		if off < 0 || off >= v.rc.Blocks() {
 			break
 		}
-		out = append(out, v.rc.BlockAddr(base, off)) //hot:alloc reused buffer grows to steady-state capacity
+		out = append(out, v.rc.BlockAddr(base, off))
 		h[2], h[1], h[0] = h[1], h[0], d
 		if n < 3 {
 			n++

@@ -100,12 +100,10 @@ func (s *System) runLockstep(target uint64, mark func(core int, cycle uint64)) {
 // as a lockstep run is between two cycles. DESIGN.md §9 gives the
 // argument.
 func (s *System) run(target uint64, mark func(core int, cycle uint64)) {
-	n := len(s.cores)
 	// reachAt[i] is the cycle core i reached target, and pending[i] the
 	// cycle of the memory operation it is suspended at; ^0 for neither.
-	reachAt := make([]uint64, n)
-	pending := make([]uint64, n)
-	left := n
+	reachAt, pending := s.reachAt, s.pending
+	left := len(s.cores)
 	for i, c := range s.cores {
 		reachAt[i], pending[i] = ^uint64(0), ^uint64(0)
 		if c.Done() {

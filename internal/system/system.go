@@ -72,6 +72,9 @@ type System struct {
 	// and engineStats counts the event engine's global-loop iterations.
 	engine      Engine
 	engineStats EngineStats
+	// reachAt and pending are the event engine's per-core scratch,
+	// allocated once here so a phase allocates nothing.
+	reachAt, pending []uint64
 
 	san sanState // runtime invariant sanitizer (empty without -tags=san)
 }
@@ -109,6 +112,7 @@ func New(cfg Config, sources []trace.Source, factory prefetch.Factory) (*System,
 	}
 
 	s := &System{cfg: cfg, xlat: xlat, dram: d, llc: llc}
+	s.reachAt, s.pending = make([]uint64, cfg.NumCores), make([]uint64, cfg.NumCores)
 
 	if factory != nil {
 		s.pfs = make([]prefetch.Prefetcher, cfg.NumCores)

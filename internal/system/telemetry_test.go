@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"bingo/internal/core"
 	"bingo/internal/mem"
 	"bingo/internal/prefetch"
 	"bingo/internal/telemetry"
+	"bingo/internal/workloads"
 )
 
 // nextLinePF is a stateless next-line prefetcher.
@@ -139,6 +141,49 @@ func TestTelemetryIsPureObserver(t *testing.T) {
 	}
 	if sum.DRAM != observed.DRAM {
 		t.Fatalf("epoch DRAM series sums to %+v, run totals are %+v", sum.DRAM, observed.DRAM)
+	}
+}
+
+// TestLifecycleIsPureObserver pins that the prefetch lifecycle tracker,
+// which every prefetching System carries whether or not telemetry is on,
+// only observes. The same run with the tracker detached (no probe on any
+// cache, and a tracker for no cores on the issue path, which drops every
+// event) must give the same Results but for the timeliness counts the
+// tracker itself produces. The telemetry on/off oracles cannot see a
+// tracker that writes simulator state: it is attached in both runs.
+func TestLifecycleIsPureObserver(t *testing.T) {
+	em3d, ok := workloads.ByName("em3d")
+	if !ok {
+		t.Fatal("workload em3d not registered")
+	}
+	for _, pf := range []struct {
+		name    string
+		factory prefetch.Factory
+	}{
+		{"bingo", core.Factory(core.DefaultConfig())},
+		{"nextline", nextLineFactory},
+	} {
+		run := func(detach bool) Results {
+			cfg := tinyConfig()
+			cfg.WarmupInstr, cfg.MeasureInstr = 20_000, 50_000
+			sys := MustNew(cfg, em3d.Sources(cfg.NumCores, 1), pf.factory)
+			if detach {
+				sys.lc = telemetry.NewLifecycle(0)
+				sys.llc.SetPrefetchProbe(nil)
+				for _, l1 := range sys.l1s {
+					l1.SetPrefetchProbe(nil)
+				}
+			}
+			return sys.Run()
+		}
+		attached, detached := run(false), run(true)
+		if attached.Timeliness.Fills == 0 {
+			t.Fatalf("%s: no prefetch fills; the comparison would prove nothing", pf.name)
+		}
+		attached.Timeliness = telemetry.LifecycleStats{}
+		if !reflect.DeepEqual(attached, detached) {
+			t.Errorf("%s: the lifecycle tracker changed the simulation:\n detached %+v\n attached %+v", pf.name, detached, attached)
+		}
 	}
 }
 

@@ -95,6 +95,9 @@ type Reader struct {
 	r         *bufio.Reader
 	remaining uint64
 	err       error
+	// buf holds the record being decoded; as a local it would escape
+	// through io.ReadFull and cost an allocation per record.
+	buf [recordWireSize]byte
 }
 
 // NewReader validates the header and returns a streaming reader.
@@ -129,9 +132,8 @@ func (r *Reader) Next() (Record, bool) {
 	if r.remaining == 0 || r.err != nil {
 		return Record{}, false
 	}
-	var buf [recordWireSize]byte
+	buf := &r.buf
 	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-		//hot:alloc error path: a truncated stream terminates the source
 		r.err = fmt.Errorf("trace: truncated stream: %w", err)
 		r.remaining = 0
 		return Record{}, false

@@ -123,9 +123,8 @@ func (t *Translator) Translate(va mem.Addr) mem.Addr {
 	return mem.Addr(uint64(*e-1)<<t.pageShift | uint64(va)&t.pageMask)
 }
 
-// newLeaf adds the empty leaf for key to the page table.
-//
-//hot:alloc first touch of a leafPages-page span; the table grows once per leaf
+// newLeaf adds the empty leaf for key to the page table, on the first
+// touch of a leafPages-page span.
 func (t *Translator) newLeaf(key uint64) *leaf {
 	lf := new(leaf)
 	t.leaves[key] = lf
@@ -147,8 +146,6 @@ func (t *Translator) allocFrame() uint64 {
 const freeListChunk = 1 << 16
 
 // refillFreeList replaces the used-up chunk with the next frames, shuffled.
-//
-//hot:alloc lazy free-list refill, amortized over 64Ki translations
 func (t *Translator) refillFreeList() {
 	base := t.issued
 	n, ok := chunkSize(base, t.frames)

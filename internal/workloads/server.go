@@ -200,7 +200,8 @@ func (g *streaming) generate() {
 	// I/O touches the quantum's blocks out of order: the set of blocks
 	// (the footprint) is stable, the intra-region order is not — the
 	// order-insensitivity that favours spatial over delta prefetchers.
-	order := g.rng.Perm(8)
+	var order [8]int
+	perm8(g.rng, &order)
 	site := uint64(client) & 7 // per-client send path
 	for _, i := range order {
 		addr := g.vbase + (g.pos[client]+uint64(i))<<mem.BlockShift

@@ -246,6 +246,18 @@ func (f *filler) Next() (trace.Record, bool) {
 // newRNG builds the deterministic per-generator random source.
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// perm8 fills p with a pseudo-random permutation of 0..7 without
+// allocating. It makes exactly the Intn calls rng.Perm(8) makes, in the
+// same order, so it draws the same permutation and leaves rng in the
+// same state.
+func perm8(rng *rand.Rand, p *[8]int) {
+	for i := range p {
+		j := rng.Intn(i + 1)
+		p[i] = p[j]
+		p[j] = i
+	}
+}
+
 // zipfOver returns a zipfian sampler over [0, n).
 func zipfOver(rng *rand.Rand, n uint64) *rand.Zipf {
 	return rand.NewZipf(rng, 1.2, 1, n-1)

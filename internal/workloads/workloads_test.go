@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bingo/internal/mem"
@@ -243,6 +244,25 @@ func TestEM3DNeighboursRespectSpan(t *testing.T) {
 		rec, _ := g2.Next()
 		if uint64(rec.Addr) >= limit {
 			t.Fatalf("em3d address %v outside the node array", rec.Addr)
+		}
+	}
+}
+
+// TestPerm8MatchesRandPerm pins that perm8 draws what rand.Perm(8) draws
+// from the same generator state and consumes the same random numbers,
+// so the Streaming trace is unchanged by drawing in place.
+func TestPerm8MatchesRandPerm(t *testing.T) {
+	a, b := newRNG(7), newRNG(7)
+	var p [8]int
+	for n := 0; n < 10_000; n++ {
+		want := a.Perm(8)
+		perm8(b, &p)
+		if !slices.Equal(p[:], want) {
+			t.Fatalf("draw %d: perm8 = %v, rand.Perm(8) = %v", n, p, want)
+		}
+		// Interleave other draws, as the generator does.
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("draw %d: generators diverged (%d vs %d)", n, x, y)
 		}
 	}
 }
