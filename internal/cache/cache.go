@@ -236,11 +236,18 @@ type Cache struct {
 	meta     []uint64    // set*ways+way: arrival, fill core, dirty, prefetched
 	order    []lru.Order // per set: recency order of its ways
 	lower    Level
+	wb       writebackLevel // lower, if it accepts writebacks; else nil
 	listener EvictionListener
 	outcome  OutcomeFunc
 	probe    PrefetchProbe
 	stats    Stats
 	san      sanState // runtime invariant sanitizer (empty without -tags=san)
+}
+
+// writebackLevel is a lower level that accepts the dirty blocks a cache
+// evicts; a lower level without Writeback drops them.
+type writebackLevel interface {
+	Writeback(now uint64, addr mem.Addr)
 }
 
 // New builds a cache over the given lower level.
@@ -257,6 +264,7 @@ func New(cfg Config, lower Level) (*Cache, error) {
 	for i := range order {
 		order[i] = fresh
 	}
+	wb, _ := lower.(writebackLevel)
 	return &Cache{
 		cfg:      cfg,
 		ways:     cfg.Assoc,
@@ -266,6 +274,7 @@ func New(cfg Config, lower Level) (*Cache, error) {
 		meta:     make([]uint64, numSets*cfg.Assoc),
 		order:    order,
 		lower:    lower,
+		wb:       wb,
 	}, nil
 }
 
@@ -502,10 +511,8 @@ func (c *Cache) evict(now uint64, si, w int) {
 	}
 	if m&dirtyBit != 0 {
 		c.stats.Writebacks++
-		if wb, ok := c.lower.(interface {
-			Writeback(now uint64, addr mem.Addr)
-		}); ok {
-			wb.Writeback(now, addr)
+		if c.wb != nil {
+			c.wb.Writeback(now, addr)
 		}
 	}
 	if c.listener != nil {

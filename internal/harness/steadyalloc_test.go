@@ -35,9 +35,6 @@ var steadyAllocAllowed = map[string]string{
 	"bingo/internal/vm.(*Translator).refillFreeList": "free-list chunk, once per 64Ki new pages",
 	// Results are built once, after the window closes.
 	"bingo/internal/system.(*System).collect": "end-of-run results",
-	// A type assertion's first sight of a dynamic type adds it to the
-	// runtime's per-site cache, once per process.
-	"runtime.typeAssert": "type-assertion cache, once per site and type",
 }
 
 func TestSystemSteadyStateAllocations(t *testing.T) {

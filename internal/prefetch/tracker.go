@@ -58,6 +58,10 @@ type RegionTracker struct {
 	CapacityCompletions uint64
 	// DroppedSingles counts filter entries that ended with one block only.
 	DroppedSingles uint64
+	// FilterDisplacements counts single-block filter entries displaced by
+	// a newer region's first touch: they end untrained, like a dropped
+	// single, but without an eviction.
+	FilterDisplacements uint64
 
 	// trig is the scratch result Observe returns a pointer into, so the
 	// per-access hot path stays allocation-free. It is overwritten by the
@@ -197,6 +201,7 @@ func (rt *RegionTracker) Observe(pc mem.PC, addr mem.Addr, hit bool) (trigger *T
 	*count++
 	if key, _, ok := rt.filter.Insert(region, ar); ok {
 		rt.untrack(key) // a displaced single-block region ends untrained
+		rt.FilterDisplacements++
 	}
 	rt.sanAfterInsert()
 	if hit {

@@ -72,11 +72,10 @@ func (t *refRegionTable) erase(region uint64) (ActiveRegion, bool) {
 // and accumulation tables) with no presence counts: every eviction
 // probes both tables.
 type refTracker struct {
-	rc                                    mem.RegionConfig
-	filter, accum                         *refRegionTable
-	completed                             []ActiveRegion
-	completedRes, capacityComp, dropSingl uint64
-	filterDisplaced                       int // single-block regions a newer one displaced
+	rc                                                 mem.RegionConfig
+	filter, accum                                      *refRegionTable
+	completed                                          []ActiveRegion
+	completedRes, capacityComp, dropSingl, filterDispl uint64
 }
 
 func newRefTracker(rc mem.RegionConfig, filterEntries, accumEntries, ways int) *refTracker {
@@ -106,7 +105,7 @@ func (r *refTracker) observe(pc mem.PC, addr mem.Addr, hit bool) (Trigger, bool)
 		Region: region, TriggerPC: pc, TriggerAddr: addr.BlockAlign(),
 		TriggerOffset: blk, Footprint: Footprint(0).With(blk),
 	}); ok {
-		r.filterDisplaced++
+		r.filterDispl++
 	}
 	if hit {
 		return Trigger{}, false
@@ -193,19 +192,20 @@ func TestTrackerMatchesReference(t *testing.T) {
 				if !slices.Equal(got, ref.completed) {
 					t.Fatalf("op %d: completions %+v, reference %+v", op, got, ref.completed)
 				}
-				if rt.CompletedResidencies != ref.completedRes || rt.CapacityCompletions != ref.capacityComp || rt.DroppedSingles != ref.dropSingl {
-					t.Fatalf("op %d: counters %d/%d/%d, reference %d/%d/%d", op,
-						rt.CompletedResidencies, rt.CapacityCompletions, rt.DroppedSingles,
-						ref.completedRes, ref.capacityComp, ref.dropSingl)
+				if rt.CompletedResidencies != ref.completedRes || rt.CapacityCompletions != ref.capacityComp ||
+					rt.DroppedSingles != ref.dropSingl || rt.FilterDisplacements != ref.filterDispl {
+					t.Fatalf("op %d: counters %d/%d/%d/%d, reference %d/%d/%d/%d", op,
+						rt.CompletedResidencies, rt.CapacityCompletions, rt.DroppedSingles, rt.FilterDisplacements,
+						ref.completedRes, ref.capacityComp, ref.dropSingl, ref.filterDispl)
 				}
 				if op%97 == 0 {
 					checkPresence(t, rt, ref, op)
 				}
 			}
 			checkPresence(t, rt, ref, -1)
-			if ref.completedRes == 0 || ref.capacityComp == 0 || ref.dropSingl == 0 || ref.filterDisplaced == 0 {
+			if ref.completedRes == 0 || ref.capacityComp == 0 || ref.dropSingl == 0 || ref.filterDispl == 0 {
 				t.Fatalf("stream too weak: %d completed, %d capacity completions, %d dropped singles, %d filter displacements",
-					ref.completedRes, ref.capacityComp, ref.dropSingl, ref.filterDisplaced)
+					ref.completedRes, ref.capacityComp, ref.dropSingl, ref.filterDispl)
 			}
 		})
 	}

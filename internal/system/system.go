@@ -53,6 +53,11 @@ type System struct {
 	pfInflight [][]uint64
 	pfDropped  []uint64
 
+	// observers holds, per core, the prefetcher as a
+	// prefetch.OutcomeObserver when it is one and nil otherwise: resolved
+	// once by New, so routing an outcome asserts nothing.
+	observers []prefetch.OutcomeObserver
+
 	// evictPFs is the deduplicated prefetcher list LLC evictions fan out
 	// to (AttachLLC mode): precomputed once by New so a shared-metadata
 	// factory — every core holding the same instance — costs one
@@ -119,9 +124,11 @@ func New(cfg Config, sources []trace.Source, factory prefetch.Factory) (*System,
 		s.pfInflight = make([][]uint64, cfg.NumCores)
 		s.pfDropped = make([]uint64, cfg.NumCores)
 		s.lc = telemetry.NewLifecycle(cfg.NumCores)
+		s.observers = make([]prefetch.OutcomeObserver, cfg.NumCores)
 		for i := range s.pfs {
 			s.pfs[i] = factory(i)
 			s.pfInflight[i] = make([]uint64, 0, cfg.PrefetchQueue)
+			s.observers[i], _ = s.pfs[i].(prefetch.OutcomeObserver)
 		}
 		// Deduplicate the eviction fan-out list once: a shared-metadata
 		// factory hands every core the same instance, and scanning for
@@ -255,10 +262,10 @@ func (s *System) issuePrefetches(target *cache.Cache, core int, now uint64, req 
 // routeOutcome delivers a prefetched line's fate to the issuing core's
 // prefetcher when it opted in via prefetch.OutcomeObserver.
 func (s *System) routeOutcome(core int, useful bool) {
-	if core < 0 || core >= len(s.pfs) {
+	if core < 0 || core >= len(s.observers) {
 		return
 	}
-	if obs, ok := s.pfs[core].(prefetch.OutcomeObserver); ok {
+	if obs := s.observers[core]; obs != nil {
 		obs.OnPrefetchOutcome(useful)
 	}
 }

@@ -32,3 +32,14 @@ func BenchmarkSources(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPermPrefix measures one Zeus chain: the 64 Ki-block prefix
+// of a 1 Mi-block permutation, which replays all 1 Mi of Perm's draws.
+// Every core of every Zeus cell builds one.
+func BenchmarkPermPrefix(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if len(permPrefix(1^0xC4A1, zeusChainBlocks, zeusPrefix)) != zeusPrefix {
+			b.Fatal("short prefix")
+		}
+	}
+}

@@ -245,26 +245,61 @@ func newZeus(seed int64, vbase uint64) trace.Source {
 }
 
 // permPrefix returns the first k entries of
-// rand.New(rand.NewSource(seed)).Perm(n) without building the rest. It
-// replays all n of Perm's Intn(i+1) draws, but keeps only positions
-// below k. Perm's inside-out shuffle sets m[i] = m[j], m[j] = i with
-// j <= i, so a value only ever moves from a lower position to a higher
-// one: once i >= k, a draw can change a kept position j < k only by
-// writing i into it.
+// rand.New(rand.NewSource(seed)).Perm(n), for k <= n < 2^31, without
+// building the rest. It replays all n of Perm's Intn(i+1) draws, but
+// keeps only positions below k. Perm's inside-out shuffle sets
+// m[i] = m[j], m[j] = i with j <= i, so a value only ever moves from a
+// lower position to a higher one: once i >= k, a draw can change a kept
+// position j < k only by writing i into it.
+//
+// Intn(i+1) is int31n on the Source, so the draws read the Source
+// directly. Past k, the draw is int31n written out in the loop (a call
+// per draw there is a large share of the replay; DESIGN.md §3 has the
+// numbers) and the store goes to m[min(j, k)]: m[k] is a spare slot
+// that absorbs the j >= k draws, which compiles to a conditional move
+// instead of a branch taken at random on about one draw in six.
 func permPrefix(seed int64, n, k int) []uint32 {
-	r := rand.New(rand.NewSource(seed))
-	m := make([]uint32, k)
+	src := rand.NewSource(seed)
+	m := make([]uint32, k+1)
 	for i := 0; i < k; i++ {
-		j := r.Intn(i + 1)
+		j := int31n(src, uint32(i+1))
 		m[i] = m[j]
 		m[j] = uint32(i)
 	}
 	for i := k; i < n; i++ {
-		if j := r.Intn(i + 1); j < k {
-			m[j] = uint32(i)
+		bound := uint32(i + 1)
+		v := uint32(src.Int63() >> 32)
+		if bound&(bound-1) == 0 {
+			v &= bound - 1
+		} else {
+			if v >= 1<<31-bound {
+				for t := (1 << 31) % bound; v >= 1<<31-t; {
+					v = uint32(src.Int63() >> 32)
+				}
+			}
+			v %= bound
+		}
+		m[min(v, uint32(k))] = uint32(i)
+	}
+	return m[:k:k]
+}
+
+// int31n returns rand.New(src).Int31n(n) for 0 < n < 2^31, making the
+// same src.Int63 calls. Int31n masks a power of two and otherwise
+// rejects v >= 2^31 - (2^31 % n) before taking v % n; since 2^31 % n < n,
+// no v below 2^31 - n is rejected, and only above it is the remainder
+// (a division) worth computing.
+func int31n(src rand.Source, n uint32) uint32 {
+	v := uint32(src.Int63() >> 32)
+	if n&(n-1) == 0 {
+		return v & (n - 1)
+	}
+	if v >= 1<<31-n {
+		for t := (1 << 31) % n; v >= 1<<31-t; {
+			v = uint32(src.Int63() >> 32)
 		}
 	}
-	return m
+	return v % n
 }
 
 func (g *zeus) generate() {

@@ -109,8 +109,9 @@ func Names() []string {
 // perCore runs the same generator on every core with decorrelated seeds
 // and disjoint address spaces (server workloads). Each core's generator
 // is built in its own goroutine: generators share nothing, so the
-// streams are those of a sequential build, and Zeus's chain replays
-// (most of a Zeus build) run on every host CPU.
+// streams are those of a sequential build, and Zeus's chain replays run
+// on every host CPU. Each replay makes a million draws, still most of a
+// Zeus build and the bulk of any Zeus cell's set-up.
 func perCore(build func(seed int64, vbase uint64) trace.Source) func(int, int64) []trace.Source {
 	return func(cores int, seed int64) []trace.Source {
 		out := make([]trace.Source, cores)

@@ -187,18 +187,139 @@ func TestStoresExist(t *testing.T) {
 func TestZeusPrefixMatchesPerm(t *testing.T) {
 	// The visit order must be exactly a prefix of the permutation the
 	// chain is defined by; that the chain is a single cycle through all
-	// blocks follows, since a permutation visits each block once.
+	// blocks follows, since a permutation visits each block once. The
+	// chain seeds are those perCore hands newZeus on a 4-core machine,
+	// and 2*zeusPrefix is the walk's first doubling.
 	for _, seed := range []int64{1, 2} {
-		chainSeed := seed ^ 0xC4A1
-		perm := rand.New(rand.NewSource(chainSeed)).Perm(zeusChainBlocks)
-		for _, k := range []int{1, 1000, zeusPrefix, zeusChainBlocks} {
-			got := permPrefix(chainSeed, zeusChainBlocks, k)
+		for core := int64(0); core < 4; core++ {
+			chainSeed := (seed + 7919*core) ^ 0xC4A1
+			perm := rand.New(rand.NewSource(chainSeed)).Perm(zeusChainBlocks)
+			for _, k := range []int{1, 1000, zeusPrefix, 2 * zeusPrefix, zeusChainBlocks} {
+				got := permPrefix(chainSeed, zeusChainBlocks, k)
+				if len(got) != k || cap(got) != k {
+					t.Fatalf("chain seed %d k %d: prefix has len %d cap %d", chainSeed, k, len(got), cap(got))
+				}
+				for i, v := range got {
+					if int(v) != perm[i] {
+						t.Fatalf("chain seed %d k %d: prefix[%d] = %d, Perm gives %d", chainSeed, k, i, v, perm[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPermPrefixSmall(t *testing.T) {
+	// Every prefix length of short permutations: k = 0, k = n (no draw
+	// past k) and the draws at powers of two, where Int31n masks.
+	for n := 1; n <= 40; n++ {
+		perm := rand.New(rand.NewSource(int64(n))).Perm(n)
+		for k := 0; k <= n; k++ {
+			got := permPrefix(int64(n), n, k)
 			if len(got) != k {
-				t.Fatalf("seed %d k %d: prefix has %d entries", seed, k, len(got))
+				t.Fatalf("n %d k %d: prefix has %d entries", n, k, len(got))
 			}
 			for i, v := range got {
 				if int(v) != perm[i] {
-					t.Fatalf("seed %d k %d: prefix[%d] = %d, Perm gives %d", seed, k, i, v, perm[i])
+					t.Fatalf("n %d k %d: prefix[%d] = %d, Perm gives %d", n, k, i, v, perm[i])
+				}
+			}
+		}
+	}
+}
+
+// countingSource counts the Int63 calls made on a Source.
+type countingSource struct {
+	rand.Source
+	calls int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.calls++
+	return c.Source.Int63()
+}
+
+// int31nBounds are the bounds int31n is checked at: the smallest, powers
+// of two (masked, never rejected) and their neighbours, Zeus's chain
+// length, and bounds far enough above 2^30 that v >= 2^31 - n, the only
+// range where a draw can be rejected, comes up within a few draws.
+var int31nBounds = []uint32{
+	1, 2, 3, 4, 5, 7, 8, 9, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1 << 20, 1<<20 + 1,
+	1<<30 - 1, 1 << 30, 1<<30 + 1, 3<<29 + 1, 1<<31 - 3, 1<<31 - 1,
+}
+
+func TestInt31nMatchesStdlib(t *testing.T) {
+	// int31n against rand.Int31n on two sources from one seed: each
+	// result, and the next Int63 of both sources after each draw, so
+	// the rejection loop's extra calls keep the states in step.
+	// 2^30+1 and 3*2^29+1 reject about half and a quarter of draws.
+	const draws = 2000
+	for _, n := range int31nBounds {
+		for _, seed := range []int64{1, 0xC4A1} {
+			got := &countingSource{Source: rand.NewSource(seed)}
+			std := rand.NewSource(seed)
+			r := rand.New(std)
+			rejected := 0
+			for d := 0; d < draws; d++ {
+				before := got.calls
+				g, w := int31n(got, n), r.Int31n(int32(n))
+				if int32(g) != w {
+					t.Fatalf("n %d seed %d draw %d: int31n = %d, Int31n = %d", n, seed, d, g, w)
+				}
+				if a, b := got.Int63(), std.Int63(); a != b {
+					t.Fatalf("n %d seed %d draw %d: sources out of step: next Int63 %d, want %d", n, seed, d, a, b)
+				}
+				if got.calls-before > 2 {
+					rejected++
+				}
+			}
+			if (n == 1<<30+1 || n == 3<<29+1) && rejected == 0 {
+				t.Errorf("n %d seed %d: no draw rejected in %d", n, seed, draws)
+			}
+		}
+	}
+}
+
+// scriptSource returns Int31 values from a script, in order.
+type scriptSource struct {
+	v31 []uint32
+	i   int
+}
+
+func (s *scriptSource) Int63() int64 {
+	v := int64(s.v31[s.i%len(s.v31)])<<32 | 0x5a5a5a5a
+	s.i++
+	return v
+}
+
+func (*scriptSource) Seed(int64) {}
+
+func TestInt31nRejectionEdges(t *testing.T) {
+	// Random draws land on a rejection threshold about once in 2^31, so
+	// script the values either side of both: 2^31 - n, below which no
+	// draw is rejected, and 2^31 - (2^31 % n), from which every draw is.
+	for _, n := range int31nBounds {
+		rem := (1 << 31) % n
+		var script []uint32
+		for _, edge := range []uint32{1<<31 - n, 1<<31 - rem} {
+			for _, v := range []uint32{edge - 1, edge, edge + 1} {
+				if v < 1<<31 { // Int31's range; a power of two has no rem edge
+					script = append(script, v)
+				}
+			}
+		}
+		// 0 is never rejected, so no draw rejects the whole script.
+		script = append(script, 0, 1<<31-1, n-1, n)
+		for first := range script {
+			// Start at each value, so each one is drawn first and, if
+			// rejected, followed by each other.
+			rolled := append(slices.Clone(script[first:]), script[:first]...)
+			got, want := &scriptSource{v31: rolled}, &scriptSource{v31: rolled}
+			for d := 0; d < len(script); d++ {
+				g, w := int31n(got, n), rand.New(want).Int31n(int32(n))
+				if int32(g) != w || got.i != want.i {
+					t.Fatalf("n %d script %v draw %d: int31n = %d after %d Int63 calls, Int31n = %d after %d",
+						n, rolled, d, g, got.i, w, want.i)
 				}
 			}
 		}
